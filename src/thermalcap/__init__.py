@@ -50,7 +50,6 @@ from .fock_oracle import (
     beamsplitter_blocks,
     coherent_state,
     gaussian_ensemble_report,
-    holevo_chi_gaussian_ensemble,
     mean_photon_number,
     quadrature_moments,
     thermal_state,
@@ -105,7 +104,6 @@ __all__ = [
     "von_neumann_entropy",
     "mean_photon_number",
     "quadrature_moments",
-    "holevo_chi_gaussian_ensemble",
     "gaussian_ensemble_report",
     "verify_decomposition_fock",
     "Ensemble",

@@ -49,7 +49,6 @@ __all__ = [
     "thermal_entropy_tail",
     "dim_for_thermal_entropy",
     "poisson_tail_bound",
-    "holevo_chi_gaussian_ensemble",
     "gaussian_ensemble_report",
     "verify_decomposition_fock",
     "HERMITICITY_TOL",
@@ -426,6 +425,9 @@ def _env_distribution(
     return probs, budget.tail_bound
 
 
+# Channel kernels, cached per (transmissivity, N_E, environment cutoff).
+# The cache holds the largest kernel set built so far; smaller input
+# dimensions are served by slicing it, as `_BLOCK_CACHE` does for blocks.
 _KERNEL_CACHE: dict[tuple, list[np.ndarray]] = {}
 
 
@@ -439,12 +441,16 @@ def _channel_kernels(
     over the environment collapses the channel to one elementwise
     product per output offset, and the kernels depend only on the
     channel and the dimensions, so they are computed once and cached.
+    No entry depends on the input cutoff, so the kernels for d levels are
+    the [:d, :d] blocks of the last d + dim_env - 1 kernels at any larger
+    cutoff, bit for bit.
     """
     dim_env = len(env_probs)
-    key = (lam, n_env, dim_in, dim_env)
+    key = (lam, n_env, dim_env)
     cached = _KERNEL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if cached is not None and cached[0].shape[0] >= dim_in:
+        dim_max = cached[0].shape[0]
+        return [w[:dim_in, :dim_in] for w in cached[dim_max - dim_in :]]
     kd = _kraus_diagonals(lam, dim_in, dim_env)
     kernels = []
     for off in range(-(dim_in - 1), dim_env):
@@ -477,7 +483,7 @@ def apply_channel(
     env_tail_tol.  The output lives on dim + env_dim - 1 levels, enough
     to hold every photon the truncated joint state can carry, so no
     weight is lost beyond the input deficit plus the environment tail;
-    that accounting is asserted on every call.
+    that accounting is checked on every call.
     """
     if not isinstance(rho, FockDensityMatrix):
         raise TypeError(f"expected FockDensityMatrix, got {type(rho).__name__}")
@@ -504,7 +510,11 @@ def apply_channel(
         )
     deficit = rho.deficit + env_tail
     result = FockDensityMatrix(out, deficit)
-    assert 1.0 - result.trace <= deficit + 1e-12, "trace accounting violated"
+    if 1.0 - result.trace > deficit + 1e-12:
+        raise RuntimeError(
+            f"trace accounting violated: lost {1.0 - result.trace:.3e} "
+            f"beyond the deficit {deficit:.3e}"
+        )
     return result
 
 
@@ -519,17 +529,6 @@ def von_neumann_entropy(rho: FockDensityMatrix) -> float:
     if not isinstance(rho, FockDensityMatrix):
         raise TypeError(f"expected FockDensityMatrix, got {type(rho).__name__}")
     vals = np.linalg.eigvalsh(rho.matrix)
-    if vals[0] < -EIGENVALUE_TOL:
-        raise ValueError(
-            f"state is unphysical: eigenvalue {vals[0]:.3e} below -{EIGENVALUE_TOL:.0e}"
-        )
-    kept = vals[vals > ENTROPY_EIGENVALUE_FLOOR]
-    if kept.size == 0:
-        return 0.0
-    return max(float(-np.sum(kept * np.log(kept))), 0.0)
-
-
-def _entropy_from_eigenvalues(vals: np.ndarray) -> float:
     if vals[0] < -EIGENVALUE_TOL:
         raise ValueError(
             f"state is unphysical: eigenvalue {vals[0]:.3e} below -{EIGENVALUE_TOL:.0e}"
@@ -657,9 +656,11 @@ class ChiReport:
     """Everything the Gaussian-ensemble Holevo quantity run produced.
 
     chi_bits is S(average output) minus the weighted member entropies,
-    in bits.  member_entropies are in nats, one per grid node, in node
-    order; max_tail_bound is the worst per-node Poisson tail actually
-    achieved under the dimension cap.
+    in bits.  alphas, weights, member_dims and member_entropies (nats)
+    hold one entry per grid node, in node order.  Member entropies are
+    computed once per radius and repeated over its phases, so their
+    spread compares radii; max_tail_bound is the worst per-node Poisson
+    tail actually achieved under the dimension cap.
     """
 
     chi_bits: float
@@ -723,10 +724,14 @@ def gaussian_ensemble_report(
 
     Each grid node is a coherent signal pushed through the channel with a
     per-node Fock cutoff (Poisson tail at most env_tail_tol where the cap
-    allows).  Member states are pure, so their channel outputs are
-    assembled directly from the Kraus images of the input vector; the
-    average state is accumulated on the largest output support in fixed
-    node order, making the result deterministic.
+    allows).  The channel is phase-covariant: with U(phi) = diag(e^{i n phi}),
+    the input U |alpha> gives the output U rho_out U^dag.  So the nodes
+    on one radius share one output entropy, and the average of their
+    outputs over the n_angular uniform phases is exactly the phase-0
+    output with every entry (m, n) zeroed unless m - n is a multiple of
+    n_angular.  Each radius therefore costs one `apply_channel` and one
+    entropy.  Radii are visited largest first, so the channel kernels
+    are built once and sliced for the smaller cutoffs.
     """
     n_signal = _check_photon_number(n_signal)
     dim_cap = _as_positive_dim(dim_cap)
@@ -735,68 +740,40 @@ def gaussian_ensemble_report(
         params.environment_photons, env_tail_tol, max_joint_dim
     )
     dim_env = len(env_probs)
-    mus = np.abs(alphas) ** 2
-    dims, worst_tail = _member_dims(mus, dim_cap, dim_env, max_joint_dim, env_tail_tol)
+    # Nodes come radius-major; N = 0 has the single node alpha = 0.
+    per_radius = grid.n_angular if n_signal > 0.0 else 1
+    radii = alphas[::per_radius].real
+    radius_weights = weights.reshape(-1, per_radius).sum(axis=1)
+    dims, worst_tail = _member_dims(
+        radii**2, dim_cap, dim_env, max_joint_dim, env_tail_tol
+    )
 
-    dim_in_max = int(dims.max())
-    dim_out = dim_in_max + dim_env - 1
-    kd = _kraus_diagonals(params.transmissivity, dim_in_max, dim_env)
-    sqrt_probs = np.sqrt(env_probs)
-
+    dim_out = int(dims.max()) + dim_env - 1
+    levels = np.arange(dim_out)
+    mask = (levels[:, None] - levels[None, :]) % per_radius == 0
     average = np.zeros((dim_out, dim_out), dtype=complex)
-    entropies = np.empty(len(alphas))
-    for k, (alpha, w) in enumerate(zip(alphas, weights)):
-        dim_in = int(dims[k])
-        vec = _coherent_vector(alpha, dim_in)
-        n_rows = dim_in * dim_env + dim_env * (dim_env - 1) // 2
-        images = np.zeros((n_rows, dim_out), dtype=complex)
-        row = 0
-        for e in range(dim_env):
-            for f in range(dim_in + e):
-                off = e - f
-                lo = max(0, -off)
-                images[row, lo + off : dim_in + off] = (
-                    sqrt_probs[e] * kd[e, f, lo:dim_in] * vec[lo:]
-                )
-                row += 1
-        out = images.T @ images.conj()
-        d_member = dim_in + dim_env - 1
-        entropies[k] = _entropy_from_eigenvalues(
-            np.linalg.eigvalsh(out[:d_member, :d_member])
+    entropies = np.empty(len(radii))
+    for k in np.argsort(-dims, kind="stable"):
+        out = apply_channel(
+            params,
+            coherent_state(radii[k], int(dims[k])),
+            env_tail_tol=env_tail_tol,
+            max_joint_dim=max_joint_dim,
         )
-        average += w * out
+        entropies[k] = von_neumann_entropy(out)
+        average[: out.dim, : out.dim] += radius_weights[k] * out.matrix
 
-    average_entropy = _entropy_from_eigenvalues(np.linalg.eigvalsh(average))
-    chi_bits = max((average_entropy - float(weights @ entropies)) / _LN2, 0.0)
+    average_entropy = von_neumann_entropy(FockDensityMatrix(average * mask, env_tail))
+    chi_bits = max((average_entropy - float(radius_weights @ entropies)) / _LN2, 0.0)
     return ChiReport(
         chi_bits=chi_bits,
         average_entropy_nats=average_entropy,
-        member_entropies_nats=entropies,
+        member_entropies_nats=np.repeat(entropies, per_radius),
         alphas=alphas,
         weights=weights,
-        member_dims=dims,
+        member_dims=np.repeat(dims, per_radius),
         max_tail_bound=max(worst_tail, env_tail),
     )
-
-
-def holevo_chi_gaussian_ensemble(
-    params: ChannelParams,
-    n_signal: float,
-    grid: GridSpec = GridSpec(),
-    dim_cap: int = DEFAULT_CHI_DIM_CAP,
-    *,
-    env_tail_tol: float = DEFAULT_TAIL_TOL,
-    max_joint_dim: int = DEFAULT_MAX_JOINT_DIM,
-) -> float:
-    """Holevo quantity (bits) of the discretized Gaussian coherent ensemble."""
-    return gaussian_ensemble_report(
-        params,
-        n_signal,
-        grid,
-        dim_cap,
-        env_tail_tol=env_tail_tol,
-        max_joint_dim=max_joint_dim,
-    ).chi_bits
 
 
 @dataclass(frozen=True)

@@ -35,19 +35,26 @@ def test_chi_two_member_pure_loss_below_capacity():
     assert 0.0 < value <= gfunc.g(0.6) / LN2
 
 
-def test_chi_matches_gaussian_ensemble_report():
-    # Build the identical discretized coherent ensemble and evaluate it
-    # through the generic chi: same formula, same inputs, same number.
+def _report_matches_explicit_ensemble(grid):
+    # Build the identical discretized coherent ensemble, one member per
+    # grid node, and evaluate it through the generic chi: the report's
+    # per-radius shortcut must give the same number.
     p = params(0.6, 0.5)
-    report = gaussian_ensemble_report(
-        p, 0.02, GridSpec(n_radial=7, n_angular=2), dim_cap=48
-    )
+    report = gaussian_ensemble_report(p, 0.02, grid, dim_cap=48)
     members = tuple(
         (coherent_state(a, int(d)), float(w))
         for a, w, d in zip(report.alphas, report.weights, report.member_dims)
     )
     value = chi(p, Ensemble(members))
     assert abs(value - report.chi_bits) <= 1e-12
+
+
+def test_chi_matches_gaussian_ensemble_report():
+    _report_matches_explicit_ensemble(GridSpec(n_radial=7, n_angular=2))
+
+
+def test_chi_matches_gaussian_ensemble_report_odd_angular():
+    _report_matches_explicit_ensemble(GridSpec(n_radial=7, n_angular=3))
 
 
 def test_ensemble_mean_photons_and_validation():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thermalcap import gfunc
+from thermalcap import fock_oracle, gfunc
 from thermalcap.bounds import LN2, holevo_lower
 from thermalcap.fock_oracle import (
     BudgetError,
@@ -16,7 +16,6 @@ from thermalcap.fock_oracle import (
     beamsplitter_blocks,
     coherent_state,
     gaussian_ensemble_report,
-    holevo_chi_gaussian_ensemble,
     mean_photon_number,
     poisson_tail_bound,
     quadrature_moments,
@@ -142,6 +141,39 @@ def test_apply_channel_trace_accounting():
     assert abs(float(np.trace(out.matrix).real) - (1.0 - out.deficit)) <= 1e-12
 
 
+def test_apply_channel_phase_covariance():
+    # U(phi) = diag(e^{i n phi}) on the input comes out as U(phi) on the
+    # output; the oracle's exact angular average rests on this.  phi is
+    # not a multiple of 2 pi / n_angular for any default grid.
+    p = params(0.6, 0.5)
+    alpha, phi = 1.1, 0.37
+    out = apply_channel(p, coherent_state(alpha, 24))
+    rotated = apply_channel(p, coherent_state(alpha * np.exp(1j * phi), 24))
+    u = np.exp(1j * phi * np.arange(out.dim))
+    expected = u[:, None] * out.matrix * u.conj()[None, :]
+    np.testing.assert_allclose(rotated.matrix, expected, rtol=0, atol=1e-12)
+
+
+def test_channel_kernels_slice_the_largest_build(monkeypatch):
+    # One cache entry per (lam, N_E, environment cutoff): a smaller input
+    # cutoff is served from the largest build, bit for bit a fresh build.
+    cache = {}
+    monkeypatch.setattr(fock_oracle, "_KERNEL_CACHE", cache)
+    env_probs, _ = fock_oracle._env_distribution(0.5, 1e-10, 4096)
+    key = (0.6, 0.5, len(env_probs))
+    largest = fock_oracle._channel_kernels(0.6, 0.5, env_probs, 40)
+    for dim in (1, 17, 39):
+        sliced = fock_oracle._channel_kernels(0.6, 0.5, env_probs, dim)
+        assert list(cache) == [key] and cache[key] is largest
+        cache.clear()
+        fresh = fock_oracle._channel_kernels(0.6, 0.5, env_probs, dim)
+        cache[key] = largest
+        assert len(sliced) == len(fresh) == dim + len(env_probs) - 1
+        for a, b in zip(sliced, fresh):
+            assert a.shape == b.shape == (dim, dim)
+            assert np.array_equal(a, b)
+
+
 def test_von_neumann_entropy_maximally_mixed():
     rho = FockDensityMatrix(np.eye(4) / 4.0)
     assert abs(von_neumann_entropy(rho) - math.log(4.0)) < 1e-12
@@ -171,12 +203,12 @@ def test_grid_spec_insufficient_coverage():
 
 
 def test_chi_pure_loss_matches_capacity():
-    value = holevo_chi_gaussian_ensemble(params(0.6, 0.0), 1.0, dim_cap=96)
+    value = gaussian_ensemble_report(params(0.6, 0.0), 1.0, dim_cap=96).chi_bits
     assert abs(value - gfunc.g(0.6) / LN2) <= 1e-3
 
 
 def test_chi_zero_signal_is_zero():
-    assert holevo_chi_gaussian_ensemble(params(0.6, 0.5), 0.0) == 0.0
+    assert gaussian_ensemble_report(params(0.6, 0.5), 0.0).chi_bits == 0.0
 
 
 def test_chi_report_alpha_independence():
