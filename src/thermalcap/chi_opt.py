@@ -26,6 +26,13 @@ condition of the constrained capacity problem are inserted, one at a
 time, until MAX_MEMBERS is reached or no candidate helps.  Only a stall
 that inserts nothing shrinks the perturbation scale geometrically.
 
+Every chi in this module, `chi` included, comes from one evaluator over
+the members' channel outputs stacked as a (members, D, D) array: the
+average output and all relative-entropy scores are one matvec each, and
+the entropy of the average goes through `fock_oracle`'s eigenvalue
+routine, physicality check included.  Displacements reuse one cached
+eigenbasis of a^dag - a per dimension.
+
 Everything is deterministic under a fixed seed, and the result is
 numerical evidence only: no claim of a global optimum is made, and a
 value above the certified upper bound signals a truncation or budget
@@ -35,6 +42,7 @@ problem, not a capacity violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+import cmath
 import math
 
 import numpy as np
@@ -44,6 +52,8 @@ from .fock_oracle import (
     DEFAULT_MAX_JOINT_DIM,
     DEFAULT_TAIL_TOL,
     FockDensityMatrix,
+    _CACHE,
+    _eigenvalue_entropy,
     apply_channel,
     coherent_state,
     mean_photon_number,
@@ -182,42 +192,80 @@ def chi(
     Single-member ensembles give exactly 0.  Member outputs are embedded
     into the largest common output dimension before mixing, which is
     lossless; truncation error is bounded by the members' own deficits
-    as propagated by `apply_channel`.
+    as propagated by `apply_channel`.  Raises ValueError if a member's
+    output or the average output is unphysical.
     """
     if not isinstance(ensemble, Ensemble):
         raise ValueError(f"expected an Ensemble, got {ensemble!r}")
     if len(ensemble) == 1:
         return 0.0
-    outs = []
-    for state, weight in ensemble.members:
-        out = apply_channel(
-            params, state, env_tail_tol=env_tail_tol, max_joint_dim=max_joint_dim
-        )
-        outs.append((out, weight))
-    dim_out = max(out.dim for out, _ in outs)
-    average = np.zeros((dim_out, dim_out), dtype=complex)
-    deficit = 0.0
-    entropy_sum = 0.0
-    for out, weight in outs:
-        d = out.dim
-        average[:d, :d] += weight * out.matrix
-        deficit += weight * out.deficit
-        if weight > 0.0:
-            entropy_sum += weight * von_neumann_entropy(out)
-    average_entropy = von_neumann_entropy(FockDensityMatrix(average, deficit=deficit))
-    return max((average_entropy - entropy_sum) / _LN2, 0.0)
+    outs = [
+        apply_channel(params, state, env_tail_tol=env_tail_tol, max_joint_dim=max_joint_dim)
+        for state, _ in ensemble.members
+    ]
+    weights = np.array([weight for _, weight in ensemble.members])
+    entropies = np.array(
+        [von_neumann_entropy(out) if w > 0.0 else 0.0 for out, w in zip(outs, weights)]
+    )
+    return _holevo(_stack([o.matrix for o in outs]), entropies, weights)[0]
+
+
+def _stack(matrices: list[np.ndarray], dim: int | None = None) -> np.ndarray:
+    """Square matrices zero-padded to dim (default: the largest), stacked."""
+    dim = dim or max(len(m) for m in matrices)
+    stack = np.zeros((len(matrices), dim, dim), dtype=complex)
+    for k, m in enumerate(matrices):
+        stack[k, : len(m), : len(m)] = m
+    return stack
+
+
+def _holevo(
+    outs: np.ndarray, entropies: np.ndarray, weights: np.ndarray, with_log: bool = False
+) -> tuple[float, np.ndarray | None]:
+    """Chi in bits of stacked member outputs, and ln of the average output.
+
+    The average output is one real matvec over the stack, and its
+    entropy comes from the eigenvalue routine of `von_neumann_entropy`,
+    so an unphysical average raises ValueError.  With `with_log` the
+    matrix logarithm of the average (eigenvalues floored at 1e-18) comes
+    from the same eigh and is returned for the relative-entropy scores;
+    otherwise only eigenvalues are computed and None is returned.
+    """
+    members, dim = outs.shape[:2]
+    average = (weights @ outs.view(float).reshape(members, -1)).view(complex)
+    average = average.reshape(dim, dim)
+    if with_log:
+        vals, vecs = np.linalg.eigh(average)
+    else:
+        vals = np.linalg.eigvalsh(average)
+    value = max((_eigenvalue_entropy(vals) - float(weights @ entropies)) / _LN2, 0.0)
+    if not with_log:
+        return value, None
+    return value, (vecs * np.log(np.maximum(vals, _LOG_FLOOR))) @ vecs.conj().T
 
 
 def _displacement_unitary(delta: complex, dim: int) -> np.ndarray:
-    """exp(delta a^dag - conj(delta) a) on the truncated Fock space."""
-    ladder = np.sqrt(np.arange(1.0, dim))
-    gen = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(dim - 1)
-    gen[rows + 1, rows] = delta * ladder
-    gen[rows, rows + 1] = -np.conj(delta) * ladder
-    herm = 1j * gen
-    vals, vecs = np.linalg.eigh(herm)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    """exp(delta a^dag - conj(delta) a) on the truncated Fock space.
+
+    With delta = r e^{i phi} the truncated generator is the diagonal
+    similarity diag(e^{i n phi}) of r (a^dag - a), so one eigenbasis of
+    the real generator per dimension, kept in the shared operator cache,
+    serves every move: no eigensolve per proposed displacement.
+    """
+    key = ("displacement", dim)
+    basis = _CACHE.get(key)
+    if basis is None:
+        ladder = np.sqrt(np.arange(1.0, dim))
+        rows = np.arange(dim - 1)
+        herm = np.zeros((dim, dim), dtype=complex)  # i (a^dag - a)
+        herm[rows + 1, rows] = 1j * ladder
+        herm[rows, rows + 1] = -1j * ladder
+        basis = tuple(np.linalg.eigh(herm))
+        _CACHE.put(key, basis)
+    freq, vecs = basis
+    core = (vecs * np.exp(-1j * abs(delta) * freq)) @ vecs.conj().T
+    phase = np.exp(1j * cmath.phase(delta) * np.arange(dim))
+    return phase[:, None] * core * phase.conj()[None, :]
 
 
 def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.ndarray:
@@ -277,17 +325,15 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
     return w_hi / w_hi.sum()
 
 
-def _scores(
-    outs: list[FockDensityMatrix], entropies: np.ndarray, ln_avg: np.ndarray
-) -> np.ndarray:
-    """Relative entropies D(E(rho_k) || average output) in nats."""
-    return np.array(
-        [
-            -s - float(np.einsum(
-                "ij,ji->", out.matrix, ln_avg[: out.dim, : out.dim]).real)
-            for out, s in zip(outs, entropies)
-        ]
-    )
+def _scores(outs: np.ndarray, entropies: np.ndarray, ln_avg: np.ndarray) -> np.ndarray:
+    """Relative entropies D(E(rho_k) || average output) in nats, stacked.
+
+    For Hermitian matrices tr(out ln_avg) is the real inner product of
+    their (re, im) entries, so the whole stack takes one matvec.
+    """
+    members, dim = outs.shape[:2]
+    log_avg = np.ascontiguousarray(ln_avg[:dim, :dim]).view(float).reshape(-1)
+    return -entropies - outs.view(float).reshape(members, -1) @ log_avg
 
 
 class _Pool:
@@ -308,14 +354,19 @@ class _Pool:
                 angle = 2.0 * math.pi * (j + 0.5 * (i % 2)) / _POOL_ANGLES
                 alphas.append(i * self.spacing * complex(math.cos(angle), math.sin(angle)))
         self.states = [coherent_state(a, dim) for a in alphas]
-        self.outs = [apply_channel(params, s) for s in self.states]
-        self.entropies = np.array([von_neumann_entropy(o) for o in self.outs])
+        outs = [apply_channel(params, s) for s in self.states]
+        self.outs = _stack([o.matrix for o in outs])
+        self.entropies = np.array([von_neumann_entropy(o) for o in outs])
         self.photons = np.array([mean_photon_number(s) for s in self.states])
-        self.dim_out = max(o.dim for o in self.outs)
 
 
 class _Run:
-    """Mutable state of one optimization: members, weights, channel outputs."""
+    """Mutable state of one optimization: members, weights, channel outputs.
+
+    `outs` stacks the members' channel outputs, zero-padded to the largest
+    one, so the average output and every relative-entropy score take one
+    matvec each.
+    """
 
     def __init__(
         self,
@@ -328,39 +379,11 @@ class _Run:
         self.budget = budget
         self.states = states
         self.weights = weights.copy()
-        self.outs = [apply_channel(params, s) for s in states]
-        self.entropies = np.array([von_neumann_entropy(o) for o in self.outs])
+        outs = [apply_channel(params, s) for s in states]
+        self.outs = _stack([o.matrix for o in outs])
+        self.entropies = np.array([von_neumann_entropy(o) for o in outs])
         self.photons = np.array([mean_photon_number(s) for s in states])
-        self.dim_out = max(o.dim for o in self.outs)
-        self.current_chi = self.chi_bits()
-
-    def average_output(self, weights: np.ndarray) -> np.ndarray:
-        avg = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for out, w in zip(self.outs, weights):
-            if w > 0.0:
-                avg[: out.dim, : out.dim] += w * out.matrix
-        return avg
-
-    def chi_bits(self, weights: np.ndarray | None = None) -> float:
-        w = self.weights if weights is None else weights
-        avg = self.average_output(w)
-        vals = np.linalg.eigvalsh(avg)
-        vals = vals[vals > 1e-15]
-        average_entropy = float(-(vals @ np.log(vals)))
-        return max((average_entropy - float(w @ self.entropies)) / _LN2, 0.0)
-
-    def _decompose_average(
-        self, weights: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """Chi (bits) and matrix log of the average output, from one eigh."""
-        vals, vecs = np.linalg.eigh(self.average_output(weights))
-        pos = vals[vals > 1e-15]
-        average_entropy = float(-(pos @ np.log(pos)))
-        chi = max(
-            (average_entropy - float(weights @ self.entropies)) / _LN2, 0.0
-        )
-        ln_avg = (vecs * np.log(np.maximum(vals, _LOG_FLOOR))) @ vecs.conj().T
-        return chi, ln_avg
+        self.current_chi = _holevo(self.outs, self.entropies, self.weights)[0]
 
     def _reweight_candidate(
         self, weights: np.ndarray, ln_avg: np.ndarray
@@ -377,9 +400,9 @@ class _Run:
         return _tilted_weights(raw, self.photons, self.budget)
 
     def weight_step(self) -> None:
-        chi_now, ln_avg = self._decompose_average(self.weights)
+        chi_now, ln_avg = _holevo(self.outs, self.entropies, self.weights, with_log=True)
         candidate = self._reweight_candidate(self.weights, ln_avg)
-        chi_candidate = self.chi_bits(candidate)
+        chi_candidate = _holevo(self.outs, self.entropies, candidate)[0]
         if chi_candidate >= chi_now - 1e-15:
             self.weights = candidate
             self.current_chi = chi_candidate
@@ -393,29 +416,28 @@ class _Run:
         overdraws the photon budget gets its weights re-tilted back into
         feasibility, and a reweighting step is evaluated alongside the
         unchanged weights, so moves that only pay off after the weights
-        adapt stay reachable even when the constraint is active.
+        adapt stay reachable even when the constraint is active.  Moves
+        keep a member's dimension, so the new output fills the old one's
+        place in the stack.
         """
         before = self.current_chi
         out = apply_channel(self.params, state)
-        old = (self.states[k], self.outs[k], self.entropies[k], self.photons[k])
+        old = (self.states[k], self.outs[k].copy(), self.entropies[k], self.photons[k])
         self.states[k] = state
-        self.outs[k] = out
+        self.outs[k, : out.dim, : out.dim] = out.matrix
         self.entropies[k] = von_neumann_entropy(out)
         self.photons[k] = mean_photon_number(state)
-        self.dim_out = max(self.dim_out, out.dim)
         weights = self.weights
         if float(weights @ self.photons) > self.budget:
             if float(self.photons.min()) > self.budget:
                 # No reweighting can restore feasibility; reject outright.
-                self.states[k], self.outs[k] = old[0], old[1]
-                self.entropies[k], self.photons[k] = old[2], old[3]
-                self.dim_out = max(o.dim for o in self.outs)
+                self.states[k], self.outs[k], self.entropies[k], self.photons[k] = old
                 return False
             weights = _tilted_weights(weights, self.photons, self.budget)
-        best, ln_avg = self._decompose_average(weights)
+        best, ln_avg = _holevo(self.outs, self.entropies, weights, with_log=True)
         best_weights = weights
         reweighted = self._reweight_candidate(weights, ln_avg)
-        chi_reweighted = self.chi_bits(reweighted)
+        chi_reweighted = _holevo(self.outs, self.entropies, reweighted)[0]
         if chi_reweighted > best:
             best_weights, best = reweighted, chi_reweighted
         if best > before:
@@ -423,7 +445,6 @@ class _Run:
             self.current_chi = best
             return True
         self.states[k], self.outs[k], self.entropies[k], self.photons[k] = old
-        self.dim_out = max(o.dim for o in self.outs)
         return False
 
     def grow(self, pool: _Pool) -> bool:
@@ -447,10 +468,10 @@ class _Run:
 
     def _insert(self, pool: _Pool) -> bool:
         w = self.weights
-        dim_out = self.dim_out
-        self.dim_out = max(dim_out, pool.dim_out)
-        _, ln_avg = self._decompose_average(w)
-        scores = _scores(self.outs, self.entropies, ln_avg)
+        outs = self.outs
+        dim = max(outs.shape[-1], pool.outs.shape[-1])
+        _, ln_avg = _holevo(_stack(outs, dim), self.entropies, w, with_log=True)
+        scores = _scores(outs, self.entropies, ln_avg)
         # The multiplier is the slope of score against photons over the
         # members; it is zero while the budget is slack.
         mu = 0.0
@@ -467,10 +488,9 @@ class _Run:
         )
         j = int(np.argmax(violation))
         if not violation[j] > 0.0:
-            self.dim_out = dim_out
             return False
         self.states.append(pool.states[j])
-        self.outs.append(pool.outs[j])
+        self.outs = _stack([*outs, pool.outs[j]], dim)
         self.entropies = np.append(self.entropies, pool.entropies[j])
         self.photons = np.append(self.photons, pool.photons[j])
         best, best_weights = self.current_chi, None
@@ -479,20 +499,18 @@ class _Run:
             weights = np.append((1.0 - share) * w, share)
             if float(weights @ self.photons) > self.budget:
                 weights = _tilted_weights(weights, self.photons, self.budget)
-            value = self.chi_bits(weights)
+            value = _holevo(self.outs, self.entropies, weights)[0]
             if value > best:
                 best, best_weights = value, weights
             share *= 0.5
         if best_weights is None:
             self.states.pop()
-            self.outs.pop()
+            self.outs = outs
             self.entropies = self.entropies[:-1]
             self.photons = self.photons[:-1]
-            self.dim_out = dim_out
             return False
         self.weights = best_weights
         self.current_chi = best
-        self.dim_out = max(o.dim for o in self.outs)
         return True
 
     def ensemble(self) -> Ensemble:

@@ -16,14 +16,19 @@ degraded answer.
 The beamsplitter unitary conserves total photon number, so it is built
 block by block: within the span of |n, M-n> the unitary is a finite
 orthogonal rotation, computed stably as the exponential of its
-tridiagonal generator.  Tracing out the thermal environment then turns
-each block column into a family of single-diagonal Kraus operators, and
-the channel is applied without ever materializing the joint Hilbert
-space.
+tridiagonal generator.  The channel is phase-covariant, so diagonal
+delta of the input feeds only diagonal delta of the output; tracing out
+the thermal environment collapses the block columns into one real
+transfer tensor per channel, and `apply_channel` is a single batched
+matmul over the input's diagonals, without ever materializing the joint
+Hilbert space.  Transfer tensors are kept in one small LRU cache; the
+blocks are built one at a time for a tensor build and not kept.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 import math
 
@@ -326,10 +331,35 @@ def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
     return FockDensityMatrix(np.outer(vec, vec.conj()), 0.0)
 
 
-# Number-conserving beamsplitter blocks, cached per transmissivity.  The
-# cache holds the largest block list built so far; smaller requests are
-# served by slicing it.
-_BLOCK_CACHE: dict[float, list[np.ndarray]] = {}
+# One bounded LRU holds every derived operator the package reuses:
+# ("transfer", lam, N_E, env dim) is the largest transfer tensor built so
+# far, smaller input cutoffs being served by slicing it, and
+# ("displacement", dim) an eigenbasis for `chi_opt`.  Beamsplitter blocks
+# are not kept: only a transfer-tensor build consumes them, one at a time.
+_CACHE_ENTRIES = 8
+
+
+class _LRUCache(OrderedDict):
+    """Mapping that keeps at most `size` entries, evicting the least recent."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def get(self, key):
+        value = super().get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        self[key] = value
+        self.move_to_end(key)
+        while len(self) > self.size:
+            self.popitem(last=False)
+
+
+_CACHE = _LRUCache(_CACHE_ENTRIES)
 
 
 def _rotation_block(theta: float, total: int) -> np.ndarray:
@@ -379,39 +409,13 @@ def beamsplitter_blocks(transmissivity: float, max_total: int) -> list[np.ndarra
         raise ValueError(f"transmissivity must be in (0, 1], got {transmissivity}")
     if not isinstance(max_total, (int, np.integer)) or max_total < 0:
         raise ValueError(f"max_total must be a nonnegative integer, got {max_total!r}")
-    max_total = int(max_total)
+    return list(_blocks(lam, int(max_total) + 1))
 
-    blocks = _BLOCK_CACHE.setdefault(lam, [])
+
+def _blocks(lam: float, count: int) -> Iterator[np.ndarray]:
+    """The blocks B[0], ..., B[count - 1], built one at a time on demand."""
     theta = math.atan2(math.sqrt(1.0 - lam), math.sqrt(lam))
-    while len(blocks) <= max_total:
-        blk = _rotation_block(theta, len(blocks))
-        blk.setflags(write=False)
-        blocks.append(blk)
-    return blocks[: max_total + 1]
-
-
-def _kraus_diagonals(lam: float, dim_in: int, dim_env: int) -> np.ndarray:
-    """Gather kd[e, f, n] = B[n+e][n+e-f, n], the diagonal of K_{f,e}.
-
-    K_{f,e} = <f|_env U |e>_env maps |n> to kd[e, f, n] |n + e - f|>, so
-    the channel is a sum of shifted-diagonal conjugations weighted by
-    the environment occupation probabilities.
-    """
-    m_max = dim_in + dim_env - 2
-    blocks = beamsplitter_blocks(lam, m_max)
-    kd = np.zeros((dim_env, m_max + 1, dim_in))
-    for total in range(m_max + 1):
-        blk = blocks[total]
-        n_lo = max(0, total - (dim_env - 1))
-        n_hi = min(dim_in - 1, total)
-        if n_lo > n_hi:
-            continue
-        ns = np.arange(n_lo, n_hi + 1)
-        ms = np.arange(total + 1)
-        kd[(total - ns)[None, :], (total - ms)[:, None], ns[None, :]] = blk[
-            ms[:, None], ns[None, :]
-        ]
-    return kd
+    return (_rotation_block(theta, total) for total in range(count))
 
 
 def _env_distribution(
@@ -425,49 +429,50 @@ def _env_distribution(
     return probs, budget.tail_bound
 
 
-# Channel kernels, cached per (transmissivity, N_E, environment cutoff).
-# The cache holds the largest kernel set built so far; smaller input
-# dimensions are served by slicing it, as `_BLOCK_CACHE` does for blocks.
-_KERNEL_CACHE: dict[tuple, list[np.ndarray]] = {}
-
-
-def _channel_kernels(
+def _transfer_tensor(
     lam: float, n_env: float, env_probs: np.ndarray, dim_in: int
-) -> list[np.ndarray]:
-    """Hadamard kernels W_off[i, j] = sum_e p_e kd[e, e-off, i] kd[e, e-off, j].
+) -> np.ndarray:
+    """Real tensor T[delta, p, j] carrying input diagonal delta to the output.
 
-    Every Kraus operator is a shifted diagonal, so conjugation acts
-    entrywise: (K rho K^dag)[i+off, j+off] = d_i d_j rho[i, j].  Summing
-    over the environment collapses the channel to one elementwise
-    product per output offset, and the kernels depend only on the
-    channel and the dimensions, so they are computed once and cached.
-    No entry depends on the input cutoff, so the kernels for d levels are
-    the [:d, :d] blocks of the last d + dim_env - 1 kernels at any larger
-    cutoff, bit for bit.
+    out[p, p + delta] = sum_j T[delta, p, j] rho[j - delta, j], where
+
+        T[delta, p, j] = sum_e p_e B[j-delta+e][p, j-delta] B[j+e][p+delta, j]:
+
+    the environment starts in |e> with probability p_e, input level n and
+    |e> share the block of total n + e, and the environment's output level
+    is traced out.  The input is indexed by its column j, so no entry
+    depends on the input cutoff or needs a block above total
+    j + dim_env - 1, and the tensor for d levels is the slice
+    T[:d, :d + dim_env - 1, :d] of any larger build, bit for bit.  The
+    cache keeps the largest build per (transmissivity, N_E, env cutoff);
+    it holds dim_in^2 * (dim_in + dim_env - 1) floats, as many as the
+    output has entries times the input's levels.
     """
     dim_env = len(env_probs)
-    key = (lam, n_env, dim_env)
-    cached = _KERNEL_CACHE.get(key)
-    if cached is not None and cached[0].shape[0] >= dim_in:
-        dim_max = cached[0].shape[0]
-        return [w[:dim_in, :dim_in] for w in cached[dim_max - dim_in :]]
-    kd = _kraus_diagonals(lam, dim_in, dim_env)
-    kernels = []
-    for off in range(-(dim_in - 1), dim_env):
-        w = np.zeros((dim_in, dim_in))
-        lo = max(0, -off)
-        for e in range(max(0, off), dim_env):
-            f = e - off
-            if f >= dim_in + e:
-                continue
-            d = kd[e, f, lo:]
-            w[lo:, lo:] += env_probs[e] * (d[:, None] * d[None, :])
-        w.setflags(write=False)
-        kernels.append(w)
-    if len(_KERNEL_CACHE) >= 128:
-        _KERNEL_CACHE.clear()
-    _KERNEL_CACHE[key] = kernels
-    return kernels
+    key = ("transfer", lam, n_env, dim_env)
+    cached = _CACHE.get(key)
+    if cached is not None and cached.shape[0] >= dim_in:
+        return cached[:dim_in, : dim_in + dim_env - 1, :dim_in]
+    dim_out = dim_in + dim_env - 1
+    # amp[e, p, n] = B[n+e][p, n]: input |n> with environment |e> to output |p>.
+    amp = np.zeros((dim_env, dim_out, dim_in))
+    for total, blk in enumerate(_blocks(lam, dim_out)):
+        ns = np.arange(max(0, total - dim_env + 1), min(dim_in - 1, total) + 1)
+        amp[total - ns, : total + 1, ns] = blk[:, ns].T
+    # Scaling amp by sqrt(p_e) in place makes each term one product;
+    # summing over the environment one diagonal at a time keeps every
+    # temporary smaller than amp.
+    amp *= np.sqrt(env_probs)[:, None, None]
+    transfer = np.zeros((dim_in, dim_out, dim_in))
+    for delta in range(dim_in):
+        rows, cols = dim_out - delta, dim_in - delta
+        np.einsum(
+            "epj,epj->pj", amp[:, :rows, :cols], amp[:, delta:, delta:],
+            out=transfer[delta, :rows, delta:],
+        )
+    transfer.setflags(write=False)
+    _CACHE.put(key, transfer)
+    return transfer
 
 
 def apply_channel(
@@ -483,7 +488,10 @@ def apply_channel(
     env_tail_tol.  The output lives on dim + env_dim - 1 levels, enough
     to hold every photon the truncated joint state can carry, so no
     weight is lost beyond the input deficit plus the environment tail;
-    that accounting is checked on every call.
+    that accounting is checked on every call.  The upper diagonals of rho
+    go through the cached transfer tensor in one real batched matmul
+    (real and imaginary parts side by side), and the lower triangle of
+    the output is filled by Hermiticity.
     """
     if not isinstance(rho, FockDensityMatrix):
         raise TypeError(f"expected FockDensityMatrix, got {type(rho).__name__}")
@@ -499,15 +507,24 @@ def apply_channel(
             bound="joint_dim", value=joint, limit=max_joint_dim,
         )
     dim_out = dim_in + dim_env - 1
-    kernels = _channel_kernels(
+    transfer = _transfer_tensor(
         params.transmissivity, params.environment_photons, env_probs, dim_in
     )
-    out = np.zeros((dim_out, dim_out), dtype=complex)
-    for off, kernel in zip(range(-(dim_in - 1), dim_env), kernels):
-        lo = max(0, -off)
-        out[lo + off : dim_in + off, lo + off : dim_in + off] += (
-            kernel[lo:, lo:] * rho.matrix[lo:, lo:]
-        )
+    # diags[delta, j] = rho[j - delta, j], read from [0 | rho^T] so that
+    # j < delta lands in the zero block.
+    lag = np.arange(dim_in)
+    padded = np.zeros((dim_in, 2 * dim_in), dtype=complex)
+    padded[:, dim_in:] = rho.matrix.T
+    diags = padded[lag, dim_in + lag - lag[:, None]]
+    pushed = np.matmul(transfer, diags.view(float).reshape(dim_in, dim_in, 2))
+    # pushed[delta, p] = out[p, p + delta]; it is zero for p + delta >=
+    # dim_out, which the padding columns absorb.
+    levels = np.arange(dim_out)
+    upper = np.zeros((dim_out, dim_out + dim_in), dtype=complex)
+    upper[levels, levels + lag[:, None]] = pushed.view(complex)[..., 0]
+    upper = upper[:, :dim_out]
+    out = upper + upper.conj().T
+    out.flat[:: dim_out + 1] *= 0.5
     deficit = rho.deficit + env_tail
     result = FockDensityMatrix(out, deficit)
     if 1.0 - result.trace > deficit + 1e-12:
@@ -528,7 +545,15 @@ def von_neumann_entropy(rho: FockDensityMatrix) -> float:
     """
     if not isinstance(rho, FockDensityMatrix):
         raise TypeError(f"expected FockDensityMatrix, got {type(rho).__name__}")
-    vals = np.linalg.eigvalsh(rho.matrix)
+    return _eigenvalue_entropy(np.linalg.eigvalsh(rho.matrix))
+
+
+def _eigenvalue_entropy(vals: np.ndarray) -> float:
+    """-sum mu ln mu (nats) over ascending eigenvalues mu > 1e-15.
+
+    Raises ValueError when the smallest eigenvalue shows the state is
+    unphysical.  Shared with `chi_opt`, which has the spectrum already.
+    """
     if vals[0] < -EIGENVALUE_TOL:
         raise ValueError(
             f"state is unphysical: eigenvalue {vals[0]:.3e} below -{EIGENVALUE_TOL:.0e}"
@@ -730,8 +755,8 @@ def gaussian_ensemble_report(
     outputs over the n_angular uniform phases is exactly the phase-0
     output with every entry (m, n) zeroed unless m - n is a multiple of
     n_angular.  Each radius therefore costs one `apply_channel` and one
-    entropy.  Radii are visited largest first, so the channel kernels
-    are built once and sliced for the smaller cutoffs.
+    entropy.  Radii are visited largest first, so the transfer tensor is
+    built once and sliced for the smaller cutoffs.
     """
     n_signal = _check_photon_number(n_signal)
     dim_cap = _as_positive_dim(dim_cap)

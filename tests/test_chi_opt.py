@@ -9,11 +9,14 @@ from thermalcap.chi_opt import (
     MAX_MEMBERS,
     Ensemble,
     OptimizerConfig,
+    _displacement_unitary,
+    _holevo,
     _tilted_weights,
     chi,
     optimize,
 )
 from thermalcap.fock_oracle import (
+    FockDensityMatrix,
     GridSpec,
     coherent_state,
     gaussian_ensemble_report,
@@ -256,3 +259,84 @@ def test_optimize_mixed_state_members_allowed():
     result = optimize(params(0.8, 0.1), 0.5, cfg)
     assert result.best_chi_bits >= 0.0
     assert result.ensemble.mean_photons <= 0.5 + 1e-9
+
+
+def test_chi_matches_the_optimizer_result():
+    # The public evaluator and the optimizer's running value are one core.
+    p = params(0.6, 0.5)
+    cfg = OptimizerConfig(ensemble_size=4, dim=10, max_iterations=6, seed=2)
+    result = optimize(p, 1.0, cfg)
+    assert abs(chi(p, result.ensemble) - result.best_chi_bits) <= 1e-12
+
+
+def test_unphysical_average_raises():
+    # Members pass through unchecked; the spectrum of the average is
+    # where positivity is enforced, as in `von_neumann_entropy`.
+    outs = np.array([np.diag([1.5, -0.5]), np.diag([1.0, 0.0])], dtype=complex)
+    weights = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="unphysical"):
+        _holevo(outs, np.zeros(2), weights)
+    with pytest.raises(ValueError, match="unphysical"):
+        _holevo(outs, np.zeros(2), weights, with_log=True)
+    bad = FockDensityMatrix(np.diag([1.5, -0.5]))
+    ens = Ensemble(((bad, 0.5), (coherent_state(0.0, 2), 0.5)))
+    with pytest.raises(ValueError, match="unphysical"):
+        chi(params(1.0, 0.0), ens)
+
+
+def _displacement_by_eigensolve(delta, dim):
+    # One eigendecomposition of the generator per displacement.
+    ladder = np.sqrt(np.arange(1.0, dim))
+    gen = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim - 1)
+    gen[rows + 1, rows] = delta * ladder
+    gen[rows, rows + 1] = -np.conj(delta) * ladder
+    vals, vecs = np.linalg.eigh(1j * gen)
+    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
+def test_displacement_unitary_matches_direct_eigensolve():
+    rng = np.random.default_rng(17)
+    for dim in (2, 8, 24, 32):
+        deltas = [0.5, -0.5, 0.5j, -0.5j, 0.05, -0.05j]
+        deltas += [complex(*rng.normal(0.0, 0.3, 2)) for _ in range(8)]
+        for delta in deltas:
+            unitary = _displacement_unitary(delta, dim)
+            reference = _displacement_by_eigensolve(delta, dim)
+            assert np.abs(unitary - reference).max() <= 1e-12
+            assert np.abs(unitary @ unitary.conj().T - np.eye(dim)).max() <= 1e-12
+
+
+# Chi after each of 20 sweeps at the benchmark's optimizer points
+# (lambda 0.6, N 1, optimizer seed 0), as the per-move evaluation gave
+# them before the optimizer's work was batched.  A change that moves a
+# trajectory by more than rounding fails here.
+_PINNED_HISTORIES = {
+    0.0: (
+        1.1483978369652619, 1.5076651928828027, 1.5115898442921505,
+        1.5127563389006706, 1.5139072754079037, 1.5144307585094936,
+        1.5144702325087083, 1.51459796179911, 1.5146829263108887,
+        1.5146854706385393, 1.515111113295622, 1.5154951991688792,
+        1.5157501767705204, 1.516040132612177, 1.5163638155777894,
+        1.5164992236713575, 1.516772646052998, 1.5168230660063509,
+        1.5168563409761053, 1.5168633173828956, 1.5169906863149702,
+    ),
+    0.5: (
+        0.7105671827190546, 0.9975060660638598, 0.9986167097661407,
+        0.9992663886882837, 0.999577336533386, 0.9997410840464701,
+        0.9999595573480198, 1.0000154945567252, 1.0001913849016386,
+        1.000218751483621, 1.0002500745822864, 1.0002589380631999,
+        1.0002651036447727, 1.0002826829823466, 1.0002885084265005,
+        1.0002979383805168, 1.0003194760590235, 1.0003477349935577,
+        1.0003583317444484, 1.0003752575574416, 1.0003799113964957,
+    ),
+}
+
+
+@pytest.mark.parametrize("n_env", sorted(_PINNED_HISTORIES))
+def test_optimizer_trajectory_is_pinned(n_env):
+    result = optimize(params(0.6, n_env), 1.0, OptimizerConfig(seed=0, max_iterations=20))
+    assert [it for it, _ in result.history] == list(range(21))
+    assert len(result.ensemble) == 8
+    history = np.array([value for _, value in result.history])
+    assert np.abs(history - np.array(_PINNED_HISTORIES[n_env])).max() <= 1e-12

@@ -154,24 +154,80 @@ def test_apply_channel_phase_covariance():
     np.testing.assert_allclose(rotated.matrix, expected, rtol=0, atol=1e-12)
 
 
-def test_channel_kernels_slice_the_largest_build(monkeypatch):
+def test_transfer_tensor_slices_the_largest_build(monkeypatch):
     # One cache entry per (lam, N_E, environment cutoff): a smaller input
     # cutoff is served from the largest build, bit for bit a fresh build.
-    cache = {}
-    monkeypatch.setattr(fock_oracle, "_KERNEL_CACHE", cache)
+    cache = fock_oracle._LRUCache(fock_oracle._CACHE_ENTRIES)
+    monkeypatch.setattr(fock_oracle, "_CACHE", cache)
     env_probs, _ = fock_oracle._env_distribution(0.5, 1e-10, 4096)
-    key = (0.6, 0.5, len(env_probs))
-    largest = fock_oracle._channel_kernels(0.6, 0.5, env_probs, 40)
+    dim_env = len(env_probs)
+    key = ("transfer", 0.6, 0.5, dim_env)
+    largest = fock_oracle._transfer_tensor(0.6, 0.5, env_probs, 40)
+    assert largest.shape == (40, 40 + dim_env - 1, 40)
     for dim in (1, 17, 39):
-        sliced = fock_oracle._channel_kernels(0.6, 0.5, env_probs, dim)
-        assert list(cache) == [key] and cache[key] is largest
+        sliced = fock_oracle._transfer_tensor(0.6, 0.5, env_probs, dim)
+        assert cache.get(key) is largest
         cache.clear()
-        fresh = fock_oracle._channel_kernels(0.6, 0.5, env_probs, dim)
-        cache[key] = largest
-        assert len(sliced) == len(fresh) == dim + len(env_probs) - 1
-        for a, b in zip(sliced, fresh):
-            assert a.shape == b.shape == (dim, dim)
-            assert np.array_equal(a, b)
+        fresh = fock_oracle._transfer_tensor(0.6, 0.5, env_probs, dim)
+        cache.put(key, largest)
+        assert sliced.shape == fresh.shape == (dim, dim + dim_env - 1, dim)
+        assert np.array_equal(sliced, fresh)
+
+
+def _apply_by_output_offsets(lam, n_env, rho):
+    # The channel as first written: a Hadamard kernel per output offset,
+    # W_off[i, j] = sum_e p_e kd[e, e-off, i] kd[e, e-off, j] with the
+    # Kraus diagonals kd[e, f, n] = B[n+e][n+e-f, n], applied as
+    # out[i+off, j+off] += W_off[i, j] rho[i, j].
+    env_probs, _ = fock_oracle._env_distribution(n_env, 1e-10, 4096)
+    dim, dim_env = rho.dim, len(env_probs)
+    m_max = dim + dim_env - 2
+    blocks = beamsplitter_blocks(lam, m_max)
+    kd = np.zeros((dim_env, m_max + 1, dim))
+    for n in range(dim):
+        for e in range(dim_env):
+            for f in range(n + e + 1):
+                kd[e, f, n] = blocks[n + e][n + e - f, n]
+    out = np.zeros((m_max + 1, m_max + 1), dtype=complex)
+    for off in range(-(dim - 1), dim_env):
+        lo = max(0, -off)
+        kernel = np.zeros((dim, dim))
+        for e in range(max(0, off), dim_env):
+            d = kd[e, e - off, lo:]
+            kernel[lo:, lo:] += env_probs[e] * np.outer(d, d)
+        out[lo + off : dim + off, lo + off : dim + off] += (
+            kernel[lo:, lo:] * rho.matrix[lo:, lo:]
+        )
+    return out
+
+
+def test_apply_channel_matches_output_offset_reference():
+    rng = np.random.default_rng(5)
+    for n_env, dim_env in ((0.0, 1), (0.5, 21)):
+        for dim in (1, 2, 7, 24):
+            vecs = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+            mixed = vecs @ vecs.conj().T
+            states = (
+                coherent_state(0.3 * math.sqrt(dim) * np.exp(0.7j), dim),
+                FockDensityMatrix(mixed / np.trace(mixed).real),
+            )
+            for rho in states:
+                out = apply_channel(params(0.6, n_env), rho)
+                assert out.dim == dim + dim_env - 1
+                reference = _apply_by_output_offsets(0.6, n_env, rho)
+                np.testing.assert_allclose(out.matrix, reference, rtol=0, atol=1e-14)
+
+
+def test_operator_cache_is_bounded():
+    # A transmissivity sweep longer than the cache keeps at most the bound
+    # in it, and the newest channel's transfer tensor survives.
+    rho = coherent_state(0.5, 6)
+    lams = [float(x) for x in np.linspace(0.31, 0.93, fock_oracle._CACHE_ENTRIES + 3)]
+    for lam in lams:
+        apply_channel(params(lam, 0.5), rho)
+        assert len(fock_oracle._CACHE) <= fock_oracle._CACHE_ENTRIES
+        assert ("transfer", lam, 0.5, 21) in fock_oracle._CACHE
+    assert ("transfer", lams[0], 0.5, 21) not in fock_oracle._CACHE
 
 
 def test_von_neumann_entropy_maximally_mixed():
