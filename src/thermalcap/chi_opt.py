@@ -1,24 +1,29 @@
-"""Ascent search for the Holevo quantity over small input ensembles.
+"""Ascent search for the Holevo quantity over small pure-state ensembles.
 
 The interval in `bounds` brackets the constrained capacity analytically;
 this module probes the inside of that interval numerically.  It
 maximizes
 
-    chi = S(sum_k w_k E(rho_k)) - sum_k w_k S(E(rho_k))
+    chi = S(sum_k w_k E(psi_k)) - sum_k w_k S(E(psi_k))
 
-over ensembles of at most MAX_MEMBERS (16) Fock-truncated states under
-the mean photon-number constraint, using the channel and entropy
-machinery of `fock_oracle`.
+over ensembles of at most MAX_MEMBERS (16) Fock-truncated pure states
+under the mean photon-number constraint, using the channel kernel and
+entropy routine of `fock_oracle`.  Pure members lose nothing: under a
+linear photon constraint chi is maximized on pure-state ensembles,
+because splitting a mixed member into its eigenvectors keeps the photon
+mean and, by concavity of the entropy, cannot lower chi (Schumacher and
+Westmoreland, PRA 56, 131, 1997).  A mixed member of an `initial`
+ensemble is split that way before the search starts.
 
 The search alternates two kinds of steps.  The weight step is a
 Blahut-Arimoto style exponentiated reweighting toward members with a
 larger relative-entropy contribution, with a Lagrange multiplier (the
-photon tilt, found by a bracketed Newton solve) holding the photon
-budget; on fixed states this is the classical capacity iteration and is
-monotone, but we still guard every step by re-evaluating chi and
-rejecting regressions.  The state step perturbs individual members
-(small displacements and diagonal Fock mixing) and keeps only
-improvements.
+photon tilt, found by a bracketed Newton solve warm-started from the
+previous reweighting's multiplier) holding the photon budget; on fixed
+states this is the classical capacity iteration and is monotone, but we
+still guard every step by re-evaluating chi and rejecting regressions.
+The state step displaces individual members by small amounts and keeps
+only improvements.
 
 When a full sweep stalls, the ensemble first grows: in the manner of
 particle Blahut-Arimoto, coherent states that violate the stationarity
@@ -26,12 +31,16 @@ condition of the constrained capacity problem are inserted, one at a
 time, until MAX_MEMBERS is reached or no candidate helps.  Only a stall
 that inserts nothing shrinks the perturbation scale geometrically.
 
-Every chi in this module, `chi` included, comes from one evaluator over
-the members' channel outputs stacked as a (members, D, D) array: the
-average output and all relative-entropy scores are one matvec each, and
-the entropy of the average goes through `fock_oracle`'s eigenvalue
-routine, physicality check included.  Displacements reuse one cached
-eigenbasis of a^dag - a per dimension.
+Inside a run the members are unit state vectors in one (members, D)
+array.  A displacement is two matvecs on a vector through one cached
+eigenbasis of a^dag - a per dimension, and a vector's upper diagonals go
+straight into `fock_oracle._push`; density-matrix objects are built only
+for the `Ensemble` a run starts from and returns.  Every chi in this
+module, `chi` included, comes from one evaluator over the members'
+channel outputs stacked as a (members, D_out, D_out) array: the average
+output and all relative-entropy scores are one matvec each, and the
+entropy of the average goes through `fock_oracle`'s eigenvalue routine,
+physicality check included.
 
 Everything is deterministic under a fixed seed, and the result is
 numerical evidence only: no claim of a global optimum is made, and a
@@ -41,7 +50,8 @@ problem, not a capacity violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 import cmath
 import math
 
@@ -51,9 +61,13 @@ from .gaussian_core import ChannelParams
 from .fock_oracle import (
     DEFAULT_MAX_JOINT_DIM,
     DEFAULT_TAIL_TOL,
+    EIGENVALUE_TOL,
     FockDensityMatrix,
     _CACHE,
+    _channel_transfer,
+    _coherent_vector,
     _eigenvalue_entropy,
+    _push,
     apply_channel,
     coherent_state,
     mean_photon_number,
@@ -64,6 +78,7 @@ __all__ = [
     "Ensemble",
     "OptimizerConfig",
     "OptimizationResult",
+    "OptimizerStats",
     "chi",
     "optimize",
     "MAX_MEMBERS",
@@ -161,6 +176,28 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
+class OptimizerStats:
+    """Work counts of one ascent run; a repeated run repeats them exactly.
+
+    Proposals are the displacement moves judged by the acceptance rule;
+    weight-step rejections count guarded reweightings that would have
+    lowered chi; insertions count members added by growth.  Channel
+    pushes cover the whole run, the insertion pool included.
+    Eigensolves count the spectra of channel outputs: one per push, for
+    its entropy, and one per chi evaluation, for the average output.
+    One-off operator builds (transfer tensors, the displacement
+    eigenbasis) and the split of mixed `initial` members are not counted.
+    """
+
+    displacements_proposed: int = 0
+    displacements_accepted: int = 0
+    weight_steps_rejected: int = 0
+    insertions: int = 0
+    channel_pushes: int = 0
+    eigensolves: int = 0
+
+
+@dataclass(frozen=True)
 class OptimizationResult:
     """Outcome of one ascent run.
 
@@ -170,7 +207,8 @@ class OptimizationResult:
     finished: a full sweep at the minimum step size improved chi by less
     than the tolerance, and no member could be inserted after it (the
     ensemble was at MAX_MEMBERS, or no candidate raised chi).
-    `ensemble` may hold more members than `OptimizerConfig.ensemble_size`.
+    `ensemble` may hold more members than `OptimizerConfig.ensemble_size`,
+    and every member is a pure state.
     """
 
     best_chi_bits: float
@@ -178,6 +216,7 @@ class OptimizationResult:
     iterations: int
     converged: bool
     history: tuple[tuple[int, float], ...] = field(repr=False)
+    stats: OptimizerStats = field(default_factory=OptimizerStats)
 
 
 def chi(
@@ -244,14 +283,15 @@ def _holevo(
     return value, (vecs * np.log(np.maximum(vals, _LOG_FLOOR))) @ vecs.conj().T
 
 
-def _displacement_unitary(delta: complex, dim: int) -> np.ndarray:
-    """exp(delta a^dag - conj(delta) a) on the truncated Fock space.
+def _displace(delta: complex, psi: np.ndarray) -> np.ndarray:
+    """exp(delta a^dag - conj(delta) a) psi on the truncated Fock space of psi.
 
     With delta = r e^{i phi} the truncated generator is the diagonal
     similarity diag(e^{i n phi}) of r (a^dag - a), so one eigenbasis of
     the real generator per dimension, kept in the shared operator cache,
-    serves every move: no eigensolve per proposed displacement.
+    serves every move: two matvecs and no eigensolve per displacement.
     """
+    dim = len(psi)
     key = ("displacement", dim)
     basis = _CACHE.get(key)
     if basis is None:
@@ -260,28 +300,33 @@ def _displacement_unitary(delta: complex, dim: int) -> np.ndarray:
         herm = np.zeros((dim, dim), dtype=complex)  # i (a^dag - a)
         herm[rows + 1, rows] = 1j * ladder
         herm[rows, rows + 1] = -1j * ladder
-        basis = tuple(np.linalg.eigh(herm))
+        freq, vecs = np.linalg.eigh(herm)
+        basis = (freq, vecs, np.ascontiguousarray(vecs.conj().T))
         _CACHE.put(key, basis)
-    freq, vecs = basis
-    core = (vecs * np.exp(-1j * abs(delta) * freq)) @ vecs.conj().T
+    freq, vecs, vecs_h = basis
     phase = np.exp(1j * cmath.phase(delta) * np.arange(dim))
-    return phase[:, None] * core * phase.conj()[None, :]
+    spectral = np.exp(-1j * abs(delta) * freq) * (vecs_h @ (phase.conj() * psi))
+    return phase * (vecs @ spectral)
 
 
-def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.ndarray:
+def _tilted_weights(
+    raw: np.ndarray, photons: np.ndarray, budget: float, start: float = 0.0
+) -> tuple[np.ndarray, float]:
     """Renormalize exp-weights, tilting by the photon cost when needed.
 
     Returns weights proportional to raw * exp(-mu * photons) with the
     smallest mu >= 0 whose ensemble mean is within the budget, to float
-    resolution.  Assumes min(photons) <= budget, which holds whenever
-    the current ensemble is feasible.
+    resolution, and that mu.  Assumes min(photons) <= budget, which holds
+    whenever the current ensemble is feasible.
 
     The tilted mean photon number falls monotonically in mu, with slope
     minus the tilted photon variance, so Newton steps kept inside the
-    bracket [overdrawn, feasible] converge quadratically.  A step finer
-    than a few ulps is stretched to cross the root, and bisection takes
-    over whenever a step leaves the bracket, so the loop ends with the
-    bracket down to adjacent floats and returns its feasible end.
+    bracket [overdrawn, feasible] converge quadratically.  They start
+    from `start` (a previous solve's mu) when it is positive, else from
+    0.  A step finer than a few ulps is stretched to cross the root, and
+    bisection takes over whenever a step leaves the bracket, so the loop
+    ends with the bracket down to adjacent floats and returns its
+    feasible end, wherever it started.
     """
 
     logr = np.log(np.maximum(raw, 1e-300))
@@ -293,12 +338,20 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
         return np.exp(logw - logw.max())
 
     square = excess * excess
-    w = tilted(0.0)
+    mu = start if start > 0.0 else 0.0
+    w = tilted(mu)
     overdraft = float(w @ excess)
-    if not overdraft > 0.0:
-        return w / w.sum()
-    lo, hi, mu = 0.0, math.inf, 0.0
-    w_hi = w
+    lo, hi, w_hi = 0.0, math.inf, w
+    if overdraft > 0.0:
+        lo = mu  # so mu = 0 is overdrawn as well
+    elif mu == 0.0:
+        return w / w.sum(), 0.0
+    else:
+        # A feasible start leaves open whether any tilt is needed.
+        hi = mu
+        w_zero = tilted(0.0)
+        if not float(w_zero @ excess) > 0.0:
+            return w_zero / w_zero.sum(), 0.0
     while True:
         total = float(w.sum())
         mean = overdraft / total
@@ -322,7 +375,7 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
                 raise ValueError("photon constraint cannot be met by reweighting")
         else:
             hi, w_hi = mu, w
-    return w_hi / w_hi.sum()
+    return w_hi / w_hi.sum(), hi
 
 
 def _scores(outs: np.ndarray, entropies: np.ndarray, ln_avg: np.ndarray) -> np.ndarray:
@@ -336,54 +389,118 @@ def _scores(outs: np.ndarray, entropies: np.ndarray, ln_avg: np.ndarray) -> np.n
     return -entropies - outs.view(float).reshape(members, -1) @ log_avg
 
 
-class _Pool:
-    """Coherent candidates for insertion, pushed through the channel once.
+def _photons(psi: np.ndarray) -> float:
+    """Mean photon number of a state vector, normalized by its squared norm."""
+    probs = (psi * psi.conj()).real
+    return float(np.arange(len(psi)) @ probs / probs.sum())
 
-    A polar grid on the disc |alpha|^2 <= dim/4 where `coherent_state`
-    truncates safely: the origin plus _POOL_RADII rings of _POOL_ANGLES
-    points, alternate rings offset by half an angle step.  `spacing` is
-    the radial distance between rings.
+
+def _diagonals(psi: np.ndarray) -> np.ndarray:
+    """Upper diagonals of |psi><psi| in the layout `fock_oracle._push` takes.
+
+    diags[delta, j] = psi[j - delta] conj(psi[j]), zero for j < delta,
+    read off the vector without forming the projector.
     """
+    dim = len(psi)
+    lag = np.arange(dim)
+    padded = np.zeros(2 * dim, dtype=complex)
+    padded[dim:] = psi
+    return padded[dim + lag - lag[:, None]] * psi.conj()
 
-    def __init__(self, params: ChannelParams, dim: int):
-        radius_cap = 0.98 * math.sqrt(dim / 4.0)
-        self.spacing = radius_cap / _POOL_RADII
-        alphas: list[complex] = [0.0]
-        for i in range(1, _POOL_RADII + 1):
-            for j in range(_POOL_ANGLES):
-                angle = 2.0 * math.pi * (j + 0.5 * (i % 2)) / _POOL_ANGLES
-                alphas.append(i * self.spacing * complex(math.cos(angle), math.sin(angle)))
-        self.states = [coherent_state(a, dim) for a in alphas]
-        outs = [apply_channel(params, s) for s in self.states]
-        self.outs = _stack([o.matrix for o in outs])
-        self.entropies = np.array([von_neumann_entropy(o) for o in outs])
-        self.photons = np.array([mean_photon_number(s) for s in self.states])
+
+def _pure_members(ensemble: Ensemble) -> tuple[list[np.ndarray], np.ndarray]:
+    """Unit state vectors and weights equivalent to the ensemble.
+
+    A member w * rho with rho = sum_i lam_i |v_i><v_i| becomes the members
+    v_i with weights w * lam_i / sum(lam).  For a trace-one rho the
+    ensemble's average state, and so its photon mean and average output,
+    are unchanged, while chi can only rise: the output entropy is
+    concave, so the members' mean entropy cannot grow.  Eigenvalues at
+    or below the positivity tolerance EIGENVALUE_TOL are rounding and
+    are dropped, so a pure member stays one member.  Raises ValueError
+    on an unphysical member, or when the split needs more than
+    MAX_MEMBERS members.
+    """
+    vectors: list[np.ndarray] = []
+    weights: list[float] = []
+    for state, weight in ensemble.members:
+        vals, vecs = np.linalg.eigh(state.matrix)
+        if vals[0] < -EIGENVALUE_TOL:
+            raise ValueError(
+                f"initial member is unphysical: eigenvalue {vals[0]:.3e} "
+                f"below -{EIGENVALUE_TOL:.0e}"
+            )
+        keep = vals > EIGENVALUE_TOL
+        kept = vals[keep]
+        vectors.extend(vecs[:, keep].T)
+        weights.extend(weight * kept / kept.sum())
+    if len(vectors) > MAX_MEMBERS:
+        raise ValueError(
+            f"initial ensemble splits into {len(vectors)} pure members, "
+            f"cap is {MAX_MEMBERS}"
+        )
+    return vectors, np.array(weights)
 
 
 class _Run:
     """Mutable state of one optimization: members, weights, channel outputs.
 
-    `outs` stacks the members' channel outputs, zero-padded to the largest
-    one, so the average output and every relative-entropy score take one
-    matvec each.
+    `psis` holds the members as unit vectors, zero-padded to the largest
+    member dimension, and `dims` their own dimensions.  `outs` stacks the
+    members' channel outputs, zero-padded to the largest one, so the
+    average output and every relative-entropy score take one matvec
+    each.  `mu` is the photon multiplier of the last reweighting, the
+    warm start of the next one, and `counts` gathers the run's
+    `OptimizerStats`.
     """
 
     def __init__(
         self,
         params: ChannelParams,
         budget: float,
-        states: list[FockDensityMatrix],
+        vectors: list[np.ndarray],
         weights: np.ndarray,
     ):
         self.params = params
         self.budget = budget
-        self.states = states
+        self.counts: Counter[str] = Counter()
+        self._transfers: dict[int, tuple[np.ndarray, float]] = {}
+        self.dims = [len(v) for v in vectors]
+        self.psis = np.zeros((len(vectors), max(self.dims)), dtype=complex)
+        for k, v in enumerate(vectors):
+            self.psis[k, : len(v)] = v
         self.weights = weights.copy()
-        outs = [apply_channel(params, s) for s in states]
-        self.outs = _stack([o.matrix for o in outs])
-        self.entropies = np.array([von_neumann_entropy(o) for o in outs])
-        self.photons = np.array([mean_photon_number(s) for s in states])
-        self.current_chi = _holevo(self.outs, self.entropies, self.weights)[0]
+        self.mu = 0.0
+        self.outs, self.entropies, self.photons = self.outputs(vectors)
+        self.current_chi = self._chi(self.weights)[0]
+
+    def output(self, psi: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """Channel output of a unit vector, its entropy, and the vector's photons."""
+        dim = len(psi)
+        if dim not in self._transfers:
+            self._transfers[dim] = _channel_transfer(
+                self.params, dim, DEFAULT_TAIL_TOL, DEFAULT_MAX_JOINT_DIM
+            )
+        transfer, env_tail = self._transfers[dim]
+        out = _push(transfer, _diagonals(psi), env_tail)
+        self.counts["channel_pushes"] += 1
+        self.counts["eigensolves"] += 1
+        entropy = _eigenvalue_entropy(np.linalg.eigvalsh(out))
+        return out, entropy, _photons(psi)
+
+    def outputs(
+        self, vectors: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`output` of each vector: the outputs stacked, entropies, photons."""
+        outs, entropies, photons = zip(*(self.output(v) for v in vectors))
+        return _stack(list(outs)), np.array(entropies), np.array(photons)
+
+    def _chi(
+        self, weights: np.ndarray, with_log: bool = False, outs: np.ndarray | None = None
+    ) -> tuple[float, np.ndarray | None]:
+        self.counts["eigensolves"] += 1
+        outs = self.outs if outs is None else outs
+        return _holevo(outs, self.entropies, weights, with_log)
 
     def _reweight_candidate(
         self, weights: np.ndarray, ln_avg: np.ndarray
@@ -393,24 +510,28 @@ class _Run:
         Each weight is scaled by exp of the member's relative-entropy score
         against the current average output; the photon tilt then restores
         the budget.  Fixed points of this map with mu > 0 saturate the
-        constraint at stationary weights.
+        constraint at stationary weights.  Near them successive
+        reweightings need nearly the same tilt, so each solve starts from
+        the last one's.
         """
         scores = _scores(self.outs, self.entropies, ln_avg)
         raw = weights * np.exp(scores - scores.max())
-        return _tilted_weights(raw, self.photons, self.budget)
+        candidate, self.mu = _tilted_weights(raw, self.photons, self.budget, self.mu)
+        return candidate
 
     def weight_step(self) -> None:
-        chi_now, ln_avg = _holevo(self.outs, self.entropies, self.weights, with_log=True)
+        chi_now, ln_avg = self._chi(self.weights, with_log=True)
         candidate = self._reweight_candidate(self.weights, ln_avg)
-        chi_candidate = _holevo(self.outs, self.entropies, candidate)[0]
+        chi_candidate = self._chi(candidate)[0]
         if chi_candidate >= chi_now - 1e-15:
             self.weights = candidate
             self.current_chi = chi_candidate
         else:
+            self.counts["weight_steps_rejected"] += 1
             self.current_chi = chi_now
 
-    def try_member(self, k: int, state: FockDensityMatrix) -> bool:
-        """Install a replacement state for member k if it improves chi.
+    def try_member(self, k: int, psi: np.ndarray) -> bool:
+        """Install the unit vector psi as member k if it improves chi.
 
         The move is judged jointly with the weight response.  A move that
         overdraws the photon budget gets its weights re-tilted back into
@@ -420,31 +541,33 @@ class _Run:
         keep a member's dimension, so the new output fills the old one's
         place in the stack.
         """
+        self.counts["displacements_proposed"] += 1
         before = self.current_chi
-        out = apply_channel(self.params, state)
-        old = (self.states[k], self.outs[k].copy(), self.entropies[k], self.photons[k])
-        self.states[k] = state
-        self.outs[k, : out.dim, : out.dim] = out.matrix
-        self.entropies[k] = von_neumann_entropy(out)
-        self.photons[k] = mean_photon_number(state)
+        out, entropy, photons = self.output(psi)
+        old = (self.outs[k].copy(), self.entropies[k], self.photons[k])
+        self.outs[k, : len(out), : len(out)] = out
+        self.entropies[k] = entropy
+        self.photons[k] = photons
         weights = self.weights
         if float(weights @ self.photons) > self.budget:
             if float(self.photons.min()) > self.budget:
                 # No reweighting can restore feasibility; reject outright.
-                self.states[k], self.outs[k], self.entropies[k], self.photons[k] = old
+                self.outs[k], self.entropies[k], self.photons[k] = old
                 return False
-            weights = _tilted_weights(weights, self.photons, self.budget)
-        best, ln_avg = _holevo(self.outs, self.entropies, weights, with_log=True)
+            weights = _tilted_weights(weights, self.photons, self.budget)[0]
+        best, ln_avg = self._chi(weights, with_log=True)
         best_weights = weights
         reweighted = self._reweight_candidate(weights, ln_avg)
-        chi_reweighted = _holevo(self.outs, self.entropies, reweighted)[0]
+        chi_reweighted = self._chi(reweighted)[0]
         if chi_reweighted > best:
             best_weights, best = reweighted, chi_reweighted
         if best > before:
+            self.psis[k, : len(psi)] = psi
             self.weights = best_weights
             self.current_chi = best
+            self.counts["displacements_accepted"] += 1
             return True
-        self.states[k], self.outs[k], self.entropies[k], self.photons[k] = old
+        self.outs[k], self.entropies[k], self.photons[k] = old
         return False
 
     def grow(self, pool: _Pool) -> bool:
@@ -462,7 +585,8 @@ class _Run:
         violating one does not raise chi.
         """
         grew = False
-        while len(self.states) < MAX_MEMBERS and self._insert(pool):
+        while len(self.dims) < MAX_MEMBERS and self._insert(pool):
+            self.counts["insertions"] += 1
             grew = True
         return grew
 
@@ -470,7 +594,7 @@ class _Run:
         w = self.weights
         outs = self.outs
         dim = max(outs.shape[-1], pool.outs.shape[-1])
-        _, ln_avg = _holevo(_stack(outs, dim), self.entropies, w, with_log=True)
+        _, ln_avg = self._chi(w, with_log=True, outs=_stack(outs, dim))
         scores = _scores(outs, self.entropies, ln_avg)
         # The multiplier is the slope of score against photons over the
         # members; it is zero while the budget is slack.
@@ -489,7 +613,6 @@ class _Run:
         j = int(np.argmax(violation))
         if not violation[j] > 0.0:
             return False
-        self.states.append(pool.states[j])
         self.outs = _stack([*outs, pool.outs[j]], dim)
         self.entropies = np.append(self.entropies, pool.entropies[j])
         self.photons = np.append(self.photons, pool.photons[j])
@@ -498,31 +621,61 @@ class _Run:
         for _ in range(12):
             weights = np.append((1.0 - share) * w, share)
             if float(weights @ self.photons) > self.budget:
-                weights = _tilted_weights(weights, self.photons, self.budget)
-            value = _holevo(self.outs, self.entropies, weights)[0]
+                weights = _tilted_weights(weights, self.photons, self.budget)[0]
+            value = self._chi(weights)[0]
             if value > best:
                 best, best_weights = value, weights
             share *= 0.5
         if best_weights is None:
-            self.states.pop()
             self.outs = outs
             self.entropies = self.entropies[:-1]
             self.photons = self.photons[:-1]
             return False
+        psi = pool.psis[j]
+        width = max(self.psis.shape[1], len(psi))
+        psis = np.zeros((len(self.dims) + 1, width), dtype=complex)
+        psis[:-1, : self.psis.shape[1]] = self.psis
+        psis[-1, : len(psi)] = psi
+        self.psis = psis
+        self.dims.append(len(psi))
         self.weights = best_weights
         self.current_chi = best
         return True
 
     def ensemble(self) -> Ensemble:
         total = self.weights.sum()
-        return Ensemble(
-            tuple((s, w / total) for s, w in zip(self.states, self.weights))
-        )
+        members = []
+        for psi, d, w in zip(self.psis, self.dims, self.weights):
+            psi = psi[:d]
+            members.append((FockDensityMatrix(np.outer(psi, psi.conj())), w / total))
+        return Ensemble(tuple(members))
+
+
+class _Pool:
+    """Coherent candidates for insertion, pushed through the channel once.
+
+    A polar grid on the disc |alpha|^2 <= dim/4 where `coherent_state`
+    truncates safely: the origin plus _POOL_RADII rings of _POOL_ANGLES
+    points, alternate rings offset by half an angle step.  `spacing` is
+    the radial distance between rings.  The pushes go through the run,
+    which counts them.
+    """
+
+    def __init__(self, run: _Run, dim: int):
+        radius_cap = 0.98 * math.sqrt(dim / 4.0)
+        self.spacing = radius_cap / _POOL_RADII
+        alphas: list[complex] = [0.0]
+        for i in range(1, _POOL_RADII + 1):
+            for j in range(_POOL_ANGLES):
+                angle = 2.0 * math.pi * (j + 0.5 * (i % 2)) / _POOL_ANGLES
+                alphas.append(i * self.spacing * complex(math.cos(angle), math.sin(angle)))
+        self.psis = [_coherent_vector(a, dim) for a in alphas]
+        self.outs, self.entropies, self.photons = run.outputs(self.psis)
 
 
 def _initial_states(
     n_signal: float, size: int, dim: int
-) -> tuple[list[FockDensityMatrix], np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Vacuum plus up to two rings of coherent states, feasibly weighted.
 
     Ring radii are fractions of sqrt(N) that work well for the pure-loss
@@ -547,11 +700,11 @@ def _initial_states(
         for j in range(n_outer):
             angle = 2.0 * math.pi * (j + 0.5) / n_outer
             alphas.append(r_outer * complex(math.cos(angle), math.sin(angle)))
-    states = [coherent_state(a, dim) for a in alphas]
+    vectors = [_coherent_vector(a, dim) for a in alphas]
     photons = np.array([abs(a) ** 2 for a in alphas])
     raw = np.exp(-photons / max(n_signal, 1e-12))
-    weights = _tilted_weights(raw, photons, 0.95 * n_signal)
-    return states, weights
+    weights = _tilted_weights(raw, photons, 0.95 * n_signal)[0]
+    return vectors, weights
 
 
 def optimize(
@@ -561,13 +714,15 @@ def optimize(
 ) -> OptimizationResult:
     """Maximize chi over ensembles with mean photon number <= n_signal.
 
-    Alternates guarded reweighting with greedy state perturbations,
-    starting from `config.ensemble_size` members (or `config.initial`).
-    A sweep that improves chi by less than the tolerance is a stall.  At
-    a stall below MAX_MEMBERS, coherent states that violate stationarity
-    are inserted (`_Run.grow`); if any is, the perturbation scale drops
-    to at most half the candidate grid's spacing and the search goes on.
-    Any other stall shrinks the scale geometrically.  `converged` is True
+    Alternates guarded reweighting with greedy displacements of the
+    members, starting from `config.ensemble_size` coherent states, or
+    from `config.initial` with its mixed members split into eigenvectors
+    (ValueError if that needs more than MAX_MEMBERS members).  A sweep
+    that improves chi by less than the tolerance is a stall.  At a stall
+    below MAX_MEMBERS, coherent states that violate stationarity are
+    inserted (`_Run.grow`); if any is, the perturbation scale drops to at
+    most half the candidate grid's spacing and the search goes on.  Any
+    other stall shrinks the scale geometrically.  `converged` is True
     only when a sweep at the minimum scale stalls and nothing can be
     inserted; hitting the iteration cap first reports converged=False.
     """
@@ -595,13 +750,12 @@ def optimize(
                 f"initial ensemble mean photons {config.initial.mean_photons:.6g} "
                 f"exceeds constraint {n}"
             )
-        states = [s for s, _ in config.initial.members]
-        weights = np.array([w for _, w in config.initial.members])
+        vectors, weights = _pure_members(config.initial)
     else:
-        states, weights = _initial_states(n, config.ensemble_size, config.dim)
+        vectors, weights = _initial_states(n, config.ensemble_size, config.dim)
 
     rng = np.random.default_rng(config.seed)
-    run = _Run(params, n, states, weights)
+    run = _Run(params, n, vectors, weights)
 
     current = run.current_chi
     history = [(0, current)]
@@ -615,7 +769,7 @@ def optimize(
         iterations = iteration
         before = current
         run.weight_step()
-        for k in range(len(run.states)):
+        for k, dim in enumerate(run.dims):
             axis = step * scale
             gauss = rng.standard_normal(4)
             deltas = (
@@ -627,28 +781,18 @@ def optimize(
                 0.12 * axis * complex(gauss[2], gauss[3]) / math.sqrt(2.0),
             )
             for delta in deltas:
-                base = run.states[k]
-                unitary = _displacement_unitary(delta, base.dim)
-                moved = unitary @ base.matrix @ unitary.conj().T
-                moved = (moved + moved.conj().T) / 2.0
-                trace = float(moved.trace().real)
-                if trace > 0.0:
-                    run.try_member(k, FockDensityMatrix(moved / trace, deficit=0.0))
-            level = int(rng.integers(0, run.states[k].dim))
-            eps = min(0.9, 0.3 * step)
-            mixed = (1.0 - eps) * run.states[k].matrix.copy()
-            mixed[level, level] += eps
-            run.try_member(
-                k,
-                FockDensityMatrix(mixed, deficit=(1.0 - eps) * run.states[k].deficit),
-            )
+                moved = _displace(delta, run.psis[k, :dim])
+                run.try_member(k, moved / np.linalg.norm(moved))
+            # This draw picked the level of a Fock-mixing move, which was
+            # removed; it stays so that seeded runs keep their stream.
+            rng.integers(0, dim)
         run.weight_step()
         current = run.current_chi
         history.append((iteration, current))
         if current - before < config.tolerance:
-            if len(run.states) < MAX_MEMBERS:
+            if len(run.dims) < MAX_MEMBERS:
                 if pool is None:
-                    pool = _Pool(params, config.dim)
+                    pool = _Pool(run, config.dim)
                 if run.grow(pool):
                     current = run.current_chi
                     history[-1] = (iteration, current)
@@ -670,4 +814,5 @@ def optimize(
         iterations=iterations,
         converged=converged,
         history=tuple(history),
+        stats=OptimizerStats(**run.counts),
     )

@@ -14,7 +14,7 @@ at the iteration cap.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import json
 import math
 import sys
@@ -448,6 +448,7 @@ def cmd_optimize(args) -> int:
         "ensemble_size": len(result.ensemble),
         "mean_photons": result.ensemble.mean_photons,
         "seed": args.seed,
+        "stats": asdict(result.stats),
         # A best value above the certified upper bound means a truncation
         # or discretization budget needs auditing, not a capacity claim.
         "budget_audit": result.best_chi_bits > upper + 1e-6,

@@ -475,6 +475,62 @@ def _transfer_tensor(
     return transfer
 
 
+def _channel_transfer(
+    params: ChannelParams, dim_in: int, env_tail_tol: float, max_joint_dim: int
+) -> tuple[np.ndarray, float]:
+    """Transfer tensor for dim_in input levels, and the environment tail.
+
+    The environment cutoff is sized from its geometric tail at
+    env_tail_tol; BudgetError when input and environment together exceed
+    max_joint_dim.
+    """
+    env_probs, env_tail = _env_distribution(
+        params.environment_photons, env_tail_tol, max_joint_dim
+    )
+    dim_env = len(env_probs)
+    joint = dim_in * dim_env
+    if joint > max_joint_dim:
+        raise BudgetError(
+            f"joint dimension {dim_in} x {dim_env} = {joint} exceeds cap {max_joint_dim}",
+            bound="joint_dim", value=joint, limit=max_joint_dim,
+        )
+    transfer = _transfer_tensor(
+        params.transmissivity, params.environment_photons, env_probs, dim_in
+    )
+    return transfer, env_tail
+
+
+def _push(transfer: np.ndarray, diags: np.ndarray, deficit: float) -> np.ndarray:
+    """Channel output for the input diagonals diags[delta, j] = rho[j - delta, j].
+
+    diags is a C-contiguous complex (dim_in, dim_in) array, zero where
+    j < delta.  It goes through the transfer tensor in one real batched
+    matmul (real and imaginary parts side by side), and the lower
+    triangle of the output is filled by Hermiticity, so the result is
+    exactly Hermitian.  Raises RuntimeError when the output's trace falls
+    short of 1 by more than `deficit` (the input's own deficit plus the
+    environment tail).
+    """
+    dim_in = len(diags)
+    dim_out = transfer.shape[1]
+    pushed = np.matmul(transfer, diags.view(float).reshape(dim_in, dim_in, 2))
+    # pushed[delta, p] = out[p, p + delta]; it is zero for p + delta >=
+    # dim_out, which the padding columns absorb.
+    lag = np.arange(dim_in)
+    levels = np.arange(dim_out)
+    upper = np.zeros((dim_out, dim_out + dim_in), dtype=complex)
+    upper[levels, levels + lag[:, None]] = pushed.view(complex)[..., 0]
+    upper = upper[:, :dim_out]
+    out = upper + upper.conj().T
+    out.flat[:: dim_out + 1] *= 0.5
+    lost = 1.0 - float(out.trace().real)
+    if lost > deficit + 1e-12:
+        raise RuntimeError(
+            f"trace accounting violated: lost {lost:.3e} beyond the deficit {deficit:.3e}"
+        )
+    return out
+
+
 def apply_channel(
     params: ChannelParams,
     rho: FockDensityMatrix,
@@ -488,51 +544,22 @@ def apply_channel(
     env_tail_tol.  The output lives on dim + env_dim - 1 levels, enough
     to hold every photon the truncated joint state can carry, so no
     weight is lost beyond the input deficit plus the environment tail;
-    that accounting is checked on every call.  The upper diagonals of rho
-    go through the cached transfer tensor in one real batched matmul
-    (real and imaginary parts side by side), and the lower triangle of
-    the output is filled by Hermiticity.
+    that accounting is checked on every call.  The work is done by the
+    kernel `_push` on the upper diagonals of rho, through the cached
+    transfer tensor.
     """
     if not isinstance(rho, FockDensityMatrix):
         raise TypeError(f"expected FockDensityMatrix, got {type(rho).__name__}")
-    env_probs, env_tail = _env_distribution(
-        params.environment_photons, env_tail_tol, max_joint_dim
-    )
     dim_in = rho.dim
-    dim_env = len(env_probs)
-    joint = dim_in * dim_env
-    if joint > max_joint_dim:
-        raise BudgetError(
-            f"joint dimension {dim_in} x {dim_env} = {joint} exceeds cap {max_joint_dim}",
-            bound="joint_dim", value=joint, limit=max_joint_dim,
-        )
-    dim_out = dim_in + dim_env - 1
-    transfer = _transfer_tensor(
-        params.transmissivity, params.environment_photons, env_probs, dim_in
-    )
+    transfer, env_tail = _channel_transfer(params, dim_in, env_tail_tol, max_joint_dim)
     # diags[delta, j] = rho[j - delta, j], read from [0 | rho^T] so that
     # j < delta lands in the zero block.
     lag = np.arange(dim_in)
     padded = np.zeros((dim_in, 2 * dim_in), dtype=complex)
     padded[:, dim_in:] = rho.matrix.T
     diags = padded[lag, dim_in + lag - lag[:, None]]
-    pushed = np.matmul(transfer, diags.view(float).reshape(dim_in, dim_in, 2))
-    # pushed[delta, p] = out[p, p + delta]; it is zero for p + delta >=
-    # dim_out, which the padding columns absorb.
-    levels = np.arange(dim_out)
-    upper = np.zeros((dim_out, dim_out + dim_in), dtype=complex)
-    upper[levels, levels + lag[:, None]] = pushed.view(complex)[..., 0]
-    upper = upper[:, :dim_out]
-    out = upper + upper.conj().T
-    out.flat[:: dim_out + 1] *= 0.5
     deficit = rho.deficit + env_tail
-    result = FockDensityMatrix(out, deficit)
-    if 1.0 - result.trace > deficit + 1e-12:
-        raise RuntimeError(
-            f"trace accounting violated: lost {1.0 - result.trace:.3e} "
-            f"beyond the deficit {deficit:.3e}"
-        )
-    return result
+    return FockDensityMatrix(_push(transfer, diags, deficit), deficit)
 
 
 def von_neumann_entropy(rho: FockDensityMatrix) -> float:

@@ -9,15 +9,22 @@ from thermalcap.chi_opt import (
     MAX_MEMBERS,
     Ensemble,
     OptimizerConfig,
-    _displacement_unitary,
+    _diagonals,
+    _displace,
     _holevo,
+    _pure_members,
     _tilted_weights,
     chi,
     optimize,
 )
 from thermalcap.fock_oracle import (
+    DEFAULT_MAX_JOINT_DIM,
+    DEFAULT_TAIL_TOL,
     FockDensityMatrix,
     GridSpec,
+    _channel_transfer,
+    _push,
+    apply_channel,
     coherent_state,
     gaussian_ensemble_report,
     thermal_state,
@@ -125,6 +132,7 @@ def test_optimize_deterministic():
     assert r1.history == r2.history
     assert r1.iterations == r2.iterations
     assert r1.converged == r2.converged
+    assert r1.stats == r2.stats
 
 
 def test_optimize_small_run_invariants():
@@ -220,12 +228,33 @@ def test_tilted_weights_matches_bisection():
         raw = rng.exponential(1.0, size) ** rng.uniform(0.5, 4.0)
         budget = float(rng.uniform(photons.min(), photons.max()))
         reference = _bisected_tilt(raw, photons, budget)
-        weights = _tilted_weights(raw, photons, budget)
+        weights, _ = _tilted_weights(raw, photons, budget)
         assert np.abs(weights - reference).max() <= 1e-12
         assert abs(weights.sum() - 1.0) <= 1e-12
         assert weights @ photons <= budget + 1e-12
         tilted += not np.allclose(weights, raw / raw.sum())
     assert tilted > 100  # most cases exercise the root solve
+
+
+def test_tilted_weights_warm_start_matches_bisection():
+    # A stale multiplier from an earlier solve (none, below the root, far
+    # above it) only moves where the Newton steps start, not where they end.
+    rng = np.random.default_rng(11)
+    for case in range(400):
+        size = int(rng.integers(2, MAX_MEMBERS + 1))
+        photons = rng.exponential(rng.uniform(0.2, 5.0), size)
+        if case % 3 == 0:
+            photons[0] = 0.0
+        raw = rng.exponential(1.0, size) ** rng.uniform(0.5, 4.0)
+        budget = float(rng.uniform(photons.min(), photons.max()))
+        reference = _bisected_tilt(raw, photons, budget)
+        _, root = _tilted_weights(raw, photons, budget)
+        for start in (0.0, 0.5 * root, 20.0 * root + 3.0):
+            weights, mu = _tilted_weights(raw, photons, budget, start)
+            assert np.abs(weights - reference).max() <= 1e-12
+            assert abs(weights.sum() - 1.0) <= 1e-12
+            assert weights @ photons <= budget + 1e-12
+            assert abs(mu - root) <= 1e-9 * max(root, 1.0)
 
 
 def test_optimize_grows_past_starting_size():
@@ -245,6 +274,13 @@ def test_optimize_grows_past_starting_size():
     assert result.best_chi_bits > two_members.best_chi_bits + 0.2
     again = optimize(p, n, cfg)
     assert again.history == result.history
+    assert again.stats == result.stats
+    stats = result.stats
+    assert stats.insertions == len(result.ensemble) - 2
+    assert 0 < stats.displacements_accepted <= stats.displacements_proposed
+    # The starting members, every proposal, and the insertion pool once.
+    assert stats.channel_pushes == 2 + stats.displacements_proposed + 1 + 16 * 32
+    assert stats.eigensolves > stats.channel_pushes
     assert len(again.ensemble) == len(result.ensemble)
     for (s1, w1), (s2, w2) in zip(result.ensemble.members, again.ensemble.members):
         assert w1 == w2
@@ -259,6 +295,57 @@ def test_optimize_mixed_state_members_allowed():
     result = optimize(params(0.8, 0.1), 0.5, cfg)
     assert result.best_chi_bits >= 0.0
     assert result.ensemble.mean_photons <= 0.5 + 1e-9
+
+
+def _is_pure(state):
+    m = state.matrix
+    return np.abs(m @ m - m).max() <= 1e-12
+
+
+def test_optimize_members_are_pure():
+    p = params(0.6, 0.3)
+    result = optimize(p, 1.0, OptimizerConfig(ensemble_size=2, dim=8, max_iterations=12))
+    assert len(result.ensemble) > 2  # inserted members included
+    assert all(_is_pure(state) for state, _ in result.ensemble.members)
+
+
+def test_mixed_initial_member_is_split_into_eigenvectors():
+    p = params(0.8, 0.1)
+    half = np.zeros((12, 12), dtype=complex)
+    half[0, 0] = half[2, 2] = 0.5
+    initial = Ensemble(
+        ((FockDensityMatrix(half), 0.4), (coherent_state(0.5, 12), 0.6))
+    )
+    vectors, weights = _pure_members(initial)
+    assert len(vectors) == 3
+    split = Ensemble(
+        tuple(
+            (FockDensityMatrix(np.outer(v, v.conj())), float(w))
+            for v, w in zip(vectors, weights)
+        )
+    )
+    # The average state is kept, so the photon mean is; chi can only rise.
+    def average(ens):
+        return sum(w * s.matrix for s, w in ens.members)
+
+    assert np.abs(average(split) - average(initial)).max() <= 1e-12
+    assert abs(split.mean_photons - initial.mean_photons) <= 1e-12
+    assert chi(p, split) > chi(p, initial) + 0.1
+    cfg = OptimizerConfig(dim=12, max_iterations=2, seed=0, initial=initial)
+    result = optimize(p, 1.0, cfg)
+    assert abs(result.history[0][1] - chi(p, split)) <= 1e-12
+    assert len(result.ensemble) == 3
+    assert all(_is_pure(state) for state, _ in result.ensemble.members)
+
+
+def test_mixed_initial_split_over_member_cap_raises():
+    # Seventeen eigenvectors plus one more member exceed the cap of 16.
+    initial = Ensemble(
+        ((coherent_state(0.0, 8), 0.5), (thermal_state(0.5, 17), 0.5))
+    )
+    cfg = OptimizerConfig(dim=8, max_iterations=2, initial=initial)
+    with pytest.raises(ValueError, match=f"cap is {MAX_MEMBERS}"):
+        optimize(params(0.6, 0.5), 1.0, cfg)
 
 
 def test_chi_matches_the_optimizer_result():
@@ -301,12 +388,41 @@ def test_displacement_unitary_matches_direct_eigensolve():
         deltas = [0.5, -0.5, 0.5j, -0.5j, 0.05, -0.05j]
         deltas += [complex(*rng.normal(0.0, 0.3, 2)) for _ in range(8)]
         for delta in deltas:
-            unitary = _displacement_unitary(delta, dim)
+            # Displacing each basis vector gives the unitary column by column.
+            unitary = np.column_stack([_displace(delta, e) for e in np.eye(dim, dtype=complex)])
             reference = _displacement_by_eigensolve(delta, dim)
             assert np.abs(unitary - reference).max() <= 1e-12
             assert np.abs(unitary @ unitary.conj().T - np.eye(dim)).max() <= 1e-12
 
 
+def _diagonals_by_loop(matrix):
+    dim = len(matrix)
+    diags = np.zeros((dim, dim), dtype=complex)
+    for delta in range(dim):
+        for j in range(delta, dim):
+            diags[delta, j] = matrix[j - delta, j]
+    return diags
+
+
+def test_push_matches_apply_channel():
+    # The public wrapper adds validation only: on the same diagonals the
+    # kernel gives its matrix bit for bit.  The optimizer's vector path
+    # forms the same products as the projector, up to rounding.
+    rng = np.random.default_rng(23)
+    for n_env in (0.0, 0.5):
+        p = params(0.6, n_env)
+        for _ in range(20):
+            dim = int(rng.integers(1, 25))
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi /= np.linalg.norm(psi)
+            rho = FockDensityMatrix(np.outer(psi, psi.conj()))
+            transfer, env_tail = _channel_transfer(
+                p, dim, DEFAULT_TAIL_TOL, DEFAULT_MAX_JOINT_DIM
+            )
+            diags = _diagonals_by_loop(rho.matrix)
+            out = _push(transfer, diags, env_tail)
+            assert np.array_equal(out, apply_channel(p, rho).matrix)
+            assert np.abs(_diagonals(psi) - diags).max() <= 1e-15
 # Chi after each of 20 sweeps at the benchmark's optimizer points
 # (lambda 0.6, N 1, optimizer seed 0), as the per-move evaluation gave
 # them before the optimizer's work was batched.  A change that moves a

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, formats, fault injection."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -8,6 +9,7 @@ import pytest
 
 import thermalcap.gfunc
 from thermalcap.bounds import holevo_lower
+from thermalcap.chi_opt import OptimizerStats
 from thermalcap.cli import SWEEP_COLUMNS, main
 from thermalcap.gaussian_core import ChannelParams
 
@@ -175,6 +177,8 @@ def test_optimize_iteration_cap_exit_four(tmp_path):
     payload = json.loads(out_path.read_text())
     assert payload["converged"] is False
     assert payload["iterations"] == 3
+    assert set(payload["stats"]) == {f.name for f in dataclasses.fields(OptimizerStats)}
+    assert payload["stats"]["displacements_proposed"] > 0
     assert payload["best_chi_bits"] <= payload["upper_bits"] + 1e-6
 
 
