@@ -18,21 +18,21 @@ ensemble is split that way before the search starts.
 The search alternates two kinds of steps.  The weight step is a
 Blahut-Arimoto style exponentiated reweighting toward members with a
 larger relative-entropy contribution, with a Lagrange multiplier (the
-photon tilt, found by a bracketed Newton solve warm-started from the
-previous reweighting's multiplier) holding the photon budget; on fixed
-states this is the classical capacity iteration and is monotone, but we
-still guard every step by re-evaluating chi and rejecting regressions.
-The state step displaces individual members by small amounts and keeps
-only improvements.
+photon tilt, found by a bracketed Newton solve) holding the photon
+budget; on fixed states this is the classical capacity iteration and is
+monotone, but we still guard every step by re-evaluating chi and
+rejecting regressions.  The state step displaces individual members by
+small amounts and keeps only improvements.
 
 When a full sweep stalls, the ensemble first grows: in the manner of
 particle Blahut-Arimoto, coherent states that violate the stationarity
 condition of the constrained capacity problem are inserted, one at a
 time, until MAX_MEMBERS is reached or no candidate helps.  Only a stall
-that inserts nothing shrinks the perturbation scale geometrically.
+that inserts nothing shrinks the perturbation scale geometrically: it
+halves, down to a fixed floor.
 
-Inside a run the members are unit state vectors in one (members, D)
-array.  A displacement is two matvecs on a vector through one cached
+Inside a run the members are unit state vectors, each at its own
+dimension.  A displacement is two matvecs on a vector through one cached
 eigenbasis of a^dag - a per dimension, and a vector's upper diagonals go
 straight into `fock_oracle._push`; density-matrix objects are built only
 for the `Ensemble` a run starts from and returns.  Every chi in this
@@ -66,6 +66,7 @@ from .fock_oracle import (
     _CACHE,
     _channel_transfer,
     _coherent_vector,
+    _diagonals,
     _eigenvalue_entropy,
     _push,
     apply_channel,
@@ -85,14 +86,16 @@ __all__ = [
     "MAX_DIM",
     "WEIGHT_SUM_TOL",
     "CONSTRAINT_SLACK",
-    "ASCENT_SLACK",
 ]
 
 MAX_MEMBERS = 16
 MAX_DIM = 32
 WEIGHT_SUM_TOL = 1e-12
 CONSTRAINT_SLACK = 1e-9
-ASCENT_SLACK = 1e-9
+
+# Perturbation schedule: each stall halves the step, down to the floor.
+_STEP_DECAY = 0.5
+_STEP_FLOOR = 1e-4
 
 # Insertion candidates: rings x points per ring (see `_Pool`).
 _POOL_RADII = 16
@@ -132,10 +135,13 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search-space size, perturbation schedule, and termination settings.
+    """Search-space size, starting step, and termination settings.
 
     `ensemble_size` is the starting member count when no `initial`
     ensemble is given; `optimize` may insert members up to MAX_MEMBERS.
+    `initial_step` is the first perturbation scale, in units of
+    sqrt(n_signal); each stall halves it, down to a fixed floor of 1e-4,
+    so it must not start below that floor.
     """
 
     ensemble_size: int = 8
@@ -144,8 +150,6 @@ class OptimizerConfig:
     tolerance: float = 1e-7
     seed: int = 0
     initial_step: float = 0.5
-    step_decay: float = 0.5
-    step_floor: float = 1e-4
     initial: Ensemble | None = None
 
     def __post_init__(self) -> None:
@@ -159,10 +163,10 @@ class OptimizerConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if not (0.0 < self.step_floor <= self.initial_step):
-            raise ValueError("need 0 < step_floor <= initial_step")
-        if not (0.0 < self.step_decay < 1.0):
-            raise ValueError(f"step_decay must be in (0, 1), got {self.step_decay}")
+        if not (math.isfinite(self.initial_step) and self.initial_step >= _STEP_FLOOR):
+            raise ValueError(
+                f"initial_step must be finite and >= {_STEP_FLOOR:g}, got {self.initial_step}"
+            )
         if self.initial is not None:
             if len(self.initial) > MAX_MEMBERS:
                 raise ValueError(
@@ -309,24 +313,21 @@ def _displace(delta: complex, psi: np.ndarray) -> np.ndarray:
     return phase * (vecs @ spectral)
 
 
-def _tilted_weights(
-    raw: np.ndarray, photons: np.ndarray, budget: float, start: float = 0.0
-) -> tuple[np.ndarray, float]:
+def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.ndarray:
     """Renormalize exp-weights, tilting by the photon cost when needed.
 
     Returns weights proportional to raw * exp(-mu * photons) with the
     smallest mu >= 0 whose ensemble mean is within the budget, to float
-    resolution, and that mu.  Assumes min(photons) <= budget, which holds
-    whenever the current ensemble is feasible.
+    resolution.  Assumes min(photons) <= budget, which holds whenever the
+    current ensemble is feasible.
 
     The tilted mean photon number falls monotonically in mu, with slope
-    minus the tilted photon variance, so Newton steps kept inside the
-    bracket [overdrawn, feasible] converge quadratically.  They start
-    from `start` (a previous solve's mu) when it is positive, else from
-    0.  A step finer than a few ulps is stretched to cross the root, and
+    minus the tilted photon variance, so Newton steps from mu = 0 kept
+    inside the bracket [overdrawn, feasible] converge quadratically.  A
+    step finer than a few ulps is stretched to cross the root, and
     bisection takes over whenever a step leaves the bracket, so the loop
-    ends with the bracket down to adjacent floats and returns its
-    feasible end, wherever it started.
+    ends with the bracket down to adjacent floats and returns the
+    weights at its feasible end.
     """
 
     logr = np.log(np.maximum(raw, 1e-300))
@@ -338,20 +339,11 @@ def _tilted_weights(
         return np.exp(logw - logw.max())
 
     square = excess * excess
-    mu = start if start > 0.0 else 0.0
-    w = tilted(mu)
+    w = tilted(0.0)
     overdraft = float(w @ excess)
-    lo, hi, w_hi = 0.0, math.inf, w
-    if overdraft > 0.0:
-        lo = mu  # so mu = 0 is overdrawn as well
-    elif mu == 0.0:
-        return w / w.sum(), 0.0
-    else:
-        # A feasible start leaves open whether any tilt is needed.
-        hi = mu
-        w_zero = tilted(0.0)
-        if not float(w_zero @ excess) > 0.0:
-            return w_zero / w_zero.sum(), 0.0
+    if not overdraft > 0.0:
+        return w / w.sum()
+    mu, lo, hi, w_hi = 0.0, 0.0, math.inf, w
     while True:
         total = float(w.sum())
         mean = overdraft / total
@@ -375,7 +367,7 @@ def _tilted_weights(
                 raise ValueError("photon constraint cannot be met by reweighting")
         else:
             hi, w_hi = mu, w
-    return w_hi / w_hi.sum(), hi
+    return w_hi / w_hi.sum()
 
 
 def _scores(outs: np.ndarray, entropies: np.ndarray, ln_avg: np.ndarray) -> np.ndarray:
@@ -393,19 +385,6 @@ def _photons(psi: np.ndarray) -> float:
     """Mean photon number of a state vector, normalized by its squared norm."""
     probs = (psi * psi.conj()).real
     return float(np.arange(len(psi)) @ probs / probs.sum())
-
-
-def _diagonals(psi: np.ndarray) -> np.ndarray:
-    """Upper diagonals of |psi><psi| in the layout `fock_oracle._push` takes.
-
-    diags[delta, j] = psi[j - delta] conj(psi[j]), zero for j < delta,
-    read off the vector without forming the projector.
-    """
-    dim = len(psi)
-    lag = np.arange(dim)
-    padded = np.zeros(2 * dim, dtype=complex)
-    padded[dim:] = psi
-    return padded[dim + lag - lag[:, None]] * psi.conj()
 
 
 def _pure_members(ensemble: Ensemble) -> tuple[list[np.ndarray], np.ndarray]:
@@ -445,13 +424,10 @@ def _pure_members(ensemble: Ensemble) -> tuple[list[np.ndarray], np.ndarray]:
 class _Run:
     """Mutable state of one optimization: members, weights, channel outputs.
 
-    `psis` holds the members as unit vectors, zero-padded to the largest
-    member dimension, and `dims` their own dimensions.  `outs` stacks the
-    members' channel outputs, zero-padded to the largest one, so the
-    average output and every relative-entropy score take one matvec
-    each.  `mu` is the photon multiplier of the last reweighting, the
-    warm start of the next one, and `counts` gathers the run's
-    `OptimizerStats`.
+    `psis` lists the members as unit vectors, each at its own dimension.
+    `outs` stacks the members' channel outputs, zero-padded to the
+    largest one, so the average output and every relative-entropy score
+    take one matvec each.  `counts` gathers the run's `OptimizerStats`.
     """
 
     def __init__(
@@ -465,12 +441,8 @@ class _Run:
         self.budget = budget
         self.counts: Counter[str] = Counter()
         self._transfers: dict[int, tuple[np.ndarray, float]] = {}
-        self.dims = [len(v) for v in vectors]
-        self.psis = np.zeros((len(vectors), max(self.dims)), dtype=complex)
-        for k, v in enumerate(vectors):
-            self.psis[k, : len(v)] = v
+        self.psis = list(vectors)
         self.weights = weights.copy()
-        self.mu = 0.0
         self.outs, self.entropies, self.photons = self.outputs(vectors)
         self.current_chi = self._chi(self.weights)[0]
 
@@ -502,27 +474,22 @@ class _Run:
         outs = self.outs if outs is None else outs
         return _holevo(outs, self.entropies, weights, with_log)
 
-    def _reweight_candidate(
-        self, weights: np.ndarray, ln_avg: np.ndarray
-    ) -> np.ndarray:
-        """One multiplicative reweighting step from `weights`, tilted feasible.
+    def _reweight(self, weights: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """Chi at `weights`, one reweighting step from them, and chi there.
 
-        Each weight is scaled by exp of the member's relative-entropy score
-        against the current average output; the photon tilt then restores
-        the budget.  Fixed points of this map with mu > 0 saturate the
-        constraint at stationary weights.  Near them successive
-        reweightings need nearly the same tilt, so each solve starts from
-        the last one's.
+        The step scales each weight by exp of the member's relative-entropy
+        score against the average output at `weights`; the photon tilt
+        then restores the budget.  Fixed points of this map with a nonzero
+        tilt saturate the constraint at stationary weights.
         """
+        value, ln_avg = self._chi(weights, with_log=True)
         scores = _scores(self.outs, self.entropies, ln_avg)
         raw = weights * np.exp(scores - scores.max())
-        candidate, self.mu = _tilted_weights(raw, self.photons, self.budget, self.mu)
-        return candidate
+        candidate = _tilted_weights(raw, self.photons, self.budget)
+        return value, candidate, self._chi(candidate)[0]
 
     def weight_step(self) -> None:
-        chi_now, ln_avg = self._chi(self.weights, with_log=True)
-        candidate = self._reweight_candidate(self.weights, ln_avg)
-        chi_candidate = self._chi(candidate)[0]
+        chi_now, candidate, chi_candidate = self._reweight(self.weights)
         if chi_candidate >= chi_now - 1e-15:
             self.weights = candidate
             self.current_chi = chi_candidate
@@ -554,15 +521,13 @@ class _Run:
                 # No reweighting can restore feasibility; reject outright.
                 self.outs[k], self.entropies[k], self.photons[k] = old
                 return False
-            weights = _tilted_weights(weights, self.photons, self.budget)[0]
-        best, ln_avg = self._chi(weights, with_log=True)
+            weights = _tilted_weights(weights, self.photons, self.budget)
+        best, reweighted, chi_reweighted = self._reweight(weights)
         best_weights = weights
-        reweighted = self._reweight_candidate(weights, ln_avg)
-        chi_reweighted = self._chi(reweighted)[0]
         if chi_reweighted > best:
             best_weights, best = reweighted, chi_reweighted
         if best > before:
-            self.psis[k, : len(psi)] = psi
+            self.psis[k] = psi
             self.weights = best_weights
             self.current_chi = best
             self.counts["displacements_accepted"] += 1
@@ -585,7 +550,7 @@ class _Run:
         violating one does not raise chi.
         """
         grew = False
-        while len(self.dims) < MAX_MEMBERS and self._insert(pool):
+        while len(self.psis) < MAX_MEMBERS and self._insert(pool):
             self.counts["insertions"] += 1
             grew = True
         return grew
@@ -621,7 +586,7 @@ class _Run:
         for _ in range(12):
             weights = np.append((1.0 - share) * w, share)
             if float(weights @ self.photons) > self.budget:
-                weights = _tilted_weights(weights, self.photons, self.budget)[0]
+                weights = _tilted_weights(weights, self.photons, self.budget)
             value = self._chi(weights)[0]
             if value > best:
                 best, best_weights = value, weights
@@ -631,24 +596,19 @@ class _Run:
             self.entropies = self.entropies[:-1]
             self.photons = self.photons[:-1]
             return False
-        psi = pool.psis[j]
-        width = max(self.psis.shape[1], len(psi))
-        psis = np.zeros((len(self.dims) + 1, width), dtype=complex)
-        psis[:-1, : self.psis.shape[1]] = self.psis
-        psis[-1, : len(psi)] = psi
-        self.psis = psis
-        self.dims.append(len(psi))
+        self.psis.append(pool.psis[j])
         self.weights = best_weights
         self.current_chi = best
         return True
 
     def ensemble(self) -> Ensemble:
         total = self.weights.sum()
-        members = []
-        for psi, d, w in zip(self.psis, self.dims, self.weights):
-            psi = psi[:d]
-            members.append((FockDensityMatrix(np.outer(psi, psi.conj())), w / total))
-        return Ensemble(tuple(members))
+        return Ensemble(
+            tuple(
+                (FockDensityMatrix(np.outer(psi, psi.conj())), w / total)
+                for psi, w in zip(self.psis, self.weights)
+            )
+        )
 
 
 class _Pool:
@@ -703,7 +663,7 @@ def _initial_states(
     vectors = [_coherent_vector(a, dim) for a in alphas]
     photons = np.array([abs(a) ** 2 for a in alphas])
     raw = np.exp(-photons / max(n_signal, 1e-12))
-    weights = _tilted_weights(raw, photons, 0.95 * n_signal)[0]
+    weights = _tilted_weights(raw, photons, 0.95 * n_signal)
     return vectors, weights
 
 
@@ -720,11 +680,12 @@ def optimize(
     (ValueError if that needs more than MAX_MEMBERS members).  A sweep
     that improves chi by less than the tolerance is a stall.  At a stall
     below MAX_MEMBERS, coherent states that violate stationarity are
-    inserted (`_Run.grow`); if any is, the perturbation scale drops to at
-    most half the candidate grid's spacing and the search goes on.  Any
-    other stall shrinks the scale geometrically.  `converged` is True
-    only when a sweep at the minimum scale stalls and nothing can be
-    inserted; hitting the iteration cap first reports converged=False.
+    inserted (`_Run.grow`); if any is, the perturbation scale halves, or
+    drops further to half the candidate grid's spacing, and the search
+    goes on.  Any other stall halves the scale, down to a floor of 1e-4
+    times sqrt(n_signal).  `converged` is True only when a sweep at that
+    floor stalls and nothing can be inserted; hitting the iteration cap
+    first reports converged=False.
     """
     if config is None:
         config = OptimizerConfig()
@@ -769,7 +730,7 @@ def optimize(
         iterations = iteration
         before = current
         run.weight_step()
-        for k, dim in enumerate(run.dims):
+        for k in range(len(run.psis)):
             axis = step * scale
             gauss = rng.standard_normal(4)
             deltas = (
@@ -781,16 +742,16 @@ def optimize(
                 0.12 * axis * complex(gauss[2], gauss[3]) / math.sqrt(2.0),
             )
             for delta in deltas:
-                moved = _displace(delta, run.psis[k, :dim])
+                moved = _displace(delta, run.psis[k])
                 run.try_member(k, moved / np.linalg.norm(moved))
             # This draw picked the level of a Fock-mixing move, which was
             # removed; it stays so that seeded runs keep their stream.
-            rng.integers(0, dim)
+            rng.integers(0, len(run.psis[k]))
         run.weight_step()
         current = run.current_chi
         history.append((iteration, current))
         if current - before < config.tolerance:
-            if len(run.dims) < MAX_MEMBERS:
+            if len(run.psis) < MAX_MEMBERS:
                 if pool is None:
                     pool = _Pool(run, config.dim)
                 if run.grow(pool):
@@ -799,14 +760,13 @@ def optimize(
                     # New members sit within half a grid cell of where
                     # they belong; the old ones were refined at `step`.
                     step = max(
-                        min(step * config.step_decay, 0.5 * pool.spacing / scale),
-                        config.step_floor,
+                        min(step * _STEP_DECAY, 0.5 * pool.spacing / scale), _STEP_FLOOR
                     )
                     continue
-            if step <= config.step_floor * (1.0 + 1e-12):
+            if step <= _STEP_FLOOR * (1.0 + 1e-12):
                 converged = True
                 break
-            step = max(step * config.step_decay, config.step_floor)
+            step = max(step * _STEP_DECAY, _STEP_FLOOR)
 
     return OptimizationResult(
         best_chi_bits=current,

@@ -69,6 +69,11 @@ SWEEP_COLUMNS = (
 )
 
 
+# Largest spread of the oracle's member output entropies (nats) that
+# still counts as the displacement independence the channel guarantees.
+_ENTROPY_SPREAD_TOL = 1e-6
+
+
 class _UsageError(Exception):
     pass
 
@@ -280,17 +285,25 @@ def _suite_fock(seed: int) -> list[CheckResult]:
     results.append(CheckResult("fock.moment-consistency", worst, 1e-8))
 
     params = ChannelParams(transmissivity=0.6, environment_photons=0.5)
-    chi_report = gaussian_ensemble_report(params, 2.0)
-    lower = holevo_lower(params, 2.0)
-    results.append(
-        CheckResult(
-            "fock.chi-vs-closed-form", abs(chi_report.chi_bits - lower), 1e-3
-        )
-    )
-    env_entropy = gfunc.g(0.2)
-    spread = float(np.abs(chi_report.member_entropies_nats - env_entropy).max())
-    results.append(CheckResult("fock.alpha-independence", spread, 1e-6))
+    _, _, difference, spread = _oracle_agreement(params, 2.0, DEFAULT_CHI_DIM_CAP)
+    results.append(CheckResult("fock.chi-vs-closed-form", difference, 1e-3))
+    results.append(CheckResult("fock.alpha-independence", spread, _ENTROPY_SPREAD_TOL))
     return results
+
+
+def _oracle_agreement(params: ChannelParams, n_signal: float, dim_cap: int):
+    """The oracle's report and the two numbers its pass rule checks.
+
+    Returns the `gaussian_ensemble_report`, `holevo_lower`, their
+    difference |chi - lower| in bits, and the largest distance in nats
+    of a member's output entropy from g((1 - lambda) N_E), the entropy
+    every coherent input gives.
+    """
+    chi_report = gaussian_ensemble_report(params, n_signal, dim_cap=dim_cap)
+    lower = holevo_lower(params, n_signal)
+    env_entropy = gfunc.g((1.0 - params.transmissivity) * params.environment_photons)
+    spread = float(np.abs(chi_report.member_entropies_nats - env_entropy).max())
+    return chi_report, lower, abs(chi_report.chi_bits - lower), spread
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +366,15 @@ def _sweep_rows(lams, n_envs, n_signals):
                 }
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write an `--out` target: the file at `path`, or stdout for "-"."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(text)
+
+
 def cmd_sweep(args) -> int:
     lams = _parse_range(args.lam, "--lambda")
     n_envs = _parse_range(args.ne, "--ne")
@@ -368,12 +390,7 @@ def cmd_sweep(args) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(rows, indent=2) + "\n"
-
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
+    _write_out(args.out, text)
     return 0 if all(row["certified"] for row in rows) else 2
 
 
@@ -400,21 +417,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params = _parse_channel(args)
-    chi_report = gaussian_ensemble_report(params, args.n, dim_cap=args.dim_cap)
-    lower = holevo_lower(params, args.n)
-    difference = abs(chi_report.chi_bits - lower)
-    env_entropy = gfunc.g(
-        (1.0 - params.transmissivity) * params.environment_photons
+    chi_report, lower, difference, spread = _oracle_agreement(
+        _parse_channel(args), args.n, args.dim_cap
     )
-    spread = float(np.abs(chi_report.member_entropies_nats - env_entropy).max())
-
     print(f"chi_bits = {chi_report.chi_bits:.10g}")
     print(f"lower_bits = {lower:.10g}")
     print(f"difference_bits = {difference:.10g}")
     print(f"alpha_entropy_spread_nats = {spread:.10g}")
     print(f"max_tail_bound = {chi_report.max_tail_bound:.10g}")
-    if difference <= args.tol and spread <= 1e-6:
+    if difference <= args.tol and spread <= _ENTROPY_SPREAD_TOL:
         print("oracle agreement: pass")
         return 0
     print("oracle agreement: FAIL")
@@ -453,12 +464,7 @@ def cmd_optimize(args) -> int:
         # or discretization budget needs auditing, not a capacity claim.
         "budget_audit": result.best_chi_bits > upper + 1e-6,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
+    _write_out(args.out, json.dumps(payload, indent=2) + "\n")
     return 0 if result.converged else 4
 
 
@@ -539,10 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

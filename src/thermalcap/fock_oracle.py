@@ -531,6 +531,19 @@ def _push(transfer: np.ndarray, diags: np.ndarray, deficit: float) -> np.ndarray
     return out
 
 
+def _diagonals(psi: np.ndarray) -> np.ndarray:
+    """Upper diagonals of |psi><psi| in the layout `_push` takes.
+
+    diags[delta, j] = psi[j - delta] conj(psi[j]), zero for j < delta,
+    read off the vector without forming the projector.
+    """
+    dim = len(psi)
+    lag = np.arange(dim)
+    padded = np.zeros(2 * dim, dtype=complex)
+    padded[dim:] = psi
+    return padded[dim + lag - lag[:, None]] * psi.conj()
+
+
 def apply_channel(
     params: ChannelParams,
     rho: FockDensityMatrix,
