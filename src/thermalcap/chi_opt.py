@@ -33,14 +33,15 @@ halves, down to a fixed floor.
 
 Inside a run the members are unit state vectors, each at its own
 dimension.  A displacement is two matvecs on a vector through one cached
-eigenbasis of a^dag - a per dimension, and a vector's upper diagonals go
-straight into `fock_oracle._push`; density-matrix objects are built only
-for the `Ensemble` a run starts from and returns.  Every chi in this
-module, `chi` included, comes from one evaluator over the members'
-channel outputs stacked as a (members, D_out, D_out) array: the average
-output and all relative-entropy scores are one matvec each, and the
-entropy of the average goes through `fock_oracle`'s eigenvalue routine,
-physicality check included.
+eigenbasis of a^dag - a per dimension (`_displacement_basis`), and a
+vector's upper diagonals go straight into `fock_oracle._push` with the
+transfer tensor that `fock_oracle._channel_transfer` caches;
+density-matrix objects are built only for the `Ensemble` a run starts
+from and returns.  Every chi in this module, `chi` included, comes from
+one evaluator over the members' channel outputs stacked as a (members,
+D_out, D_out) array: the average output and all relative-entropy scores
+are one matvec each, and the entropy of the average goes through
+`fock_oracle`'s eigenvalue routine, physicality check included.
 
 Everything is deterministic under a fixed seed, and the result is
 numerical evidence only: no claim of a global optimum is made, and a
@@ -53,6 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -63,7 +65,6 @@ from .fock_oracle import (
     DEFAULT_TAIL_TOL,
     EIGENVALUE_TOL,
     FockDensityMatrix,
-    _CACHE,
     _channel_transfer,
     _coherent_vector,
     _diagonals,
@@ -287,27 +288,34 @@ def _holevo(
     return value, (vecs * np.log(np.maximum(vals, _LOG_FLOOR))) @ vecs.conj().T
 
 
+@functools.lru_cache(maxsize=MAX_DIM)
+def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and their adjoint of i (a^dag - a) on dim levels.
+
+    Kept for every member dimension a run can use; the arrays are read-only.
+    """
+    ladder = np.sqrt(np.arange(1.0, dim))
+    rows = np.arange(dim - 1)
+    herm = np.zeros((dim, dim), dtype=complex)  # i (a^dag - a)
+    herm[rows + 1, rows] = 1j * ladder
+    herm[rows, rows + 1] = -1j * ladder
+    freq, vecs = np.linalg.eigh(herm)
+    basis = (freq, vecs, np.ascontiguousarray(vecs.conj().T))
+    for array in basis:
+        array.setflags(write=False)
+    return basis
+
+
 def _displace(delta: complex, psi: np.ndarray) -> np.ndarray:
     """exp(delta a^dag - conj(delta) a) psi on the truncated Fock space of psi.
 
     With delta = r e^{i phi} the truncated generator is the diagonal
     similarity diag(e^{i n phi}) of r (a^dag - a), so one eigenbasis of
-    the real generator per dimension, kept in the shared operator cache,
-    serves every move: two matvecs and no eigensolve per displacement.
+    the real generator per dimension, from `_displacement_basis`, serves
+    every move: two matvecs and no eigensolve per displacement.
     """
     dim = len(psi)
-    key = ("displacement", dim)
-    basis = _CACHE.get(key)
-    if basis is None:
-        ladder = np.sqrt(np.arange(1.0, dim))
-        rows = np.arange(dim - 1)
-        herm = np.zeros((dim, dim), dtype=complex)  # i (a^dag - a)
-        herm[rows + 1, rows] = 1j * ladder
-        herm[rows, rows + 1] = -1j * ladder
-        freq, vecs = np.linalg.eigh(herm)
-        basis = (freq, vecs, np.ascontiguousarray(vecs.conj().T))
-        _CACHE.put(key, basis)
-    freq, vecs, vecs_h = basis
+    freq, vecs, vecs_h = _displacement_basis(dim)
     phase = np.exp(1j * cmath.phase(delta) * np.arange(dim))
     spectral = np.exp(-1j * abs(delta) * freq) * (vecs_h @ (phase.conj() * psi))
     return phase * (vecs @ spectral)
@@ -440,7 +448,6 @@ class _Run:
         self.params = params
         self.budget = budget
         self.counts: Counter[str] = Counter()
-        self._transfers: dict[int, tuple[np.ndarray, float]] = {}
         self.psis = list(vectors)
         self.weights = weights.copy()
         self.outs, self.entropies, self.photons = self.outputs(vectors)
@@ -448,12 +455,9 @@ class _Run:
 
     def output(self, psi: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Channel output of a unit vector, its entropy, and the vector's photons."""
-        dim = len(psi)
-        if dim not in self._transfers:
-            self._transfers[dim] = _channel_transfer(
-                self.params, dim, DEFAULT_TAIL_TOL, DEFAULT_MAX_JOINT_DIM
-            )
-        transfer, env_tail = self._transfers[dim]
+        transfer, env_tail = _channel_transfer(
+            self.params, len(psi), DEFAULT_TAIL_TOL, DEFAULT_MAX_JOINT_DIM
+        )
         out = _push(transfer, _diagonals(psi), env_tail)
         self.counts["channel_pushes"] += 1
         self.counts["eigensolves"] += 1
@@ -611,6 +615,19 @@ class _Run:
         )
 
 
+def _radius_cap(dim: int) -> float:
+    """Largest ring radius on dim levels: |alpha|^2 stays below dim/4."""
+    return 0.98 * math.sqrt(dim / 4.0)
+
+
+def _ring(radius: float, count: int, offset: float) -> list[complex]:
+    """count amplitudes radius e^{i a} at angles a = 2 pi (j + offset) / count."""
+    return [
+        radius * complex(math.cos(a), math.sin(a))
+        for a in (2.0 * math.pi * (j + offset) / count for j in range(count))
+    ]
+
+
 class _Pool:
     """Coherent candidates for insertion, pushed through the channel once.
 
@@ -622,13 +639,10 @@ class _Pool:
     """
 
     def __init__(self, run: _Run, dim: int):
-        radius_cap = 0.98 * math.sqrt(dim / 4.0)
-        self.spacing = radius_cap / _POOL_RADII
+        self.spacing = _radius_cap(dim) / _POOL_RADII
         alphas: list[complex] = [0.0]
         for i in range(1, _POOL_RADII + 1):
-            for j in range(_POOL_ANGLES):
-                angle = 2.0 * math.pi * (j + 0.5 * (i % 2)) / _POOL_ANGLES
-                alphas.append(i * self.spacing * complex(math.cos(angle), math.sin(angle)))
+            alphas += _ring(i * self.spacing, _POOL_ANGLES, 0.5 * (i % 2))
         self.psis = [_coherent_vector(a, dim) for a in alphas]
         self.outs, self.entropies, self.photons = run.outputs(self.psis)
 
@@ -645,7 +659,7 @@ def _initial_states(
     respect the photon budget.
     """
     scale = math.sqrt(n_signal)
-    radius_cap = 0.98 * math.sqrt(dim / 4.0)
+    radius_cap = _radius_cap(dim)
     alphas: list[complex] = [0.0]
     if size == 2:
         alphas.append(min(scale, radius_cap))
@@ -654,12 +668,8 @@ def _initial_states(
         n_outer = size - 1 - n_inner
         r_inner = min(0.9 * scale, 0.7 * radius_cap)
         r_outer = min(1.8 * scale, radius_cap)
-        for j in range(n_inner):
-            angle = 2.0 * math.pi * j / n_inner
-            alphas.append(r_inner * complex(math.cos(angle), math.sin(angle)))
-        for j in range(n_outer):
-            angle = 2.0 * math.pi * (j + 0.5) / n_outer
-            alphas.append(r_outer * complex(math.cos(angle), math.sin(angle)))
+        alphas += _ring(r_inner, n_inner, 0.0)
+        alphas += _ring(r_outer, n_outer, 0.5)
     vectors = [_coherent_vector(a, dim) for a in alphas]
     photons = np.array([abs(a) ** 2 for a in alphas])
     raw = np.exp(-photons / max(n_signal, 1e-12))

@@ -417,6 +417,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     chi_report, lower, difference, spread = _oracle_agreement(
         _parse_channel(args), args.n, args.dim_cap
     )

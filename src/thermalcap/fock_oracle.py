@@ -21,15 +21,16 @@ delta of the input feeds only diagonal delta of the output; tracing out
 the thermal environment collapses the block columns into one real
 transfer tensor per channel, and `apply_channel` is a single batched
 matmul over the input's diagonals, without ever materializing the joint
-Hilbert space.  Transfer tensors are kept in one small LRU cache; the
-blocks are built one at a time for a tensor build and not kept.
+Hilbert space.  `_channel_transfer` keeps its last 8 transfer tensors,
+keyed by its arguments; the blocks are built one at a time for a tensor
+build and not kept.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -331,37 +332,6 @@ def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
     return FockDensityMatrix(np.outer(vec, vec.conj()), 0.0)
 
 
-# One bounded LRU holds every derived operator the package reuses:
-# ("transfer", lam, N_E, env dim) is the largest transfer tensor built so
-# far, smaller input cutoffs being served by slicing it, and
-# ("displacement", dim) an eigenbasis for `chi_opt`.  Beamsplitter blocks
-# are not kept: only a transfer-tensor build consumes them, one at a time.
-_CACHE_ENTRIES = 8
-
-
-class _LRUCache(OrderedDict):
-    """Mapping that keeps at most `size` entries, evicting the least recent."""
-
-    def __init__(self, size: int):
-        super().__init__()
-        self.size = size
-
-    def get(self, key):
-        value = super().get(key)
-        if value is not None:
-            self.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> None:
-        self[key] = value
-        self.move_to_end(key)
-        while len(self) > self.size:
-            self.popitem(last=False)
-
-
-_CACHE = _LRUCache(_CACHE_ENTRIES)
-
-
 def _rotation_block(theta: float, total: int) -> np.ndarray:
     """exp(theta K) for the block generator K[n+1, n] = -K[n, n+1] = t_n.
 
@@ -429,9 +399,7 @@ def _env_distribution(
     return probs, budget.tail_bound
 
 
-def _transfer_tensor(
-    lam: float, n_env: float, env_probs: np.ndarray, dim_in: int
-) -> np.ndarray:
+def _transfer_tensor(lam: float, env_probs: np.ndarray, dim_in: int) -> np.ndarray:
     """Real tensor T[delta, p, j] carrying input diagonal delta to the output.
 
     out[p, p + delta] = sum_j T[delta, p, j] rho[j - delta, j], where
@@ -443,16 +411,11 @@ def _transfer_tensor(
     is traced out.  The input is indexed by its column j, so no entry
     depends on the input cutoff or needs a block above total
     j + dim_env - 1, and the tensor for d levels is the slice
-    T[:d, :d + dim_env - 1, :d] of any larger build, bit for bit.  The
-    cache keeps the largest build per (transmissivity, N_E, env cutoff);
-    it holds dim_in^2 * (dim_in + dim_env - 1) floats, as many as the
-    output has entries times the input's levels.
+    T[:d, :d + dim_env - 1, :d] of any larger build, bit for bit.  It
+    holds dim_in^2 * (dim_in + dim_env - 1) floats, as many as the output
+    has entries times the input's levels.
     """
     dim_env = len(env_probs)
-    key = ("transfer", lam, n_env, dim_env)
-    cached = _CACHE.get(key)
-    if cached is not None and cached.shape[0] >= dim_in:
-        return cached[:dim_in, : dim_in + dim_env - 1, :dim_in]
     dim_out = dim_in + dim_env - 1
     # amp[e, p, n] = B[n+e][p, n]: input |n> with environment |e> to output |p>.
     amp = np.zeros((dim_env, dim_out, dim_in))
@@ -471,10 +434,10 @@ def _transfer_tensor(
             out=transfer[delta, :rows, delta:],
         )
     transfer.setflags(write=False)
-    _CACHE.put(key, transfer)
     return transfer
 
 
+@functools.lru_cache(maxsize=8)
 def _channel_transfer(
     params: ChannelParams, dim_in: int, env_tail_tol: float, max_joint_dim: int
 ) -> tuple[np.ndarray, float]:
@@ -482,7 +445,9 @@ def _channel_transfer(
 
     The environment cutoff is sized from its geometric tail at
     env_tail_tol; BudgetError when input and environment together exceed
-    max_joint_dim.
+    max_joint_dim.  The last 8 results are kept, keyed by the arguments
+    (`ChannelParams` is frozen, so it hashes); the tensor is read-only.
+    A BudgetError is not kept, so it is raised again on every call.
     """
     env_probs, env_tail = _env_distribution(
         params.environment_photons, env_tail_tol, max_joint_dim
@@ -494,10 +459,7 @@ def _channel_transfer(
             f"joint dimension {dim_in} x {dim_env} = {joint} exceeds cap {max_joint_dim}",
             bound="joint_dim", value=joint, limit=max_joint_dim,
         )
-    transfer = _transfer_tensor(
-        params.transmissivity, params.environment_photons, env_probs, dim_in
-    )
-    return transfer, env_tail
+    return _transfer_tensor(params.transmissivity, env_probs, dim_in), env_tail
 
 
 def _push(transfer: np.ndarray, diags: np.ndarray, deficit: float) -> np.ndarray:
@@ -507,9 +469,9 @@ def _push(transfer: np.ndarray, diags: np.ndarray, deficit: float) -> np.ndarray
     j < delta.  It goes through the transfer tensor in one real batched
     matmul (real and imaginary parts side by side), and the lower
     triangle of the output is filled by Hermiticity, so the result is
-    exactly Hermitian.  Raises RuntimeError when the output's trace falls
-    short of 1 by more than `deficit` (the input's own deficit plus the
-    environment tail).
+    exactly Hermitian.  Raises RuntimeError unless the output's trace lies
+    in [1 - deficit, 1] up to rounding, `deficit` being the input's own
+    deficit plus the environment tail; a NaN trace raises too.
     """
     dim_in = len(diags)
     dim_out = transfer.shape[1]
@@ -524,9 +486,9 @@ def _push(transfer: np.ndarray, diags: np.ndarray, deficit: float) -> np.ndarray
     out = upper + upper.conj().T
     out.flat[:: dim_out + 1] *= 0.5
     lost = 1.0 - float(out.trace().real)
-    if lost > deficit + 1e-12:
+    if not (-TRACE_TOL <= lost <= deficit + 1e-12):
         raise RuntimeError(
-            f"trace accounting violated: lost {lost:.3e} beyond the deficit {deficit:.3e}"
+            f"trace accounting violated: lost {lost:.3e} outside [0, {deficit:.3e}]"
         )
     return out
 
@@ -794,9 +756,11 @@ def gaussian_ensemble_report(
     on one radius share one output entropy, and the average of their
     outputs over the n_angular uniform phases is exactly the phase-0
     output with every entry (m, n) zeroed unless m - n is a multiple of
-    n_angular.  Each radius therefore costs one `apply_channel` and one
-    entropy.  Radii are visited largest first, so the transfer tensor is
-    built once and sliced for the smaller cutoffs.
+    n_angular.  Each radius therefore costs one push of its coherent
+    vector through the channel kernel and one entropy, as an optimizer
+    member does.  One transfer tensor is built, at the largest cutoff; a
+    smaller cutoff d takes its slice [:d, :d + dim_env - 1, :d], which is
+    bit for bit the tensor a build at d gives.
     """
     n_signal = _check_photon_number(n_signal)
     dim_cap = _as_positive_dim(dim_cap)
@@ -813,20 +777,22 @@ def gaussian_ensemble_report(
         radii**2, dim_cap, dim_env, max_joint_dim, env_tail_tol
     )
 
-    dim_out = int(dims.max()) + dim_env - 1
+    transfer, _ = _channel_transfer(params, int(dims.max()), env_tail_tol, max_joint_dim)
+    dim_out = transfer.shape[1]
     levels = np.arange(dim_out)
     mask = (levels[:, None] - levels[None, :]) % per_radius == 0
     average = np.zeros((dim_out, dim_out), dtype=complex)
     entropies = np.empty(len(radii))
+    # Largest cutoff first, the order that fixes the average's rounding.
     for k in np.argsort(-dims, kind="stable"):
-        out = apply_channel(
-            params,
-            coherent_state(radii[k], int(dims[k])),
-            env_tail_tol=env_tail_tol,
-            max_joint_dim=max_joint_dim,
+        d = int(dims[k])
+        out = _push(
+            transfer[:d, : d + dim_env - 1, :d],
+            _diagonals(_coherent_vector(radii[k], d)),
+            env_tail,
         )
-        entropies[k] = von_neumann_entropy(out)
-        average[: out.dim, : out.dim] += radius_weights[k] * out.matrix
+        entropies[k] = _eigenvalue_entropy(np.linalg.eigvalsh(out))
+        average[: len(out), : len(out)] += radius_weights[k] * out
 
     average_entropy = von_neumann_entropy(FockDensityMatrix(average * mask, env_tail))
     chi_bits = max((average_entropy - float(radius_weights @ entropies)) / _LN2, 0.0)

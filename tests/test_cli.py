@@ -150,6 +150,17 @@ def test_oracle_agreement(capsys):
     assert "chi_bits" in out and "lower_bits" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_oracle_rejects_a_tolerance_that_is_not_finite_and_nonnegative(capsys, tol):
+    # A usage error, not a failed agreement (exit 3), and never a check
+    # switched off (inf).
+    argv = ["oracle", "--lambda", "0.6", "--ne", "0.5", "--n", "1", "--tol", tol]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be finite and >= 0" in captured.err
+
+
 def test_optimize_zero_signal_json(capsys):
     code = main(
         ["optimize", "--lambda", "0.7", "--ne", "0.3", "--n", "0", "--iters", "5"]

@@ -154,23 +154,17 @@ def test_apply_channel_phase_covariance():
     np.testing.assert_allclose(rotated.matrix, expected, rtol=0, atol=1e-12)
 
 
-def test_transfer_tensor_slices_the_largest_build(monkeypatch):
-    # One cache entry per (lam, N_E, environment cutoff): a smaller input
-    # cutoff is served from the largest build, bit for bit a fresh build.
-    cache = fock_oracle._LRUCache(fock_oracle._CACHE_ENTRIES)
-    monkeypatch.setattr(fock_oracle, "_CACHE", cache)
+def test_transfer_tensor_slices_the_largest_build():
+    # The oracle builds one tensor at its largest cutoff and slices it for
+    # the smaller ones; each slice is bit for bit a build at that cutoff.
     env_probs, _ = fock_oracle._env_distribution(0.5, 1e-10, 4096)
     dim_env = len(env_probs)
-    key = ("transfer", 0.6, 0.5, dim_env)
-    largest = fock_oracle._transfer_tensor(0.6, 0.5, env_probs, 40)
+    largest = fock_oracle._transfer_tensor(0.6, env_probs, 40)
     assert largest.shape == (40, 40 + dim_env - 1, 40)
     for dim in (1, 17, 39):
-        sliced = fock_oracle._transfer_tensor(0.6, 0.5, env_probs, dim)
-        assert cache.get(key) is largest
-        cache.clear()
-        fresh = fock_oracle._transfer_tensor(0.6, 0.5, env_probs, dim)
-        cache.put(key, largest)
-        assert sliced.shape == fresh.shape == (dim, dim + dim_env - 1, dim)
+        sliced = largest[:dim, : dim + dim_env - 1, :dim]
+        fresh = fock_oracle._transfer_tensor(0.6, env_probs, dim)
+        assert fresh.shape == (dim, dim + dim_env - 1, dim)
         assert np.array_equal(sliced, fresh)
 
 
@@ -219,15 +213,40 @@ def test_apply_channel_matches_output_offset_reference():
 
 
 def test_operator_cache_is_bounded():
-    # A transmissivity sweep longer than the cache keeps at most the bound
-    # in it, and the newest channel's transfer tensor survives.
+    # A transmissivity sweep longer than the cache keeps at most its bound;
+    # each new channel is a miss, and repeating the newest one is a hit.
+    cached = fock_oracle._channel_transfer
+    maxsize = cached.cache_parameters()["maxsize"]
     rho = coherent_state(0.5, 6)
-    lams = [float(x) for x in np.linspace(0.31, 0.93, fock_oracle._CACHE_ENTRIES + 3)]
-    for lam in lams:
-        apply_channel(params(lam, 0.5), rho)
-        assert len(fock_oracle._CACHE) <= fock_oracle._CACHE_ENTRIES
-        assert ("transfer", lam, 0.5, 21) in fock_oracle._CACHE
-    assert ("transfer", lams[0], 0.5, 21) not in fock_oracle._CACHE
+    for lam in np.linspace(0.31, 0.93, maxsize + 3):
+        p = params(float(lam), 0.5)
+        before = cached.cache_info()
+        apply_channel(p, rho)
+        apply_channel(p, rho)
+        after = cached.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert after.currsize <= maxsize
+
+
+def test_oracle_builds_one_transfer_tensor_per_report():
+    # The criterion-7 report visits radii at 14 distinct cutoffs; they
+    # are all sliced from one tensor built at the largest.
+    fock_oracle._channel_transfer.cache_clear()
+    report = gaussian_ensemble_report(params(0.6, 0.5), 2.0)
+    info = fock_oracle._channel_transfer.cache_info()
+    assert len(set(report.member_dims.tolist())) == 14
+    assert (info.misses, info.hits) == (1, 0)
+
+
+def test_push_rejects_an_output_outside_the_trace_window():
+    # A kernel output that gains trace, or is NaN, is caught by the kernel
+    # itself, not only by a FockDensityMatrix wrapped around it.
+    transfer, env_tail = fock_oracle._channel_transfer(params(0.6, 0.5), 6, 1e-10, 4096)
+    diags = fock_oracle._diagonals(fock_oracle._coherent_vector(0.5, 6))
+    fock_oracle._push(transfer, diags, env_tail)
+    for scale in (1.5, math.nan):
+        with pytest.raises(RuntimeError, match="trace accounting violated"):
+            fock_oracle._push(scale * transfer, diags, env_tail)
 
 
 def test_von_neumann_entropy_maximally_mixed():

@@ -1,5 +1,5 @@
-"""Source hygiene: correctness checks must survive `python -O`, and every
-name the bench tracer patches must exist."""
+"""Source hygiene: correctness checks must survive `python -O`, caches are
+bounded, and every name the bench tracer patches must exist."""
 
 import ast
 from pathlib import Path
@@ -9,18 +9,97 @@ import thermalcap
 import thermalcap.cli  # noqa: F401  (the tracer patches `cli` names)
 
 
+def _package_trees():
+    sources = sorted(Path(thermalcap.__file__).parent.glob("*.py"))
+    assert sources
+    return [
+        (path.name, ast.parse(path.read_text(), filename=str(path))) for path in sources
+    ]
+
+
 def test_no_assert_statements_in_package():
     # `python -O` strips assert statements, so a check written as one
     # silently disappears; the package raises explicit exceptions instead.
-    sources = sorted(Path(thermalcap.__file__).parent.glob("*.py"))
-    assert sources
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {', '.join(found)}"
+
+
+def _unbounded_caches(tree):
+    """Lines that use `functools.cache`, or `lru_cache` without an integer maxsize.
+
+    The maxsize must be an integer literal or a module-level name bound to
+    one.  Both decorators must be spelled `functools.<name>`, so that no
+    import can hide a use from this check.
+    """
+    constants = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and type(node.value.value) is int
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def is_int(size):
+        if isinstance(size, ast.Name):
+            return size.id in constants
+        return isinstance(size, ast.Constant) and type(size.value) is int
+
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if {alias.name for alias in node.names} & {"cache", "lru_cache"}:
+                found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "lru_cache":
+            call = calls.get(id(node))  # None for the bare decorator (maxsize 128)
+            sizes = [] if call is None else call.args[:1] + [
+                kw.value for kw in call.keywords if kw.arg == "maxsize"
+            ]
+            if not (len(sizes) == 1 and is_int(sizes[0])):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_caches_are_bounded():
+    # Every cache in the package is an `lru_cache` with an explicit integer
+    # maxsize; `functools.cache` and `maxsize=None` grow without bound.
+    found = [
+        f"{name}:{line}"
+        for name, tree in _package_trees()
+        for line in _unbounded_caches(tree)
+    ]
+    assert not found, f"unbounded or implicit caches in the package: {', '.join(found)}"
+
+
+def test_unbounded_cache_check_flags_each_form():
+    source = """
+import functools
+from functools import lru_cache
+SIZE = 4
+@functools.lru_cache(maxsize=8)
+def a(x): return x
+@functools.lru_cache(SIZE)
+def b(x): return x
+@functools.lru_cache(maxsize=None)
+def c(x): return x
+@functools.lru_cache
+def d(x): return x
+@functools.cache
+def e(x): return x
+@functools.lru_cache()
+def f(x): return x
+"""
+    assert _unbounded_caches(ast.parse(source)) == [3, 9, 11, 13, 15]
 
 
 def test_bench_tracer_targets_exist():
