@@ -326,8 +326,8 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
 
     Returns weights proportional to raw * exp(-mu * photons) with the
     smallest mu >= 0 whose ensemble mean is within the budget, to float
-    resolution.  Assumes min(photons) <= budget, which holds whenever the
-    current ensemble is feasible.
+    resolution.  Raises ValueError if min(photons) > budget (never while
+    the current ensemble is feasible) or if the tilt overflows first.
 
     The tilted mean photon number falls monotonically in mu, with slope
     minus the tilted photon variance, so Newton steps from mu = 0 kept
@@ -346,7 +346,7 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
         logw = logr - mu * photons
         return np.exp(logw - logw.max())
 
-    square = excess * excess
+    square, dearer = excess * excess, np.where(photons > photons.min(), 1.0, 0.0)
     w = tilted(0.0)
     overdraft = float(w @ excess)
     if not overdraft > 0.0:
@@ -365,13 +365,16 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
             # Bisect, or double while no feasible tilt is known yet.
             cand = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0
             if not lo < cand < hi:
+                if hi == math.inf:
+                    raise ValueError("photon tilt overflowed before meeting the budget")
                 break
         mu = cand
         w = tilted(mu)
         overdraft = float(w @ excess)
         if overdraft > 0.0:
             lo = mu
-            if lo > 1e12:
+            # Still overdrawn with all weight on the cheapest members: no tilt helps.
+            if hi == math.inf and w @ dearer == 0.0:
                 raise ValueError("photon constraint cannot be met by reweighting")
         else:
             hi, w_hi = mu, w

@@ -238,6 +238,27 @@ def test_tilted_weights_matches_bisection():
     assert tilted > 100  # most cases exercise the root solve
 
 
+def test_tilted_weights_raise_on_infeasible_budgets():
+    # Every member costs more than the budget, at ordinary and tiny scales.
+    for photons, budget in (([2.0, 3.0, 4.0], 1.0), ([1e-20, 3e-20], 1e-21)):
+        photons = np.array(photons)
+        with pytest.raises(ValueError, match="cannot be met"):
+            _tilted_weights(np.ones(len(photons)), photons, budget)
+    # A photon gap so small that the tilt overflows before it can bite.
+    with pytest.raises(ValueError, match="overflowed"):
+        _tilted_weights(np.ones(2), np.array([0.0, 5e-324]), 0.0)
+
+
+@pytest.mark.parametrize("n", [1e-12, 1e-15, 1e-30])
+def test_optimize_completes_at_tiny_photon_budgets(n):
+    # The tilt multiplier scales as 1/N, so no absolute cap on it may fire.
+    p = params(0.6, 0.5)
+    result = optimize(p, n, OptimizerConfig(max_iterations=3))
+    assert result.iterations == 3
+    assert result.ensemble.mean_photons <= n
+    assert 0.0 <= result.best_chi_bits <= additive_extension_upper(p, n) + 1e-12
+
+
 def test_optimize_grows_past_starting_size():
     # Two members stall within a few sweeps, so growth starts early.
     p = params(0.6, 0.3)

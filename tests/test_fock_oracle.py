@@ -59,6 +59,74 @@ def test_beamsplitter_identity_at_full_transmissivity():
         np.testing.assert_allclose(block, np.eye(block.shape[0]), atol=1e-12)
 
 
+def test_beamsplitter_blocks_reject_bool_arguments():
+    with pytest.raises(ValueError):
+        beamsplitter_blocks(0.5, True)
+    with pytest.raises(ValueError):
+        beamsplitter_blocks(True, 2)
+    with pytest.raises(ValueError):
+        beamsplitter_blocks(0.5, -1)
+    with pytest.raises(ValueError):
+        beamsplitter_blocks(0.5, 2.0)
+
+
+def _exact_block_entry(lam, total, p, n):
+    # <p, total-p| U |n, total-n> from expanding (c a^dag - s b^dag)^n
+    # (s a^dag + c b^dag)^(total-n) |0, 0> / sqrt(n! (total-n)!), in
+    # 130-digit decimal arithmetic so the alternating sum keeps its digits.
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 130
+        c, s = Decimal(lam).sqrt(), (1 - Decimal(lam)).sqrt()
+        m = total - n
+        acc = Decimal(0)
+        for k in range(max(0, p - m), min(n, p) + 1):
+            term = Decimal(math.comb(n, k) * math.comb(m, p - k))
+            term *= c ** (m - p + 2 * k) * s ** (n + p - 2 * k)
+            acc += -term if (n - k) % 2 else term
+        ratio = Decimal(math.factorial(p) * math.factorial(total - p))
+        ratio /= Decimal(math.factorial(n) * math.factorial(m))
+        return float(acc * ratio.sqrt())
+
+
+def test_beamsplitter_blocks_match_exact_closed_form():
+    rng = np.random.default_rng(2)
+    for lam in (0.05, 0.6, 0.99):
+        blocks = beamsplitter_blocks(lam, 215)
+        for total in (40, 120, 215):
+            rows = rng.integers(0, total + 1, 40)
+            cols = rng.integers(0, total + 1, 40)
+            for p, n in zip(rows, cols):
+                exact = _exact_block_entry(lam, total, int(p), int(n))
+                assert abs(blocks[total][p, n] - exact) <= 1e-13, (lam, total, p, n)
+        for block in blocks[:215]:
+            np.testing.assert_allclose(
+                block @ block.T, np.eye(block.shape[0]), rtol=0, atol=1e-13
+            )
+
+
+def test_block_builds_run_no_eigensolver(monkeypatch):
+    # The blocks come from a recurrence, and a tensor build reads them in
+    # a column window that must match the full blocks bit for bit.
+    full = beamsplitter_blocks(0.6, 30)
+    env_probs, _ = fock_oracle._env_distribution(0.5, 1e-10, 4096)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called in a block build")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    fock_oracle._transfer_tensor(0.6, env_probs, 40)
+    assert all(np.array_equal(a, b) for a, b in zip(beamsplitter_blocks(0.6, 30), full))
+    for dim_env, dim_in in ((1, 31), (5, 20), (21, 12), (31, 31)):
+        windows = list(fock_oracle._blocks(0.6, 31, dim_env, dim_in))
+        assert len(windows) == 31
+        for total, window in enumerate(windows):
+            lo, hi = max(0, total - dim_env), min(total, dim_in - 1)
+            assert np.array_equal(window, full[total][:, lo : hi + 1])
+
+
 def test_thermal_state_zero_temperature_is_vacuum():
     rho = thermal_state(0.0, 6)
     expected = np.zeros((6, 6))
