@@ -21,8 +21,15 @@ larger relative-entropy contribution, with a Lagrange multiplier (the
 photon tilt, found by a bracketed Newton solve) holding the photon
 budget; on fixed states this is the classical capacity iteration and is
 monotone, but we still guard every step by re-evaluating chi and
-rejecting regressions.  The state step displaces individual members by
-small amounts and keeps only improvements.
+rejecting regressions.  The state step displaces individual members and
+keeps only improvements.  The channel is displacement-covariant,
+E(D(d) rho D(d)^dag) = D(sqrt(lam) d) E(rho) D(sqrt(lam) d)^dag, so a
+member's chi gradient comes from C = ln of the average output alone:
+with A = a^dag - a and B = i (a^dag + a) on the output levels, member k
+gains sqrt(lam) (tr(rho_k [A, C]) + i tr(rho_k [B, C])) nats per unit
+weight and unit displacement, and its photon cost grows by 2 <a>_k.
+Each sweep steps every member along that direction, net of the photon
+multiplier, and adds one random probe.
 
 When a full sweep stalls, the ensemble first grows: in the manner of
 particle Blahut-Arimoto, coherent states that violate the stationarity
@@ -39,9 +46,10 @@ transfer tensor that `fock_oracle._channel_transfer` caches;
 density-matrix objects are built only for the `Ensemble` a run starts
 from and returns.  Every chi in this module, `chi` included, comes from
 one evaluator over the members' channel outputs stacked as a (members,
-D_out, D_out) array: the average output and all relative-entropy scores
-are one matvec each, and the entropy of the average goes through
-`fock_oracle`'s eigenvalue routine, physicality check included.
+D_out, D_out) array: the average output, all relative-entropy scores
+and all displacement gradients are one matvec each, and the entropy of
+the average goes through `fock_oracle`'s eigenvalue routine,
+physicality check included.
 
 Everything is deterministic under a fixed seed, and the result is
 numerical evidence only: no claim of a global optimum is made, and a
@@ -98,6 +106,12 @@ CONSTRAINT_SLACK = 1e-9
 _STEP_DECAY = 0.5
 _STEP_FLOOR = 1e-4
 
+# Moves per member and sweep, at `axis` = step * sqrt(N): a gradient step
+# of length axis, repeated if accepted and retried at this fraction if
+# not, then one complex Gaussian probe of this rms size in units of axis.
+_RETRY_FRACTION = 0.25
+_PROBE_SCALE = 0.35
+
 # Insertion candidates: rings x points per ring (see `_Pool`).
 _POOL_RADII = 16
 _POOL_ANGLES = 32
@@ -140,9 +154,10 @@ class OptimizerConfig:
 
     `ensemble_size` is the starting member count when no `initial`
     ensemble is given; `optimize` may insert members up to MAX_MEMBERS.
-    `initial_step` is the first perturbation scale, in units of
-    sqrt(n_signal); each stall halves it, down to a fixed floor of 1e-4,
-    so it must not start below that floor.
+    `initial_step` is the starting length of the gradient steps and rms
+    size of the probes, in units of sqrt(n_signal); each stall halves
+    it, down to a fixed floor of 1e-4, so it must not start below that
+    floor.
     """
 
     ensemble_size: int = 8
@@ -184,9 +199,10 @@ class OptimizerConfig:
 class OptimizerStats:
     """Work counts of one ascent run; a repeated run repeats them exactly.
 
-    Proposals are the displacement moves judged by the acceptance rule;
-    weight-step rejections count guarded reweightings that would have
-    lowered chi; insertions count members added by growth.  Channel
+    Proposals are the displacement moves judged by the acceptance rule,
+    in total and split by type: steps along the chi gradient and random
+    probes.  Weight-step rejections count guarded reweightings that would
+    have lowered chi; insertions count members added by growth.  Channel
     pushes cover the whole run, the insertion pool included.
     Eigensolves count the spectra of channel outputs: one per push, for
     its entropy, and one per chi evaluation, for the average output.
@@ -196,6 +212,10 @@ class OptimizerStats:
 
     displacements_proposed: int = 0
     displacements_accepted: int = 0
+    gradient_steps_proposed: int = 0
+    gradient_steps_accepted: int = 0
+    probes_proposed: int = 0
+    probes_accepted: int = 0
     weight_steps_rejected: int = 0
     insertions: int = 0
     channel_pushes: int = 0
@@ -398,6 +418,11 @@ def _photons(psi: np.ndarray) -> float:
     return float(np.arange(len(psi)) @ probs / probs.sum())
 
 
+def _mean_amplitude(psi: np.ndarray) -> complex:
+    """<a> of a unit vector: sum_n sqrt(n) conj(psi[n-1]) psi[n]."""
+    return complex(np.sqrt(np.arange(1.0, len(psi))) @ (psi[:-1].conj() * psi[1:]))
+
+
 def _pure_members(ensemble: Ensemble) -> tuple[list[np.ndarray], np.ndarray]:
     """Unit state vectors and weights equivalent to the ensemble.
 
@@ -504,6 +529,53 @@ class _Run:
             self.counts["weight_steps_rejected"] += 1
             self.current_chi = chi_now
 
+    def _multiplier(self, scores: np.ndarray) -> float:
+        """Photon multiplier mu, in nats per photon, from member scores.
+
+        It is the weighted slope of score against photons over the
+        members, and zero while the budget is slack.
+        """
+        w = self.weights
+        mean = float(w @ self.photons)
+        if not mean > self.budget * (1.0 - CONSTRAINT_SLACK):
+            return 0.0
+        centred = self.photons - mean
+        spread = float(w @ (centred * centred))
+        if not spread > 0.0:
+            return 0.0
+        return max(float(w @ (centred * scores)) / spread, 0.0)
+
+    def directions(self) -> np.ndarray:
+        """Each member's ascent direction for a displacement, per unit weight.
+
+        Entry k is dchi/dx + i dchi/dy in nats, for the displacement
+        x + i y of member k, minus mu times the same derivative of its
+        photon number, 2 <a>_k.  By displacement covariance dchi/dx is
+        sqrt(lam) tr(rho_k [A, C]) with C = ln of the average output and
+        A = a^dag - a, and dchi/dy is the same with B = i (a^dag + a).
+        Both commutators are Hermitian, so all members take one real
+        matvec over the stacked outputs, as in `_scores`.
+        """
+        _, ln_avg = self._chi(self.weights, with_log=True)
+        mu = self._multiplier(_scores(self.outs, self.entropies, ln_avg))
+        members, dim = self.outs.shape[:2]
+        lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)  # a
+        generators = np.stack([lower.T - lower, 1j * (lower.T + lower)])
+        commutators = generators @ ln_avg - ln_avg @ generators
+        traces = self.outs.view(float).reshape(members, -1) @ (
+            commutators.view(float).reshape(2, -1).T
+        )
+        gradient = math.sqrt(self.params.transmissivity) * (traces[:, 0] + 1j * traces[:, 1])
+        return gradient - 2.0 * mu * np.array([_mean_amplitude(psi) for psi in self.psis])
+
+    def move(self, k: int, delta: complex, kind: str) -> bool:
+        """Displace member k by delta through `try_member`; counted under kind."""
+        moved = _displace(delta, self.psis[k])
+        accepted = self.try_member(k, moved / np.linalg.norm(moved))
+        self.counts[f"{kind}_proposed"] += 1
+        self.counts[f"{kind}_accepted"] += int(accepted)
+        return accepted
+
     def try_member(self, k: int, psi: np.ndarray) -> bool:
         """Install the unit vector psi as member k if it improves chi.
 
@@ -568,24 +640,17 @@ class _Run:
         dim = max(outs.shape[-1], pool.outs.shape[-1])
         _, ln_avg = self._chi(w, with_log=True, outs=_stack(outs, dim))
         scores = _scores(outs, self.entropies, ln_avg)
-        # The multiplier is the slope of score against photons over the
-        # members; it is zero while the budget is slack.
-        mu = 0.0
-        mean = float(w @ self.photons)
-        if mean > self.budget * (1.0 - CONSTRAINT_SLACK):
-            centred = self.photons - mean
-            spread = float(w @ (centred * centred))
-            if spread > 0.0:
-                mu = max(float(w @ (centred * scores)) / spread, 0.0)
+        mu = self._multiplier(scores)
         violation = (
-            _scores(pool.outs, pool.entropies, ln_avg)
+            pool.scores(ln_avg)
             - mu * pool.photons
             - float(w @ (scores - mu * self.photons))
         )
         j = int(np.argmax(violation))
         if not violation[j] > 0.0:
             return False
-        self.outs = _stack([*outs, pool.outs[j]], dim)
+        psi, out = pool.candidate(j)
+        self.outs = _stack([*outs, out], dim)
         self.entropies = np.append(self.entropies, pool.entropies[j])
         self.photons = np.append(self.photons, pool.photons[j])
         best, best_weights = self.current_chi, None
@@ -603,7 +668,7 @@ class _Run:
             self.entropies = self.entropies[:-1]
             self.photons = self.photons[:-1]
             return False
-        self.psis.append(pool.psis[j])
+        self.psis.append(psi)
         self.weights = best_weights
         self.current_chi = best
         return True
@@ -632,22 +697,58 @@ def _ring(radius: float, count: int, offset: float) -> list[complex]:
 
 
 class _Pool:
-    """Coherent candidates for insertion, pushed through the channel once.
+    """Coherent candidates for insertion, pushed through the channel by ring.
 
     A polar grid on the disc |alpha|^2 <= dim/4 where `coherent_state`
     truncates safely: the origin plus _POOL_RADII rings of _POOL_ANGLES
     points, alternate rings offset by half an angle step.  `spacing` is
-    the radial distance between rings.  The pushes go through the run,
-    which counts them.
+    the radial distance between rings.  The channel is phase-covariant:
+    the output at r e^{i phi} is the output at r with entry (m, n) times
+    e^{i (m - n) phi}, with the same entropy, and the input has the same
+    photon number.  So only the origin and one point per ring, at phase
+    0, are pushed, through the run, which counts them; a candidate's
+    output is made by rotating its ring's only when it is inserted.
     """
 
     def __init__(self, run: _Run, dim: int):
+        self.dim = dim
         self.spacing = _radius_cap(dim) / _POOL_RADII
-        alphas: list[complex] = [0.0]
+        radii = [i * self.spacing for i in range(_POOL_RADII + 1)]
+        self.outs, entropies, photons = run.outputs([_coherent_vector(r, dim) for r in radii])
+        self.alphas: list[complex] = [0.0]
+        rings = [0]
         for i in range(1, _POOL_RADII + 1):
-            alphas += _ring(i * self.spacing, _POOL_ANGLES, 0.5 * (i % 2))
-        self.psis = [_coherent_vector(a, dim) for a in alphas]
-        self.outs, self.entropies, self.photons = run.outputs(self.psis)
+            self.alphas += _ring(radii[i], _POOL_ANGLES, 0.5 * (i % 2))
+            rings += [i] * _POOL_ANGLES
+        self.rings = np.array(rings)
+        self.entropies = entropies[self.rings]
+        self.photons = photons[self.rings]
+        # e^{i delta phi} at each candidate for lags delta >= 0, doubled for
+        # delta > 0 to count the conjugate lag -delta as well.
+        self.phases = np.exp(1j * np.outer(np.angle(self.alphas), np.arange(self.outs.shape[-1])))
+        self.phases[:, 1:] *= 2.0
+
+    def scores(self, ln_avg: np.ndarray) -> np.ndarray:
+        """Relative entropies of all candidates' outputs to the average, in nats.
+
+        With h_r[delta] = sum over m - n = delta of out_r[m, n] C[n, m],
+        for C = ln_avg and ring output out_r, a candidate at phase phi on
+        ring r has tr(out C) = Re sum_delta h_r[delta] e^{i delta phi}.
+        """
+        dim = self.outs.shape[-1]
+        products = self.outs * ln_avg[:dim, :dim].T
+        lag_sums = np.stack(
+            [np.trace(products, offset=-lag, axis1=1, axis2=2) for lag in range(dim)], axis=1
+        )
+        traces = np.einsum("jd,jd->j", lag_sums[self.rings], self.phases).real
+        return -self.entropies - traces
+
+    def candidate(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """State vector and channel output of candidate j."""
+        alpha = self.alphas[j]
+        phase = np.exp(1j * np.angle(alpha) * np.arange(self.outs.shape[-1]))
+        out = self.outs[self.rings[j]] * np.outer(phase, phase.conj())
+        return _coherent_vector(alpha, self.dim), out
 
 
 def _initial_states(
@@ -687,18 +788,23 @@ def optimize(
 ) -> OptimizationResult:
     """Maximize chi over ensembles with mean photon number <= n_signal.
 
-    Alternates guarded reweighting with greedy displacements of the
-    members, starting from `config.ensemble_size` coherent states, or
-    from `config.initial` with its mixed members split into eigenvectors
-    (ValueError if that needs more than MAX_MEMBERS members).  A sweep
-    that improves chi by less than the tolerance is a stall.  At a stall
-    below MAX_MEMBERS, coherent states that violate stationarity are
-    inserted (`_Run.grow`); if any is, the perturbation scale halves, or
-    drops further to half the candidate grid's spacing, and the search
-    goes on.  Any other stall halves the scale, down to a floor of 1e-4
-    times sqrt(n_signal).  `converged` is True only when a sweep at that
-    floor stalls and nothing can be inserted; hitting the iteration cap
-    first reports converged=False.
+    Alternates guarded reweighting with displacements of the members,
+    starting from `config.ensemble_size` coherent states, or from
+    `config.initial` with its mixed members split into eigenvectors
+    (ValueError if that needs more than MAX_MEMBERS members).  Each sweep
+    reweights, gives every member a step of length step * sqrt(n_signal)
+    along its chi gradient net of the photon multiplier (repeated once
+    if accepted, retried at a quarter of the length if not) and one
+    Gaussian probe drawn from `config.seed`, each kept only if it raises
+    chi, and reweights again.  A sweep that improves chi by less than
+    the tolerance is a stall.  At a stall below MAX_MEMBERS, coherent
+    states that violate stationarity are inserted (`_Run.grow`); if any
+    is, the perturbation scale halves, or drops further to half the
+    candidate grid's spacing, and the search goes on.  Any other stall
+    halves the scale, down to a floor of 1e-4 times sqrt(n_signal).
+    `converged` is True only when a sweep at that floor stalls and
+    nothing can be inserted; hitting the iteration cap first reports
+    converged=False.
     """
     if config is None:
         config = OptimizerConfig()
@@ -743,23 +849,15 @@ def optimize(
         iterations = iteration
         before = current
         run.weight_step()
-        for k in range(len(run.psis)):
-            axis = step * scale
-            gauss = rng.standard_normal(4)
-            deltas = (
-                complex(axis, 0.0),
-                complex(-axis, 0.0),
-                complex(0.0, axis),
-                complex(0.0, -axis),
-                0.35 * axis * complex(gauss[0], gauss[1]) / math.sqrt(2.0),
-                0.12 * axis * complex(gauss[2], gauss[3]) / math.sqrt(2.0),
-            )
-            for delta in deltas:
-                moved = _displace(delta, run.psis[k])
-                run.try_member(k, moved / np.linalg.norm(moved))
-            # This draw picked the level of a Fock-mixing move, which was
-            # removed; it stays so that seeded runs keep their stream.
-            rng.integers(0, len(run.psis[k]))
+        axis = step * scale
+        for k, direction in enumerate(run.directions()):
+            if direction != 0.0:  # e.g. a lone vacuum member: its output is diagonal
+                delta = axis * direction / abs(direction)
+                if not run.move(k, delta, "gradient_steps"):
+                    delta *= _RETRY_FRACTION
+                run.move(k, delta, "gradient_steps")
+            gauss = rng.standard_normal(2)
+            run.move(k, _PROBE_SCALE * axis * complex(*gauss) / math.sqrt(2.0), "probes")
         run.weight_step()
         current = run.current_chi
         history.append((iteration, current))

@@ -525,11 +525,19 @@ def _build_parser() -> _Parser:
     p_opt.add_argument("--members", type=int, default=8,
                        help="starting ensemble size (default 8); members are "
                             f"inserted up to {MAX_MEMBERS} when a sweep stalls")
-    p_opt.add_argument("--dim", type=int, default=24)
-    p_opt.add_argument("--iters", type=int, default=1000)
-    p_opt.add_argument("--tol", type=float, default=1e-7)
-    p_opt.add_argument("--step", type=float, default=0.5)
-    p_opt.add_argument("--seed", type=int, default=0)
+    p_opt.add_argument("--dim", type=int, default=24,
+                       help="Fock cutoff of the starting and inserted members "
+                            "(default 24)")
+    p_opt.add_argument("--iters", type=int, default=1000,
+                       help="sweep cap; exit code 4 if reached first (default 1000)")
+    p_opt.add_argument("--tol", type=float, default=1e-7,
+                       help="chi gain in bits below which a sweep stalls "
+                            "(default 1e-7)")
+    p_opt.add_argument("--step", type=float, default=0.5,
+                       help="starting length of the gradient steps and scale of "
+                            "the random probes, in units of sqrt(N) (default 0.5)")
+    p_opt.add_argument("--seed", type=int, default=0,
+                       help="seed of the random probe moves (default 0)")
     p_opt.add_argument("--out", default="-", help="output path (default stdout)")
     p_opt.set_defaults(func=cmd_optimize)
     return parser

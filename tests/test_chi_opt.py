@@ -6,12 +6,19 @@ import pytest
 from thermalcap import gfunc
 from thermalcap.bounds import LN2, additive_extension_upper, holevo_lower
 from thermalcap.chi_opt import (
+    _POOL_ANGLES,
+    _POOL_RADII,
     MAX_MEMBERS,
     Ensemble,
     OptimizerConfig,
     _displace,
     _holevo,
+    _initial_states,
+    _mean_amplitude,
+    _Pool,
     _pure_members,
+    _Run,
+    _scores,
     _tilted_weights,
     chi,
     optimize,
@@ -22,6 +29,7 @@ from thermalcap.fock_oracle import (
     FockDensityMatrix,
     GridSpec,
     _channel_transfer,
+    _coherent_vector,
     _diagonals,
     _push,
     apply_channel,
@@ -271,7 +279,7 @@ def test_optimize_grows_past_starting_size():
     assert result.best_chi_bits == chis[-1]
     assert result.ensemble.mean_photons <= n + 1e-9
     assert result.best_chi_bits <= additive_extension_upper(p, n) + 1e-6
-    two_members = optimize(p, n, OptimizerConfig(ensemble_size=2, dim=8, max_iterations=3, seed=0))
+    two_members = optimize(p, n, OptimizerConfig(ensemble_size=2, dim=8, max_iterations=2, seed=0))
     assert len(two_members.ensemble) == 2  # no stall yet, so no growth
     assert result.best_chi_bits > two_members.best_chi_bits + 0.2
     again = optimize(p, n, cfg)
@@ -280,8 +288,11 @@ def test_optimize_grows_past_starting_size():
     stats = result.stats
     assert stats.insertions == len(result.ensemble) - 2
     assert 0 < stats.displacements_accepted <= stats.displacements_proposed
-    # The starting members, every proposal, and the insertion pool once.
-    assert stats.channel_pushes == 2 + stats.displacements_proposed + 1 + 16 * 32
+    assert stats.gradient_steps_proposed + stats.probes_proposed == stats.displacements_proposed
+    assert stats.gradient_steps_accepted + stats.probes_accepted == stats.displacements_accepted
+    # The starting members, every proposal, and the insertion pool once:
+    # the origin and one point per ring.
+    assert stats.channel_pushes == 2 + stats.displacements_proposed + 1 + 16
     assert stats.eigensolves > stats.channel_pushes
     assert len(again.ensemble) == len(result.ensemble)
     for (s1, w1), (s2, w2) in zip(result.ensemble.members, again.ensemble.members):
@@ -451,27 +462,27 @@ def test_push_matches_apply_channel():
 
 
 # Chi after each of 20 sweeps at the benchmark's optimizer points
-# (lambda 0.6, N 1, optimizer seed 0), as the per-move evaluation gave
-# them before the optimizer's work was batched.  A change that moves a
-# trajectory by more than rounding fails here.
+# (lambda 0.6, N 1, optimizer seed 0), as the gradient-step and probe
+# move rule gives them.  A change that moves a trajectory by more than
+# rounding fails here.
 _PINNED_HISTORIES = {
     0.0: (
-        1.1483978369652619, 1.5076651928828027, 1.5115898442921505,
-        1.5127563389006706, 1.5139072754079037, 1.5144307585094936,
-        1.5144702325087083, 1.51459796179911, 1.5146829263108887,
-        1.5146854706385393, 1.515111113295622, 1.5154951991688792,
-        1.5157501767705204, 1.516040132612177, 1.5163638155777894,
-        1.5164992236713575, 1.516772646052998, 1.5168230660063509,
-        1.5168563409761053, 1.5168633173828956, 1.5169906863149702,
+        1.1483978369652617, 1.5092250039015653, 1.5113388264265208,
+        1.5145196426590566, 1.5148905147102936, 1.5149824026216774,
+        1.5150153748271304, 1.5150339171101077, 1.5150445320557318,
+        1.5150506466555778, 1.5150541790525724, 1.5150562231553266,
+        1.5150574073664616, 1.5150580939786975, 1.5150584923230457,
+        1.5150587235323012, 1.5150997372653001, 1.5151019888526351,
+        1.5151025593427898, 1.5151342100125245, 1.515421514653971,
     ),
     0.5: (
-        0.7105671827190546, 0.9975060660638598, 0.9986167097661407,
-        0.9992663886882837, 0.999577336533386, 0.9997410840464701,
-        0.9999595573480198, 1.0000154945567252, 1.0001913849016386,
-        1.000218751483621, 1.0002500745822864, 1.0002589380631999,
-        1.0002651036447727, 1.0002826829823466, 1.0002885084265005,
-        1.0002979383805168, 1.0003194760590235, 1.0003477349935577,
-        1.0003583317444484, 1.0003752575574416, 1.0003799113964957,
+        0.7105671827190546, 0.9985639955815601, 0.999630506338424,
+        0.9997105519189293, 0.9997355335496078, 0.9998429879457691,
+        0.9998546394727399, 0.9998582958043152, 0.9998784670905498,
+        0.9998821127457845, 0.9998974522235822, 0.999899410546485,
+        0.9999007327240098, 0.9999017841324132, 0.9999026760149107,
+        0.9999034509548397, 0.9999041301056905, 0.9999047271324725,
+        0.999905252547805, 0.9999057151382336, 0.9999886349850756,
     ),
 }
 
@@ -483,3 +494,60 @@ def test_optimizer_trajectory_is_pinned(n_env):
     assert len(result.ensemble) == 8
     history = np.array([value for _, value in result.history])
     assert np.abs(history - np.array(_PINNED_HISTORIES[n_env])).max() <= 1e-12
+
+
+def test_mean_amplitude_of_a_coherent_vector():
+    for alpha in (0.0, 0.8, -1.1 + 0.4j, 1.5j):
+        assert abs(_mean_amplitude(_coherent_vector(alpha, 24)) - alpha) <= 1e-13
+
+
+def test_directions_match_finite_differences():
+    # With the budget slack the multiplier is 0, so member k's direction
+    # times its weight is dchi/dx + i dchi/dy in nats for a displacement
+    # x + i y; central differences of the exact truncated chi agree.
+    p = params(0.6, 0.5)
+    dim = 24
+    fock_one = np.zeros(dim, dtype=complex)
+    fock_one[1] = 1.0
+    vectors = [_coherent_vector(a, dim) for a in (0.0, 0.8, -0.5 + 0.6j, 1.1j, 0.3 - 0.9j)]
+    vectors.append(fock_one)
+    weights = np.array([0.3, 0.15, 0.15, 0.15, 0.15, 0.1])
+    budget = 10.0
+
+    def chi_nats(members):
+        return _Run(p, budget, members, weights).current_chi * LN2
+
+    gradient = weights * _Run(p, budget, vectors, weights).directions()
+    h = 1e-5
+    differences = []
+    for k in range(len(vectors)):
+        parts = []
+        for unit in (1.0, 1.0j):
+            plus, minus = list(vectors), list(vectors)
+            plus[k] = _displace(h * unit, vectors[k])
+            minus[k] = _displace(-h * unit, vectors[k])
+            parts.append((chi_nats(plus) - chi_nats(minus)) / (2.0 * h))
+        differences.append(complex(*parts))
+    error = np.abs(np.array(differences) - gradient).max()
+    assert error <= 1e-6 * np.abs(gradient).max()
+
+
+@pytest.mark.parametrize("n_env", [0.0, 0.5])
+def test_ring_pool_matches_direct_pushes(n_env):
+    # Phase covariance lets one push per ring stand in for a push per
+    # candidate: scores, entropies, photons and the inserted output agree.
+    dim = 24
+    vectors, weights = _initial_states(1.0, 8, dim)
+    run = _Run(params(0.6, n_env), 1.0, vectors, weights)
+    pool = _Pool(run, dim)
+    assert run.counts["channel_pushes"] == len(vectors) + 1 + _POOL_RADII
+    outs, entropies, photons = run.outputs([_coherent_vector(a, dim) for a in pool.alphas])
+    assert len(outs) == 1 + _POOL_RADII * _POOL_ANGLES
+    _, ln_avg = _holevo(run.outs, run.entropies, run.weights, with_log=True)
+    assert np.abs(pool.scores(ln_avg) - _scores(outs, entropies, ln_avg)).max() <= 1e-13
+    assert np.abs(pool.entropies - entropies).max() <= 1e-13
+    assert np.abs(pool.photons - photons).max() <= 1e-13
+    for j, alpha in enumerate(pool.alphas):
+        psi, out = pool.candidate(j)
+        assert np.array_equal(psi, _coherent_vector(alpha, dim))
+        assert np.abs(out - outs[j]).max() <= 1e-14

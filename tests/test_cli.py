@@ -189,7 +189,14 @@ def test_optimize_iteration_cap_exit_four(tmp_path):
     assert payload["converged"] is False
     assert payload["iterations"] == 3
     assert set(payload["stats"]) == {f.name for f in dataclasses.fields(OptimizerStats)}
-    assert payload["stats"]["displacements_proposed"] > 0
+    stats = payload["stats"]
+    assert stats["displacements_proposed"] > 0
+    # Each move type is counted, and the types add up to the totals.
+    for outcome in ("proposed", "accepted"):
+        assert (
+            stats[f"gradient_steps_{outcome}"] + stats[f"probes_{outcome}"]
+            == stats[f"displacements_{outcome}"]
+        )
     assert payload["best_chi_bits"] <= payload["upper_bits"] + 1e-6
 
 
