@@ -34,9 +34,11 @@ multiplier, and adds one random probe.
 When a full sweep stalls, the ensemble first grows: in the manner of
 particle Blahut-Arimoto, coherent states that violate the stationarity
 condition of the constrained capacity problem are inserted, one at a
-time, until MAX_MEMBERS is reached or no candidate helps.  Only a stall
-that inserts nothing shrinks the perturbation scale geometrically: it
-halves, down to a fixed floor.
+time, until MAX_MEMBERS is reached or no candidate helps.  A stall that
+inserts nothing shrinks the perturbation scale geometrically: it
+halves, down to a fixed floor.  A sweep whose gradient steps all fail
+halves it too, but not below half the insertion grid's spacing, so the
+steps stay short enough to be accepted while the weights converge.
 
 Inside a run the members are unit state vectors, each at its own
 dimension.  A displacement is two matvecs on a vector through one cached
@@ -102,7 +104,9 @@ MAX_DIM = 32
 WEIGHT_SUM_TOL = 1e-12
 CONSTRAINT_SLACK = 1e-9
 
-# Perturbation schedule: each stall halves the step, down to the floor.
+# Perturbation schedule: each stall halves the step, down to the floor,
+# and so does a sweep that accepts no gradient step, down to half the
+# insertion grid's spacing (see `optimize`).
 _STEP_DECAY = 0.5
 _STEP_FLOOR = 1e-4
 
@@ -155,9 +159,9 @@ class OptimizerConfig:
     `ensemble_size` is the starting member count when no `initial`
     ensemble is given; `optimize` may insert members up to MAX_MEMBERS.
     `initial_step` is the starting length of the gradient steps and rms
-    size of the probes, in units of sqrt(n_signal); each stall halves
-    it, down to a fixed floor of 1e-4, so it must not start below that
-    floor.
+    size of the probes, in units of sqrt(n_signal); `optimize` halves
+    it as it goes, down to a fixed floor of 1e-4, so it must not start
+    below that floor.
     """
 
     ensemble_size: int = 8
@@ -796,8 +800,10 @@ def optimize(
     along its chi gradient net of the photon multiplier (repeated once
     if accepted, retried at a quarter of the length if not) and one
     Gaussian probe drawn from `config.seed`, each kept only if it raises
-    chi, and reweights again.  A sweep that improves chi by less than
-    the tolerance is a stall.  At a stall below MAX_MEMBERS, coherent
+    chi, and reweights again.  A sweep that accepts no gradient step
+    halves the step, down to half the insertion grid's spacing (steps
+    already shorter stay).  A sweep that improves chi by less than the
+    tolerance is a stall.  At a stall below MAX_MEMBERS, coherent
     states that violate stationarity are inserted (`_Run.grow`); if any
     is, the perturbation scale halves, or drops further to half the
     candidate grid's spacing, and the search goes on.  Any other stall
@@ -841,6 +847,8 @@ def optimize(
     history = [(0, current)]
     step = config.initial_step
     scale = math.sqrt(n)
+    # Half the insertion grid's spacing, in units of sqrt(n).
+    grid_step = 0.5 * _radius_cap(config.dim) / _POOL_RADII / scale
     converged = False
     iterations = 0
     pool = None
@@ -848,6 +856,7 @@ def optimize(
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
         before = current
+        accepted = run.counts["gradient_steps_accepted"]
         run.weight_step()
         axis = step * scale
         for k, direction in enumerate(run.directions()):
@@ -861,6 +870,10 @@ def optimize(
         run.weight_step()
         current = run.current_chi
         history.append((iteration, current))
+        if run.counts["gradient_steps_accepted"] == accepted:
+            # Every gradient step overshot: shorten it without waiting for
+            # the weights alone to stall the sweep.
+            step = max(step * _STEP_DECAY, min(step, grid_step))
         if current - before < config.tolerance:
             if len(run.psis) < MAX_MEMBERS:
                 if pool is None:
@@ -870,9 +883,7 @@ def optimize(
                     history[-1] = (iteration, current)
                     # New members sit within half a grid cell of where
                     # they belong; the old ones were refined at `step`.
-                    step = max(
-                        min(step * _STEP_DECAY, 0.5 * pool.spacing / scale), _STEP_FLOOR
-                    )
+                    step = max(min(step * _STEP_DECAY, grid_step), _STEP_FLOOR)
                     continue
             if step <= _STEP_FLOOR * (1.0 + 1e-12):
                 converged = True
