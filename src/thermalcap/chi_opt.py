@@ -75,6 +75,7 @@ from .fock_oracle import (
     DEFAULT_TAIL_TOL,
     EIGENVALUE_TOL,
     FockDensityMatrix,
+    _LEVELS_PER_PHOTON,
     _channel_transfer,
     _coherent_vector,
     _diagonals,
@@ -689,7 +690,7 @@ class _Run:
 
 def _radius_cap(dim: int) -> float:
     """Largest ring radius on dim levels: |alpha|^2 stays below dim/4."""
-    return 0.98 * math.sqrt(dim / 4.0)
+    return 0.98 * math.sqrt(dim / _LEVELS_PER_PHOTON)
 
 
 def _ring(radius: float, count: int, offset: float) -> list[complex]:

@@ -7,11 +7,17 @@ beamsplitter-with-thermal-environment channel, and compare entropies and
 moments against the analytic predictions.
 
 Truncation is never silent.  Every constructor carries an analytic bound
-on the probability weight it discards (geometric tail for thermal
-states, Chernoff-Poisson tail for coherent states), `apply_channel`
-propagates those bounds, and requests that cannot meet their budget
-raise `BudgetError` naming the violated bound instead of returning a
-degraded answer.
+on the probability weight it discards, `apply_channel` propagates those
+bounds, and requests that cannot meet their budget raise `BudgetError`
+naming the violated bound.  Each cutoff is decided in one place:
+`TruncationBudget.for_thermal` sizes a thermal environment from its
+geometric tail, for `_channel_transfer` and so for every channel push;
+`_coherent_cutoff` sizes a coherent state from its Chernoff-Poisson tail,
+starting at 4|alpha|^2 levels (`_LEVELS_PER_PHOTON`, the precondition of
+`coherent_state`, which the optimizer's ring radius respects too), for
+both `TruncationBudget.for_coherent` and `gaussian_ensemble_report`.  The
+one degraded answer is the oracle's: a coherent cutoff stopped by
+dim_cap reports the tail it reached in `ChiReport.max_tail_bound`.
 
 The beamsplitter unitary conserves total photon number, so it is built
 block by block: within the span of |n, M-n> the unitary is a finite
@@ -77,6 +83,8 @@ DEFAULT_CHI_DIM_CAP = 192
 MOMENT_TOL = 1e-8
 
 _LN2 = math.log(2.0)
+# A coherent state on dim levels needs |alpha|^2 <= dim / _LEVELS_PER_PHOTON.
+_LEVELS_PER_PHOTON = 4.0
 
 
 class BudgetError(Exception):
@@ -192,31 +200,42 @@ class TruncationBudget:
     ) -> "TruncationBudget":
         """Cutoff for a coherent state: Chernoff-Poisson tail at most tol.
 
-        The returned dimension also satisfies dim >= 4|alpha|^2, the
-        precondition of `coherent_state`.
+        The cutoff comes from `_coherent_cutoff`, so dim >= 4|alpha|^2,
+        the precondition of `coherent_state`.  Raises BudgetError
+        (coherent_dim) when either needs more than max_dim levels; the
+        oracle instead reports the tail its capped cutoff reached.
         """
         mu = abs(complex(alpha)) ** 2
         if not math.isfinite(mu):
             raise ValueError(f"amplitude must be finite, got {alpha!r}")
-        if not (0.0 < tol < 1.0):
-            raise ValueError(f"tail tolerance must be in (0, 1), got {tol}")
-        if mu == 0.0:
-            return cls(1, 0.0)
-        dim = max(math.ceil(4.0 * mu), math.floor(mu) + 1, 1)
-        while poisson_tail_bound(mu, dim) > tol:
-            dim += 1
-            if dim > max_dim:
-                raise BudgetError(
-                    f"coherent cutoff for |alpha|^2 = {mu:g}, tail {tol:g} "
-                    f"exceeds limit {max_dim}",
-                    bound="coherent_dim", value=dim, limit=max_dim,
-                )
-        if dim > max_dim:
+        dim, tail = _coherent_cutoff(mu, tol, max_dim)
+        if tail > tol:
             raise BudgetError(
-                f"coherent cutoff {dim} exceeds limit {max_dim}",
-                bound="coherent_dim", value=dim, limit=max_dim,
+                f"coherent cutoff for |alpha|^2 = {mu:g}, tail {tol:g} "
+                f"exceeds limit {max_dim}",
+                bound="coherent_dim", value=dim + 1, limit=max_dim,
             )
-        return cls(dim, poisson_tail_bound(mu, dim))
+        return cls(dim, tail)
+
+
+def _coherent_cutoff(mu: float, tol: float, max_dim: int) -> tuple[int, float]:
+    """The coherent-cutoff rule: (dim, Poisson tail reached) for |alpha|^2 = mu.
+
+    Starts at max(ceil(4 mu), 1), the precondition of `coherent_state`
+    (BudgetError coherent_dim if that exceeds max_dim), and grows until
+    the tail is at most tol or max_dim stops it.
+    """
+    if not (0.0 < tol < 1.0):
+        raise ValueError(f"tail tolerance must be in (0, 1), got {tol}")
+    dim = max(math.ceil(_LEVELS_PER_PHOTON * mu), 1)
+    if dim > max_dim:
+        raise BudgetError(
+            f"|alpha|^2 = {mu:g} needs cutoff {dim} > limit {max_dim}",
+            bound="coherent_dim", value=dim, limit=max_dim,
+        )
+    while dim < max_dim and poisson_tail_bound(mu, dim) > tol:
+        dim += 1
+    return dim, poisson_tail_bound(mu, dim)
 
 
 def _check_photon_number(n_mean: float) -> float:
@@ -246,8 +265,6 @@ def thermal_tail_bound(n_mean: float, dim: int) -> float:
     """Exact probability weight of a thermal state above level dim-1."""
     n_mean = _check_photon_number(n_mean)
     dim = _as_positive_dim(dim)
-    if n_mean == 0.0:
-        return 0.0
     return (n_mean / (n_mean + 1.0)) ** dim
 
 
@@ -285,6 +302,12 @@ def dim_for_thermal_entropy(
     return dim
 
 
+def _thermal_probs(n_mean: float, dim: int) -> np.ndarray:
+    """p_n = q^n / (N+1) with q = N/(N+1), n < dim; N = 0 gives the vacuum."""
+    q = n_mean / (n_mean + 1.0)
+    return q ** np.arange(dim) / (n_mean + 1.0)
+
+
 def thermal_state(n_mean: float, dim: int) -> FockDensityMatrix:
     """Thermal state diag(p_n) with p_n = N^n / (N+1)^(n+1), n < dim.
 
@@ -292,13 +315,8 @@ def thermal_state(n_mean: float, dim: int) -> FockDensityMatrix:
     """
     n_mean = _check_photon_number(n_mean)
     dim = _as_positive_dim(dim)
-    if n_mean == 0.0:
-        probs = np.zeros(dim)
-        probs[0] = 1.0
-        return FockDensityMatrix(np.diag(probs).astype(complex), 0.0)
-    q = n_mean / (n_mean + 1.0)
-    probs = q ** np.arange(dim) / (n_mean + 1.0)
-    return FockDensityMatrix(np.diag(probs).astype(complex), q**dim)
+    probs = _thermal_probs(n_mean, dim).astype(complex)
+    return FockDensityMatrix(np.diag(probs), thermal_tail_bound(n_mean, dim))
 
 
 def _coherent_vector(alpha: complex, dim: int) -> np.ndarray:
@@ -323,10 +341,11 @@ def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
     mu = abs(alpha) ** 2
     if not math.isfinite(mu):
         raise ValueError(f"amplitude must be finite, got {alpha!r}")
-    if mu > dim / 4.0:
+    if mu > dim / _LEVELS_PER_PHOTON:
         raise BudgetError(
-            f"|alpha|^2 = {mu:g} exceeds dim/4 = {dim / 4.0:g}; enlarge the cutoff",
-            bound="coherent_dim", value=4.0 * mu, limit=dim,
+            f"|alpha|^2 = {mu:g} exceeds dim/4 = {dim / _LEVELS_PER_PHOTON:g}; "
+            f"enlarge the cutoff",
+            bound="coherent_dim", value=_LEVELS_PER_PHOTON * mu, limit=dim,
         )
     vec = _coherent_vector(alpha, dim)
     return FockDensityMatrix(np.outer(vec, vec.conj()), 0.0)
@@ -389,11 +408,7 @@ def _env_distribution(
     n_env: float, tail_tol: float, max_dim: int
 ) -> tuple[np.ndarray, float]:
     budget = TruncationBudget.for_thermal(n_env, tail_tol, max_dim)
-    if n_env == 0.0:
-        return np.array([1.0]), 0.0
-    q = n_env / (n_env + 1.0)
-    probs = q ** np.arange(budget.dim) / (n_env + 1.0)
-    return probs, budget.tail_bound
+    return _thermal_probs(n_env, budget.dim), budget.tail_bound
 
 
 def _transfer_tensor(lam: float, env_probs: np.ndarray, dim_in: int) -> np.ndarray:
@@ -683,8 +698,10 @@ class ChiReport:
     in bits.  alphas, weights, member_dims and member_entropies (nats)
     hold one entry per grid node, in node order.  Member entropies are
     computed once per radius and repeated over its phases, so their
-    spread compares radii; max_tail_bound is the worst per-node Poisson
-    tail actually achieved under the dimension cap.
+    spread compares radii.  max_tail_bound is the larger of the
+    environment tail and the worst Poisson tail the nodes' cutoffs
+    reached; where dim_cap stopped a cutoff short of env_tail_tol it is
+    that degraded tail, reported rather than raised.
     """
 
     chi_bits: float
@@ -702,39 +719,6 @@ class ChiReport:
             object.__setattr__(self, name, arr)
 
 
-def _member_dims(
-    mus: np.ndarray, dim_cap: int, dim_env: int, max_joint_dim: int, tail_tol: float
-) -> tuple[np.ndarray, float]:
-    """Per-node Fock cutoffs under the cap, with the worst achieved tail.
-
-    Each node needs at least 4|alpha|^2 levels (the coherent-state
-    precondition, a hard error if the cap denies it); beyond that the
-    cutoff grows until the Poisson tail meets tail_tol or the cap stops
-    it, in which case the degraded tail is reported, not hidden.
-    """
-    dims = np.empty(len(mus), dtype=int)
-    worst_tail = 0.0
-    for k, mu in enumerate(mus):
-        hard_min = max(math.ceil(4.0 * mu), 1)
-        if hard_min > dim_cap:
-            raise BudgetError(
-                f"node |alpha|^2 = {mu:g} needs cutoff {hard_min} > cap {dim_cap}",
-                bound="coherent_dim", value=hard_min, limit=dim_cap,
-            )
-        dim = hard_min
-        while dim < dim_cap and poisson_tail_bound(mu, dim) > tail_tol:
-            dim += 1
-        if dim * dim_env > max_joint_dim:
-            raise BudgetError(
-                f"node cutoff {dim} x environment {dim_env} exceeds joint cap "
-                f"{max_joint_dim}",
-                bound="joint_dim", value=dim * dim_env, limit=max_joint_dim,
-            )
-        dims[k] = dim
-        worst_tail = max(worst_tail, poisson_tail_bound(mu, dim))
-    return dims, worst_tail
-
-
 def gaussian_ensemble_report(
     params: ChannelParams,
     n_signal: float,
@@ -747,8 +731,17 @@ def gaussian_ensemble_report(
     """Holevo quantity of the discretized isotropic Gaussian coherent ensemble.
 
     Each grid node is a coherent signal pushed through the channel with a
-    per-node Fock cutoff (Poisson tail at most env_tail_tol where the cap
-    allows).  The channel is phase-covariant: with U(phi) = diag(e^{i n phi}),
+    per-node Fock cutoff from `_coherent_cutoff`: Poisson tail at most
+    env_tail_tol where dim_cap allows, and otherwise the tail reached at
+    dim_cap, reported in max_tail_bound.  BudgetError is raised when a
+    node needs more than dim_cap levels for 4|alpha|^2 (coherent_dim),
+    then by `_channel_transfer` at the largest cutoff when the
+    environment or the joint space exceeds max_joint_dim (thermal_dim,
+    joint_dim).  Every radius is sized before the environment, so when
+    both fail coherent_dim is the one raised, and the joint_dim error's
+    value is the largest cutoff times the environment dimension.
+
+    The channel is phase-covariant: with U(phi) = diag(e^{i n phi}),
     the input U |alpha> gives the output U rho_out U^dag.  So the nodes
     on one radius share one output entropy, and the average of their
     outputs over the n_angular uniform phases is exactly the phase-0
@@ -762,20 +755,15 @@ def gaussian_ensemble_report(
     n_signal = _check_photon_number(n_signal)
     dim_cap = _as_positive_dim(dim_cap)
     alphas, weights = grid.nodes(n_signal)
-    env_probs, env_tail = _env_distribution(
-        params.environment_photons, env_tail_tol, max_joint_dim
-    )
-    dim_env = len(env_probs)
     # Nodes come radius-major; N = 0 has the single node alpha = 0.
     per_radius = grid.n_angular if n_signal > 0.0 else 1
     radii = alphas[::per_radius].real
     radius_weights = weights.reshape(-1, per_radius).sum(axis=1)
-    dims, worst_tail = _member_dims(
-        radii**2, dim_cap, dim_env, max_joint_dim, env_tail_tol
-    )
-
-    transfer, _ = _channel_transfer(params, int(dims.max()), env_tail_tol, max_joint_dim)
+    dims, tails = zip(*(_coherent_cutoff(r * r, env_tail_tol, dim_cap) for r in radii))
+    transfer, env_tail = _channel_transfer(params, max(dims), env_tail_tol, max_joint_dim)
+    dims = np.array(dims)
     dim_out = transfer.shape[1]
+    dim_env = dim_out - transfer.shape[2] + 1
     levels = np.arange(dim_out)
     mask = (levels[:, None] - levels[None, :]) % per_radius == 0
     average = np.zeros((dim_out, dim_out), dtype=complex)
@@ -800,7 +788,7 @@ def gaussian_ensemble_report(
         alphas=alphas,
         weights=weights,
         member_dims=np.repeat(dims, per_radius),
-        max_tail_bound=max(worst_tail, env_tail),
+        max_tail_bound=max(*tails, env_tail),
     )
 
 

@@ -28,6 +28,7 @@ from thermalcap.fock_oracle import (
     DEFAULT_TAIL_TOL,
     FockDensityMatrix,
     GridSpec,
+    _LEVELS_PER_PHOTON,
     _channel_transfer,
     _coherent_vector,
     _diagonals,
@@ -35,6 +36,7 @@ from thermalcap.fock_oracle import (
     apply_channel,
     coherent_state,
     gaussian_ensemble_report,
+    mean_photon_number,
     thermal_state,
 )
 from thermalcap.gaussian_core import ChannelParams
@@ -185,7 +187,8 @@ def test_optimize_warm_start_never_loses():
 
 def test_optimize_thermal_lands_in_certified_interval():
     # Production-scale thermal run: the optimum must sit inside the
-    # certified interval [lower - 5e-3, upper + 1e-6].
+    # certified interval [lower - 5e-3, upper + 1e-6], and no member may
+    # outgrow the coherent truncation limit of its own cutoff.
     p = params(0.6, 0.5)
     n = 1.0
     result = optimize(p, n, OptimizerConfig(seed=1, max_iterations=300))
@@ -195,6 +198,8 @@ def test_optimize_thermal_lands_in_certified_interval():
     assert result.best_chi_bits <= upper + 1e-6
     assert result.ensemble.mean_photons <= n + 1e-9
     assert result.converged
+    for state, _ in result.ensemble.members:
+        assert mean_photon_number(state) <= state.dim / _LEVELS_PER_PHOTON
 
 
 def _bisected_tilt(raw, photons, budget):

@@ -1,14 +1,18 @@
 """Tests for the truncated Fock-space oracle: states, channel, entropies."""
 
+import cmath
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from thermalcap import fock_oracle, gfunc
 from thermalcap.bounds import LN2, holevo_lower
 from thermalcap.fock_oracle import (
+    DEFAULT_CHI_DIM_CAP,
     BudgetError,
+    _LEVELS_PER_PHOTON,
     FockDensityMatrix,
     GridSpec,
     TruncationBudget,
@@ -156,6 +160,28 @@ def test_truncation_budget_sizes_dimensions():
     assert budget.tail_bound <= 1e-10
     budget = TruncationBudget.for_coherent(1.0)
     assert poisson_tail_bound(1.0, budget.dim) <= 1e-10
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    mu=st.floats(0.0, 50.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    tol=st.floats(1e-14, 0.5),
+)
+def test_coherent_budget_is_the_smallest_cutoff_meeting_both_rules(mu, phase, tol):
+    # dim >= 4|alpha|^2 (the coherent_state precondition) and a Poisson
+    # tail within tol; one level fewer must break one of the two.
+    alpha = math.sqrt(mu) * cmath.exp(1j * phase)
+    mu = abs(alpha) ** 2
+
+    def meets(dim):
+        return dim >= max(_LEVELS_PER_PHOTON * mu, 1) and poisson_tail_bound(mu, dim) <= tol
+
+    budget = TruncationBudget.for_coherent(alpha, tol)
+    assert meets(budget.dim)
+    assert budget.tail_bound == poisson_tail_bound(mu, budget.dim)
+    assert budget.dim == 1 or not meets(budget.dim - 1)
+    coherent_state(alpha, budget.dim)
 
 
 def test_coherent_state_examples():
@@ -362,6 +388,52 @@ def test_chi_report_alpha_independence():
     assert spread <= 1e-6
     assert abs(report.chi_bits - holevo_lower(params(0.6, 0.5), 1.0)) <= 1e-3
     assert report.max_tail_bound <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "n_env, dim_cap, bound, limit",
+    [
+        (0.5, 12, "coherent_dim", 12),
+        (500.0, DEFAULT_CHI_DIM_CAP, "thermal_dim", 4096),
+        (50.0, DEFAULT_CHI_DIM_CAP, "joint_dim", 4096),
+    ],
+)
+def test_oracle_raises_the_budget_it_cannot_meet(n_env, dim_cap, bound, limit):
+    with pytest.raises(BudgetError) as excinfo:
+        gaussian_ensemble_report(params(0.6, n_env), 1.0, dim_cap=dim_cap)
+    assert (excinfo.value.bound, excinfo.value.limit) == (bound, limit)
+    if bound == "coherent_dim":
+        assert excinfo.value.value == 14  # 4|alpha|^2 at the largest radius
+
+
+def test_oracle_reports_the_tail_a_capped_cutoff_reaches():
+    # At dim_cap 4 the Poisson tail cannot reach env_tail_tol; the report
+    # carries the tail it reached instead of raising.
+    report = gaussian_ensemble_report(params(0.6, 0.5), 0.02, dim_cap=4)
+    assert report.member_dims.max() == 4
+    assert report.max_tail_bound == pytest.approx(3.9936e-3, rel=1e-4)
+
+
+def test_oracle_rejects_a_zero_tail_tolerance():
+    with pytest.raises(ValueError):
+        gaussian_ensemble_report(params(0.6, 0.5), 1.0, env_tail_tol=0.0)
+
+
+def test_oracle_checks_the_coherent_cutoff_before_the_environment():
+    # Both fail here; the coherent rule runs once per radius before any
+    # environment is sized, so its bound is the one raised.
+    with pytest.raises(BudgetError) as excinfo:
+        gaussian_ensemble_report(params(0.6, 500.0), 1.0, dim_cap=12)
+    assert (excinfo.value.bound, excinfo.value.limit) == ("coherent_dim", 12)
+
+
+def test_oracle_joint_error_names_the_largest_cutoff():
+    # One tensor is built, at the largest cutoff (82 levels at N = 1),
+    # so the joint error carries 82 x the 1163-level environment.
+    with pytest.raises(BudgetError) as excinfo:
+        gaussian_ensemble_report(params(0.6, 50.0), 1.0)
+    assert (excinfo.value.bound, excinfo.value.limit) == ("joint_dim", 4096)
+    assert excinfo.value.value == 82 * 1163
 
 
 def test_verify_decomposition_examples():
