@@ -73,12 +73,17 @@ class BoundReport:
     certified: bool
 
 
-def _validate(params: ChannelParams, n_signal: float) -> float:
+def _check_signal(n_signal: float) -> float:
     n_signal = float(n_signal)
     if not (math.isfinite(n_signal) and 0.0 <= n_signal <= MAX_SIGNAL_PHOTONS):
         raise ValueError(
             f"signal photon number must be in [0, {MAX_SIGNAL_PHOTONS:g}], got {n_signal}"
         )
+    return n_signal
+
+
+def _validate(params: ChannelParams, n_signal: float) -> float:
+    n_signal = _check_signal(n_signal)
     if params.environment_photons > MAX_ENV_PHOTONS:
         raise ValueError(
             f"environment photon number must be <= {MAX_ENV_PHOTONS:g}, "
@@ -91,12 +96,7 @@ def pure_loss_capacity(lam: float, n_signal: float) -> float:
     """Exact capacity of the zero-temperature channel: g(lam*N)/ln 2 bits."""
     if not (math.isfinite(lam) and 0.0 < lam <= 1.0):
         raise ValueError(f"transmissivity must be in (0, 1], got {lam}")
-    n_signal = float(n_signal)
-    if not (math.isfinite(n_signal) and 0.0 <= n_signal <= MAX_SIGNAL_PHOTONS):
-        raise ValueError(
-            f"signal photon number must be in [0, {MAX_SIGNAL_PHOTONS:g}], got {n_signal}"
-        )
-    return gfunc.g(lam * n_signal) / LN2
+    return gfunc.g(lam * _check_signal(n_signal)) / LN2
 
 
 def holevo_lower(params: ChannelParams, n_signal: float) -> float:

@@ -43,14 +43,14 @@ steps stay short enough to be accepted while the weights converge.
 Inside a run the members are unit state vectors, each at its own
 dimension.  A displacement is two matvecs on a vector through one cached
 eigenbasis of a^dag - a per dimension (`_displacement_basis`), and a
-vector's upper diagonals go straight into `fock_oracle._push` with the
-transfer tensor that `fock_oracle._channel_transfer` caches;
-density-matrix objects are built only for the `Ensemble` a run starts
-from and returns.  Every chi in this module, `chi` included, comes from
-one evaluator over the members' channel outputs stacked as a (members,
-D_out, D_out) array: the average output, all relative-entropy scores
-and all displacement gradients are one matvec each, and the entropy of
-the average goes through `fock_oracle`'s eigenvalue routine,
+vector goes through the channel by `fock_oracle._pure_output`, with the
+transfer tensor that `fock_oracle._channel_transfer` caches, as each
+radius of the oracle does; density-matrix objects are built only for
+the `Ensemble` a run starts from and returns.  The members' channel
+outputs are stacked as a (members, D_out, D_out) array, so the average
+output, all relative-entropy scores and all displacement gradients are
+one matvec each.  Every chi in this module, `chi` included, comes from
+`fock_oracle._holevo` on that average, the evaluator the oracle uses,
 physicality check included.
 
 Everything is deterministic under a fixed seed, and the result is
@@ -78,9 +78,8 @@ from .fock_oracle import (
     _LEVELS_PER_PHOTON,
     _channel_transfer,
     _coherent_vector,
-    _diagonals,
-    _eigenvalue_entropy,
-    _push,
+    _holevo,
+    _pure_output,
     apply_channel,
     coherent_state,
     mean_photon_number,
@@ -105,9 +104,11 @@ MAX_DIM = 32
 WEIGHT_SUM_TOL = 1e-12
 CONSTRAINT_SLACK = 1e-9
 
-# Perturbation schedule: each stall halves the step, down to the floor,
-# and so does a sweep that accepts no gradient step, down to half the
-# insertion grid's spacing (see `optimize`).
+# Perturbation schedule, in units of sqrt(N): the step starts at
+# _INITIAL_STEP; each stall halves it, down to the floor, and so does a
+# sweep that accepts no gradient step, down to half the insertion grid's
+# spacing (see `optimize`).
+_INITIAL_STEP = 0.5
 _STEP_DECAY = 0.5
 _STEP_FLOOR = 1e-4
 
@@ -120,9 +121,6 @@ _PROBE_SCALE = 0.35
 # Insertion candidates: rings x points per ring (see `_Pool`).
 _POOL_RADII = 16
 _POOL_ANGLES = 32
-
-_LN2 = math.log(2.0)
-_LOG_FLOOR = 1e-18
 
 
 @dataclass(frozen=True)
@@ -155,14 +153,10 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search-space size, starting step, and termination settings.
+    """Search-space size and termination settings.
 
     `ensemble_size` is the starting member count when no `initial`
     ensemble is given; `optimize` may insert members up to MAX_MEMBERS.
-    `initial_step` is the starting length of the gradient steps and rms
-    size of the probes, in units of sqrt(n_signal); `optimize` halves
-    it as it goes, down to a fixed floor of 1e-4, so it must not start
-    below that floor.
     """
 
     ensemble_size: int = 8
@@ -170,7 +164,6 @@ class OptimizerConfig:
     max_iterations: int = 1000
     tolerance: float = 1e-7
     seed: int = 0
-    initial_step: float = 0.5
     initial: Ensemble | None = None
 
     def __post_init__(self) -> None:
@@ -184,10 +177,6 @@ class OptimizerConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if not (math.isfinite(self.initial_step) and self.initial_step >= _STEP_FLOOR):
-            raise ValueError(
-                f"initial_step must be finite and >= {_STEP_FLOOR:g}, got {self.initial_step}"
-            )
         if self.initial is not None:
             if len(self.initial) > MAX_MEMBERS:
                 raise ValueError(
@@ -249,13 +238,7 @@ class OptimizationResult:
     stats: OptimizerStats = field(default_factory=OptimizerStats)
 
 
-def chi(
-    params: ChannelParams,
-    ensemble: Ensemble,
-    *,
-    env_tail_tol: float = DEFAULT_TAIL_TOL,
-    max_joint_dim: int = DEFAULT_MAX_JOINT_DIM,
-) -> float:
+def chi(params: ChannelParams, ensemble: Ensemble) -> float:
     """Holevo quantity of the ensemble through the channel, in bits.
 
     Single-member ensembles give exactly 0.  Member outputs are embedded
@@ -268,15 +251,13 @@ def chi(
         raise ValueError(f"expected an Ensemble, got {ensemble!r}")
     if len(ensemble) == 1:
         return 0.0
-    outs = [
-        apply_channel(params, state, env_tail_tol=env_tail_tol, max_joint_dim=max_joint_dim)
-        for state, _ in ensemble.members
-    ]
+    outs = [apply_channel(params, state) for state, _ in ensemble.members]
     weights = np.array([weight for _, weight in ensemble.members])
     entropies = np.array(
         [von_neumann_entropy(out) if w > 0.0 else 0.0 for out, w in zip(outs, weights)]
     )
-    return _holevo(_stack([o.matrix for o in outs]), entropies, weights)[0]
+    average = _average(_stack([o.matrix for o in outs]), weights)
+    return _holevo(average, float(weights @ entropies))[0]
 
 
 def _stack(matrices: list[np.ndarray], dim: int | None = None) -> np.ndarray:
@@ -288,29 +269,11 @@ def _stack(matrices: list[np.ndarray], dim: int | None = None) -> np.ndarray:
     return stack
 
 
-def _holevo(
-    outs: np.ndarray, entropies: np.ndarray, weights: np.ndarray, with_log: bool = False
-) -> tuple[float, np.ndarray | None]:
-    """Chi in bits of stacked member outputs, and ln of the average output.
-
-    The average output is one real matvec over the stack, and its
-    entropy comes from the eigenvalue routine of `von_neumann_entropy`,
-    so an unphysical average raises ValueError.  With `with_log` the
-    matrix logarithm of the average (eigenvalues floored at 1e-18) comes
-    from the same eigh and is returned for the relative-entropy scores;
-    otherwise only eigenvalues are computed and None is returned.
-    """
+def _average(outs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted average of stacked outputs: one real matvec over the stack."""
     members, dim = outs.shape[:2]
     average = (weights @ outs.view(float).reshape(members, -1)).view(complex)
-    average = average.reshape(dim, dim)
-    if with_log:
-        vals, vecs = np.linalg.eigh(average)
-    else:
-        vals = np.linalg.eigvalsh(average)
-    value = max((_eigenvalue_entropy(vals) - float(weights @ entropies)) / _LN2, 0.0)
-    if not with_log:
-        return value, None
-    return value, (vecs * np.log(np.maximum(vals, _LOG_FLOOR))) @ vecs.conj().T
+    return average.reshape(dim, dim)
 
 
 @functools.lru_cache(maxsize=MAX_DIM)
@@ -491,10 +454,9 @@ class _Run:
         transfer, env_tail = _channel_transfer(
             self.params, len(psi), DEFAULT_TAIL_TOL, DEFAULT_MAX_JOINT_DIM
         )
-        out = _push(transfer, _diagonals(psi), env_tail)
+        out, entropy = _pure_output(transfer, env_tail, psi)
         self.counts["channel_pushes"] += 1
         self.counts["eigensolves"] += 1
-        entropy = _eigenvalue_entropy(np.linalg.eigvalsh(out))
         return out, entropy, _photons(psi)
 
     def outputs(
@@ -509,7 +471,10 @@ class _Run:
     ) -> tuple[float, np.ndarray | None]:
         self.counts["eigensolves"] += 1
         outs = self.outs if outs is None else outs
-        return _holevo(outs, self.entropies, weights, with_log)
+        value, _, ln_avg = _holevo(
+            _average(outs, weights), float(weights @ self.entropies), with_log
+        )
+        return value, ln_avg
 
     def _reweight(self, weights: np.ndarray) -> tuple[float, np.ndarray, float]:
         """Chi at `weights`, one reweighting step from them, and chi there.
@@ -846,7 +811,7 @@ def optimize(
 
     current = run.current_chi
     history = [(0, current)]
-    step = config.initial_step
+    step = _INITIAL_STEP
     scale = math.sqrt(n)
     # Half the insertion grid's spacing, in units of sqrt(n).
     grid_step = 0.5 * _radius_cap(config.dim) / _POOL_RADII / scale

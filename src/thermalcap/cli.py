@@ -442,7 +442,6 @@ def cmd_optimize(args) -> int:
         max_iterations=args.iters,
         tolerance=args.tol,
         seed=args.seed,
-        initial_step=args.step,
     )
     result = optimize(params, args.n, config)
     lower = holevo_lower(params, args.n)
@@ -533,9 +532,6 @@ def _build_parser() -> _Parser:
     p_opt.add_argument("--tol", type=float, default=1e-7,
                        help="chi gain in bits below which a sweep stalls "
                             "(default 1e-7)")
-    p_opt.add_argument("--step", type=float, default=0.5,
-                       help="starting length of the gradient steps and scale of "
-                            "the random probes, in units of sqrt(N) (default 0.5)")
     p_opt.add_argument("--seed", type=int, default=0,
                        help="seed of the random probe moves (default 0)")
     p_opt.add_argument("--out", default="-", help="output path (default stdout)")

@@ -30,6 +30,11 @@ matmul over the input's diagonals, without ever materializing the joint
 Hilbert space.  `_channel_transfer` keeps its last 8 transfer tensors,
 keyed by its arguments; a tensor build streams the block columns it
 reads and keeps none.
+
+Each step of a Holevo quantity is written once, for the oracle and
+`chi_opt` alike: `_diagonals` feeds the kernel `_push`, which runs only
+under `apply_channel` and `_pure_output` (a state vector's output and its
+entropy), and `_holevo` turns an average output into chi.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ DEFAULT_CHI_DIM_CAP = 192
 MOMENT_TOL = 1e-8
 
 _LN2 = math.log(2.0)
+_LOG_FLOOR = 1e-18             # eigenvalue floor of the average's logarithm
 # A coherent state on dim levels needs |alpha|^2 <= dim / _LEVELS_PER_PHOTON.
 _LEVELS_PER_PHOTON = 4.0
 
@@ -505,17 +511,32 @@ def _push(transfer: np.ndarray, diags: np.ndarray, deficit: float) -> np.ndarray
     return out
 
 
-def _diagonals(psi: np.ndarray) -> np.ndarray:
-    """Upper diagonals of |psi><psi| in the layout `_push` takes.
+def _diagonals(matrix: np.ndarray) -> np.ndarray:
+    """Upper diagonals of a square matrix in the layout `_push` takes.
 
-    diags[delta, j] = psi[j - delta] conj(psi[j]), zero for j < delta,
-    read off the vector without forming the projector.
+    diags[delta, j] = matrix[j - delta, j], zero for j < delta, read from
+    [0 | matrix^T] so that j < delta lands in the zero block.
     """
-    dim = len(psi)
+    dim = len(matrix)
     lag = np.arange(dim)
-    padded = np.zeros(2 * dim, dtype=complex)
-    padded[dim:] = psi
-    return padded[dim + lag - lag[:, None]] * psi.conj()
+    padded = np.zeros((dim, 2 * dim), dtype=complex)
+    padded[:, dim:] = matrix.T
+    return padded[lag, dim + lag - lag[:, None]]
+
+
+def _pure_output(
+    transfer: np.ndarray, env_tail: float, psi: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Channel output of the unit vector psi, and its entropy in nats.
+
+    transfer may be built for more than d = len(psi) levels: its slice
+    [:d, :d + dim_env - 1, :d] is bit for bit the build at d.
+    """
+    d = len(psi)
+    dim_env = transfer.shape[1] - transfer.shape[2] + 1
+    sliced = transfer[:d, : d + dim_env - 1, :d]
+    out = _push(sliced, _diagonals(np.outer(psi, psi.conj())), env_tail)
+    return out, _eigenvalue_entropy(np.linalg.eigvalsh(out))
 
 
 def apply_channel(
@@ -539,14 +560,8 @@ def apply_channel(
         raise TypeError(f"expected FockDensityMatrix, got {type(rho).__name__}")
     dim_in = rho.dim
     transfer, env_tail = _channel_transfer(params, dim_in, env_tail_tol, max_joint_dim)
-    # diags[delta, j] = rho[j - delta, j], read from [0 | rho^T] so that
-    # j < delta lands in the zero block.
-    lag = np.arange(dim_in)
-    padded = np.zeros((dim_in, 2 * dim_in), dtype=complex)
-    padded[:, dim_in:] = rho.matrix.T
-    diags = padded[lag, dim_in + lag - lag[:, None]]
     deficit = rho.deficit + env_tail
-    return FockDensityMatrix(_push(transfer, diags, deficit), deficit)
+    return FockDensityMatrix(_push(transfer, _diagonals(rho.matrix), deficit), deficit)
 
 
 def von_neumann_entropy(rho: FockDensityMatrix) -> float:
@@ -566,7 +581,7 @@ def _eigenvalue_entropy(vals: np.ndarray) -> float:
     """-sum mu ln mu (nats) over ascending eigenvalues mu > 1e-15.
 
     Raises ValueError when the smallest eigenvalue shows the state is
-    unphysical.  Shared with `chi_opt`, which has the spectrum already.
+    unphysical.  Clamped with max(0.0, .) so a pure state gives +0.0.
     """
     if vals[0] < -EIGENVALUE_TOL:
         raise ValueError(
@@ -575,7 +590,29 @@ def _eigenvalue_entropy(vals: np.ndarray) -> float:
     kept = vals[vals > ENTROPY_EIGENVALUE_FLOOR]
     if kept.size == 0:
         return 0.0
-    return max(float(-np.sum(kept * np.log(kept))), 0.0)
+    return max(0.0, float(-np.sum(kept * np.log(kept))))
+
+
+def _holevo(
+    average: np.ndarray, mean_entropy: float, with_log: bool = False
+) -> tuple[float, float, np.ndarray | None]:
+    """Chi in bits, S(average) in nats, and with `with_log` ln(average).
+
+    chi = S(average) - mean_entropy (the members' weighted output
+    entropies, nats), clamped at +0.0.  An unphysical average raises
+    ValueError.  ln(average) (eigenvalues floored at 1e-18) comes from
+    the same eigh; without `with_log` only eigenvalues are computed.
+    """
+    if with_log:
+        vals, vecs = np.linalg.eigh(average)
+    else:
+        vals = np.linalg.eigvalsh(average)
+    entropy = _eigenvalue_entropy(vals)
+    chi_bits = max(0.0, (entropy - mean_entropy) / _LN2)
+    if not with_log:
+        return chi_bits, entropy, None
+    ln_avg = (vecs * np.log(np.maximum(vals, _LOG_FLOOR))) @ vecs.conj().T
+    return chi_bits, entropy, ln_avg
 
 
 def mean_photon_number(rho: FockDensityMatrix) -> float:
@@ -616,25 +653,24 @@ class GridSpec:
 
     The radial direction uses Gauss-Laguerre nodes in t = |alpha|^2 / N
     (the exact weight of the Gaussian in that variable), the angular
-    direction is uniform.  Nodes with radial weight below weight_floor
-    are dropped and the rest renormalized; the floor at its default
-    discards under 2e-10 of the distribution while keeping the largest
-    node at t ~ 20.5, which both covers the required phase-space radius
-    4 sqrt(N) and keeps the per-node Fock cutoffs inside the joint cap.
+    direction is uniform.  Nodes with radial weight below WEIGHT_FLOOR
+    are dropped and the rest renormalized; at 24 nodes the floor discards
+    under 2e-10 of the distribution while keeping the largest node at
+    t ~ 20.5, which both covers the required phase-space radius 4 sqrt(N)
+    and keeps the per-node Fock cutoffs inside the joint cap.  numpy's
+    weights overflow from 187 nodes on, so none passes the floor there.
     """
 
     n_radial: int = 24
     n_angular: int = 24
-    weight_floor: float = 1e-9
 
     COVERAGE_FACTOR = 4.0      # required reach, in units of sqrt(N)
     MAX_SPACING = 0.5          # node spacing budget, in alpha units
+    WEIGHT_FLOOR = 1e-9        # smallest radial weight kept
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_radial", _as_positive_dim(self.n_radial))
         object.__setattr__(self, "n_angular", _as_positive_dim(self.n_angular))
-        if not (0.0 <= self.weight_floor < 1.0):
-            raise ValueError(f"weight floor must be in [0, 1), got {self.weight_floor}")
 
     def nodes(self, n_signal: float) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes and weights for mean photon number n_signal.
@@ -650,11 +686,12 @@ class GridSpec:
         if n_signal == 0.0:
             return np.array([0.0 + 0.0j]), np.array([1.0])
         t_nodes, t_weights = np.polynomial.laguerre.laggauss(self.n_radial)
-        keep = t_weights >= self.weight_floor
+        keep = t_weights >= self.WEIGHT_FLOOR
         t_nodes, t_weights = t_nodes[keep], t_weights[keep]
         if t_nodes.size == 0:
             raise BudgetError(
-                f"weight floor {self.weight_floor:g} removed every radial node",
+                f"no weight of the {self.n_radial}-node Gauss-Laguerre rule "
+                f"reaches {self.WEIGHT_FLOOR:g}; lower n_radial",
                 bound="grid_coverage", value=0.0, limit=self.COVERAGE_FACTOR**2,
             )
         t_weights = t_weights / t_weights.sum()
@@ -663,7 +700,7 @@ class GridSpec:
         if t_nodes[-1] < t_required:
             raise BudgetError(
                 f"grid reaches t = {t_nodes[-1]:.3f} < {t_required:g}; "
-                f"increase n_radial or lower weight_floor",
+                f"increase n_radial",
                 bound="grid_coverage", value=t_nodes[-1], limit=t_required,
             )
         radii = np.sqrt(n_signal * t_nodes)
@@ -700,7 +737,7 @@ class ChiReport:
     computed once per radius and repeated over its phases, so their
     spread compares radii.  max_tail_bound is the larger of the
     environment tail and the worst Poisson tail the nodes' cutoffs
-    reached; where dim_cap stopped a cutoff short of env_tail_tol it is
+    reached; where dim_cap stopped a cutoff short of DEFAULT_TAIL_TOL it is
     that degraded tail, reported rather than raised.
     """
 
@@ -724,19 +761,16 @@ def gaussian_ensemble_report(
     n_signal: float,
     grid: GridSpec = GridSpec(),
     dim_cap: int = DEFAULT_CHI_DIM_CAP,
-    *,
-    env_tail_tol: float = DEFAULT_TAIL_TOL,
-    max_joint_dim: int = DEFAULT_MAX_JOINT_DIM,
 ) -> ChiReport:
     """Holevo quantity of the discretized isotropic Gaussian coherent ensemble.
 
     Each grid node is a coherent signal pushed through the channel with a
     per-node Fock cutoff from `_coherent_cutoff`: Poisson tail at most
-    env_tail_tol where dim_cap allows, and otherwise the tail reached at
-    dim_cap, reported in max_tail_bound.  BudgetError is raised when a
+    DEFAULT_TAIL_TOL where dim_cap allows, and otherwise the tail reached
+    at dim_cap, reported in max_tail_bound.  BudgetError is raised when a
     node needs more than dim_cap levels for 4|alpha|^2 (coherent_dim),
-    then by `_channel_transfer` at the largest cutoff when the
-    environment or the joint space exceeds max_joint_dim (thermal_dim,
+    then by `_channel_transfer` at the largest cutoff when the environment
+    or the joint space exceeds DEFAULT_MAX_JOINT_DIM (thermal_dim,
     joint_dim).  Every radius is sized before the environment, so when
     both fail coherent_dim is the one raised, and the joint_dim error's
     value is the largest cutoff times the environment dimension.
@@ -746,11 +780,10 @@ def gaussian_ensemble_report(
     on one radius share one output entropy, and the average of their
     outputs over the n_angular uniform phases is exactly the phase-0
     output with every entry (m, n) zeroed unless m - n is a multiple of
-    n_angular.  Each radius therefore costs one push of its coherent
-    vector through the channel kernel and one entropy, as an optimizer
-    member does.  One transfer tensor is built, at the largest cutoff; a
-    smaller cutoff d takes its slice [:d, :d + dim_env - 1, :d], which is
-    bit for bit the tensor a build at d gives.
+    n_angular.  Each radius therefore costs one `_pure_output`, as an
+    optimizer member does, added into one average matrix, and chi comes
+    from `_holevo`.  One transfer tensor is built, at the largest cutoff,
+    and `_pure_output` slices it for each smaller one.
     """
     n_signal = _check_photon_number(n_signal)
     dim_cap = _as_positive_dim(dim_cap)
@@ -759,28 +792,28 @@ def gaussian_ensemble_report(
     per_radius = grid.n_angular if n_signal > 0.0 else 1
     radii = alphas[::per_radius].real
     radius_weights = weights.reshape(-1, per_radius).sum(axis=1)
-    dims, tails = zip(*(_coherent_cutoff(r * r, env_tail_tol, dim_cap) for r in radii))
-    transfer, env_tail = _channel_transfer(params, max(dims), env_tail_tol, max_joint_dim)
+    dims, tails = zip(*(_coherent_cutoff(r * r, DEFAULT_TAIL_TOL, dim_cap) for r in radii))
+    transfer, env_tail = _channel_transfer(
+        params, max(dims), DEFAULT_TAIL_TOL, DEFAULT_MAX_JOINT_DIM
+    )
     dims = np.array(dims)
     dim_out = transfer.shape[1]
-    dim_env = dim_out - transfer.shape[2] + 1
     levels = np.arange(dim_out)
     mask = (levels[:, None] - levels[None, :]) % per_radius == 0
     average = np.zeros((dim_out, dim_out), dtype=complex)
     entropies = np.empty(len(radii))
     # Largest cutoff first, the order that fixes the average's rounding.
     for k in np.argsort(-dims, kind="stable"):
-        d = int(dims[k])
-        out = _push(
-            transfer[:d, : d + dim_env - 1, :d],
-            _diagonals(_coherent_vector(radii[k], d)),
-            env_tail,
+        out, entropies[k] = _pure_output(
+            transfer, env_tail, _coherent_vector(radii[k], int(dims[k]))
         )
-        entropies[k] = _eigenvalue_entropy(np.linalg.eigvalsh(out))
         average[: len(out), : len(out)] += radius_weights[k] * out
 
-    average_entropy = von_neumann_entropy(FockDensityMatrix(average * mask, env_tail))
-    chi_bits = max((average_entropy - float(radius_weights @ entropies)) / _LN2, 0.0)
+    # FockDensityMatrix checks the average: finite, Hermitian, trace.
+    chi_bits, average_entropy, _ = _holevo(
+        FockDensityMatrix(average * mask, env_tail).matrix,
+        float(radius_weights @ entropies),
+    )
     return ChiReport(
         chi_bits=chi_bits,
         average_entropy_nats=average_entropy,

@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -195,3 +196,23 @@ def test_domain_errors():
         pure_loss_capacity(0.0, 1.0)
     with pytest.raises(ValueError):
         pure_loss_capacity(0.5, -1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    lam=st.floats(1e-300, 1.0),
+    n_env=st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
+    n=st.one_of(st.just(0.0), st.floats(1e-30, 1e9)),
+)
+def test_report_certifies_across_the_whole_domain(lam, n_env, n):
+    # Edges of every range: transmissivity down to 1e-300, the largest
+    # environment and signal the layer accepts, and the zero-temperature
+    # and zero-signal points that take the exact pure-loss route.  The
+    # gap is upper - lower, so near lam = 1 it carries ~1e-16 bits of
+    # cancellation error; the inequalities hold to CERTIFICATION_TOL.
+    r = report(params(lam, n_env), n)
+    tol = CERTIFICATION_TOL
+    assert r.certified
+    assert r.lower_bits <= r.upper_bits + tol
+    assert r.gap_bits <= r.refined_gap_bound_bits + tol
+    assert r.refined_gap_bound_bits <= 1.0 / math.log(2.0) + tol

@@ -1,5 +1,7 @@
 """Tests for the constrained ensemble ascent on the Holevo quantity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from thermalcap.chi_opt import (
     MAX_MEMBERS,
     Ensemble,
     OptimizerConfig,
+    _average,
     _displace,
-    _holevo,
     _initial_states,
     _mean_amplitude,
     _Pool,
@@ -32,6 +34,8 @@ from thermalcap.fock_oracle import (
     _channel_transfer,
     _coherent_vector,
     _diagonals,
+    _holevo,
+    _pure_output,
     _push,
     apply_channel,
     coherent_state,
@@ -49,6 +53,11 @@ def params(lam, n_env):
 def test_chi_single_member_is_zero():
     ens = Ensemble(((coherent_state(1.0, 16), 1.0),))
     assert chi(params(0.7, 0.4), ens) == 0.0
+
+
+def test_chi_of_two_vacua_is_positive_zero():
+    ens = Ensemble(((coherent_state(0.0, 4), 0.5), (coherent_state(0.0, 4), 0.5)))
+    assert math.copysign(1.0, chi(params(0.6, 0.0), ens)) == 1.0
 
 
 def test_chi_two_member_pure_loss_below_capacity():
@@ -117,10 +126,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(dim=64)  # above the truncation cap
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=-1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(initial_step=0.0)  # below the step floor
-    with pytest.raises(ValueError):
-        OptimizerConfig(initial_step=float("inf"))  # would displace to NaN
 
 
 def test_optimize_zero_signal():
@@ -401,11 +406,11 @@ def test_unphysical_average_raises():
     # Members pass through unchecked; the spectrum of the average is
     # where positivity is enforced, as in `von_neumann_entropy`.
     outs = np.array([np.diag([1.5, -0.5]), np.diag([1.0, 0.0])], dtype=complex)
-    weights = np.array([0.5, 0.5])
+    average = _average(outs, np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="unphysical"):
-        _holevo(outs, np.zeros(2), weights)
+        _holevo(average, 0.0)
     with pytest.raises(ValueError, match="unphysical"):
-        _holevo(outs, np.zeros(2), weights, with_log=True)
+        _holevo(average, 0.0, with_log=True)
     bad = FockDensityMatrix(np.diag([1.5, -0.5]))
     ens = Ensemble(((bad, 0.5), (coherent_state(0.0, 2), 0.5)))
     with pytest.raises(ValueError, match="unphysical"):
@@ -447,8 +452,9 @@ def _diagonals_by_loop(matrix):
 
 def test_push_matches_apply_channel():
     # The public wrapper adds validation only: on the same diagonals the
-    # kernel gives its matrix bit for bit.  The optimizer's vector path
-    # forms the same products as the projector, up to rounding.
+    # kernel gives its matrix bit for bit.  The vector path reads the same
+    # diagonals off the unsymmetrized projector, which rho's constructor
+    # makes Hermitian, so it agrees with rho's output up to rounding.
     rng = np.random.default_rng(23)
     for n_env in (0.0, 0.5):
         p = params(0.6, n_env)
@@ -463,7 +469,12 @@ def test_push_matches_apply_channel():
             diags = _diagonals_by_loop(rho.matrix)
             out = _push(transfer, diags, env_tail)
             assert np.array_equal(out, apply_channel(p, rho).matrix)
-            assert np.abs(_diagonals(psi) - diags).max() <= 1e-15
+            assert np.array_equal(_diagonals(rho.matrix), diags)
+            projector = np.outer(psi, psi.conj())
+            assert np.array_equal(_diagonals(projector), _diagonals_by_loop(projector))
+            pure, _ = _pure_output(transfer, env_tail, psi)
+            assert np.array_equal(pure, _push(transfer, _diagonals(projector), env_tail))
+            assert np.abs(pure - out).max() <= 1e-15
 
 
 # Chi after each of 20 sweeps at the benchmark's optimizer points
@@ -563,7 +574,9 @@ def test_ring_pool_matches_direct_pushes(n_env):
     assert run.counts["channel_pushes"] == len(vectors) + 1 + _POOL_RADII
     outs, entropies, photons = run.outputs([_coherent_vector(a, dim) for a in pool.alphas])
     assert len(outs) == 1 + _POOL_RADII * _POOL_ANGLES
-    _, ln_avg = _holevo(run.outs, run.entropies, run.weights, with_log=True)
+    _, _, ln_avg = _holevo(
+        _average(run.outs, run.weights), float(run.weights @ run.entropies), with_log=True
+    )
     assert np.abs(pool.scores(ln_avg) - _scores(outs, entropies, ln_avg)).max() <= 1e-13
     assert np.abs(pool.entropies - entropies).max() <= 1e-13
     assert np.abs(pool.photons - photons).max() <= 1e-13

@@ -150,6 +150,13 @@ def test_oracle_agreement(capsys):
     assert "chi_bits" in out and "lower_bits" in out
 
 
+def test_oracle_zero_signal_prints_a_positive_zero(capsys):
+    assert main(["oracle", "--lambda", "0.6", "--ne", "0", "--n", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "chi_bits = 0\n" in out
+    assert "-0" not in out
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_oracle_rejects_a_tolerance_that_is_not_finite_and_nonnegative(capsys, tol):
     # A usage error, not a failed agreement (exit 3), and never a check

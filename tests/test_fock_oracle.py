@@ -336,11 +336,20 @@ def test_push_rejects_an_output_outside_the_trace_window():
     # A kernel output that gains trace, or is NaN, is caught by the kernel
     # itself, not only by a FockDensityMatrix wrapped around it.
     transfer, env_tail = fock_oracle._channel_transfer(params(0.6, 0.5), 6, 1e-10, 4096)
-    diags = fock_oracle._diagonals(fock_oracle._coherent_vector(0.5, 6))
+    psi = fock_oracle._coherent_vector(0.5, 6)
+    diags = fock_oracle._diagonals(np.outer(psi, psi.conj()))
     fock_oracle._push(transfer, diags, env_tail)
     for scale in (1.5, math.nan):
         with pytest.raises(RuntimeError, match="trace accounting violated"):
             fock_oracle._push(scale * transfer, diags, env_tail)
+
+
+def test_pure_entropy_and_vacuum_chi_are_positive_zero():
+    # max(x, 0.0) keeps -0.0, which would print as "-0"; the clamps are
+    # max(0.0, x).
+    assert math.copysign(1.0, von_neumann_entropy(coherent_state(0.0, 4))) == 1.0
+    report = gaussian_ensemble_report(params(0.6, 0.0), 0.0)
+    assert math.copysign(1.0, report.chi_bits) == 1.0
 
 
 def test_von_neumann_entropy_maximally_mixed():
@@ -362,13 +371,16 @@ def test_quadrature_moments_match_covariance_algebra():
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(n_radial=0)
-    with pytest.raises(ValueError):
-        GridSpec(weight_floor=1.5)
 
 
 def test_grid_spec_insufficient_coverage():
     with pytest.raises(BudgetError):
         GridSpec(n_radial=3).nodes(1.0)
+    # From 187 nodes numpy's Gauss-Laguerre weights overflow to NaN or 0,
+    # so no node passes the weight floor.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BudgetError) as excinfo:
+        GridSpec(n_radial=200).nodes(1.0)
+    assert excinfo.value.bound == "grid_coverage"
 
 
 def test_chi_pure_loss_matches_capacity():
@@ -415,8 +427,10 @@ def test_oracle_reports_the_tail_a_capped_cutoff_reaches():
 
 
 def test_oracle_rejects_a_zero_tail_tolerance():
+    # The oracle's coherent cutoffs come from the rule that
+    # `TruncationBudget.for_coherent` runs, tolerance check included.
     with pytest.raises(ValueError):
-        gaussian_ensemble_report(params(0.6, 0.5), 1.0, env_tail_tol=0.0)
+        TruncationBudget.for_coherent(1.0, 0.0)
 
 
 def test_oracle_checks_the_coherent_cutoff_before_the_environment():

@@ -1,5 +1,6 @@
 """Source hygiene: correctness checks must survive `python -O`, caches are
-bounded, and every name the bench tracer patches must exist."""
+bounded, each step of the Holevo quantity has one home, and every name
+the bench tracer patches must exist."""
 
 import ast
 from pathlib import Path
@@ -101,6 +102,86 @@ def f(x): return x
 """
     assert _unbounded_caches(ast.parse(source)) == [3, 9, 11, 13, 15]
 
+
+
+# The channel push, the diagonal reader and the entropy of a spectrum are
+# each written once in `fock_oracle`, and everything that forms a chi goes
+# through `_pure_output` or `apply_channel` and `_holevo`.  A use anywhere
+# else, a same-named function in another module included, is a second
+# copy of one of these steps in the making.
+_ALLOWED_USERS = {  # name -> the `fock_oracle` functions that may use it
+    "_push": {"apply_channel", "_pure_output"},
+    "_diagonals": {"apply_channel", "_pure_output"},
+    "_eigenvalue_entropy": {"von_neumann_entropy", "_pure_output", "_holevo"},
+}
+_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+# The optimizer's own spectra: splitting mixed initial members, and the
+# displacement eigenbasis.  Every other spectrum belongs to `fock_oracle`.
+_CHI_OPT_EIGENSOLVER_USERS = {"_pure_members", "_displacement_basis"}
+
+
+def _uses(tree, names):
+    """(enclosing function, name, line) for each read of a name in names.
+
+    A read is a bare name or an attribute (`fock_oracle._push`,
+    `np.linalg.eigh`), so an alias cannot hide a use; the enclosing
+    function is the innermost one, a method's own name for methods, and
+    None at module level.
+    """
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        if name in names:
+            found.append((function, name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_each_holevo_step_has_one_home():
+    found = [
+        f"{module}:{line} {function} uses {name}"
+        for module, tree in _package_trees()
+        for function, name, line in _uses(tree, _ALLOWED_USERS)
+        if module != "fock_oracle.py" or function not in _ALLOWED_USERS[name]
+    ]
+    assert not found, f"Holevo steps used outside their home: {'; '.join(found)}"
+
+
+def test_chi_opt_leaves_output_spectra_to_fock_oracle():
+    tree = dict(_package_trees())["chi_opt.py"]
+    found = [
+        f"chi_opt.py:{line} {function} calls {name}"
+        for function, name, line in _uses(tree, _EIGENSOLVERS)
+        if function not in _CHI_OPT_EIGENSOLVER_USERS
+    ]
+    assert not found, f"eigensolves outside their home: {'; '.join(found)}"
+
+
+def test_use_check_sees_methods_aliases_and_attributes():
+    source = """
+import numpy as np
+from . import fock_oracle
+push = fock_oracle._push
+class Run:
+    def output(self, m):
+        return np.linalg.eigvalsh(_diagonals(m))
+def apply_channel(t, d):
+    return _push(t, d, 0.0)
+"""
+    assert _uses(ast.parse(source), {"_push", "_diagonals", "eigvalsh"}) == [
+        (None, "_push", 4), ("output", "eigvalsh", 7), ("output", "_diagonals", 7),
+        ("apply_channel", "_push", 9),
+    ]
 
 def test_bench_tracer_targets_exist():
     # The bench tracer patches package names from outside, `chi_opt`'s
