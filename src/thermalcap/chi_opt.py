@@ -43,15 +43,15 @@ steps stay short enough to be accepted while the weights converge.
 Inside a run the members are unit state vectors, each at its own
 dimension.  A displacement is two matvecs on a vector through one cached
 eigenbasis of a^dag - a per dimension (`_displacement_basis`), and a
-vector goes through the channel by `fock_oracle._pure_output`, with the
-transfer tensor that `fock_oracle._channel_transfer` caches, as each
-radius of the oracle does; density-matrix objects are built only for
-the `Ensemble` a run starts from and returns.  The members' channel
-outputs are stacked as a (members, D_out, D_out) array, so the average
-output, all relative-entropy scores and all displacement gradients are
-one matvec each.  Every chi in this module, `chi` included, comes from
-`fock_oracle._holevo` on that average, the evaluator the oracle uses,
-physicality check included.
+vector goes through the channel by `fock_oracle._pure_output`, as each
+radius of the oracle does, slicing the run's one transfer tensor, built
+at the run's largest dimension when it starts; density-matrix objects
+are built only for the `Ensemble` a run starts from and returns.  The
+members' channel outputs are stacked as a (members, D_out, D_out) array,
+so the average output, all relative-entropy scores and all displacement
+gradients are one matvec each.  Every chi in this module, `chi`
+included, comes from `fock_oracle._holevo` on that average, the
+evaluator the oracle uses, physicality check included.
 
 Everything is deterministic under a fixed seed, and the result is
 numerical evidence only: no claim of a global optimum is made, and a
@@ -71,8 +71,6 @@ import numpy as np
 
 from .gaussian_core import ChannelParams
 from .fock_oracle import (
-    DEFAULT_MAX_JOINT_DIM,
-    DEFAULT_TAIL_TOL,
     EIGENVALUE_TOL,
     FockDensityMatrix,
     _LEVELS_PER_PHOTON,
@@ -432,6 +430,9 @@ class _Run:
     `outs` stacks the members' channel outputs, zero-padded to the
     largest one, so the average output and every relative-entropy score
     take one matvec each.  `counts` gathers the run's `OptimizerStats`.
+    One transfer tensor serves the whole run: it is fetched once, at the
+    larger of `dim` (the insertion pool's dimension) and the members'
+    dimensions, and every push slices it.
     """
 
     def __init__(
@@ -440,9 +441,13 @@ class _Run:
         budget: float,
         vectors: list[np.ndarray],
         weights: np.ndarray,
+        dim: int,
     ):
         self.params = params
         self.budget = budget
+        self.transfer, self.env_tail = _channel_transfer(
+            params, max(dim, *(len(v) for v in vectors))
+        )
         self.counts: Counter[str] = Counter()
         self.psis = list(vectors)
         self.weights = weights.copy()
@@ -451,10 +456,7 @@ class _Run:
 
     def output(self, psi: np.ndarray) -> tuple[np.ndarray, float, float]:
         """Channel output of a unit vector, its entropy, and the vector's photons."""
-        transfer, env_tail = _channel_transfer(
-            self.params, len(psi), DEFAULT_TAIL_TOL, DEFAULT_MAX_JOINT_DIM
-        )
-        out, entropy = _pure_output(transfer, env_tail, psi)
+        out, entropy = _pure_output(self.transfer, self.env_tail, psi)
         self.counts["channel_pushes"] += 1
         self.counts["eigensolves"] += 1
         return out, entropy, _photons(psi)
@@ -807,7 +809,7 @@ def optimize(
         vectors, weights = _initial_states(n, config.ensemble_size, config.dim)
 
     rng = np.random.default_rng(config.seed)
-    run = _Run(params, n, vectors, weights)
+    run = _Run(params, n, vectors, weights, config.dim)
 
     current = run.current_chi
     history = [(0, current)]

@@ -276,10 +276,7 @@ def _suite_fock(seed: int) -> list[CheckResult]:
     worst = 0.0
     for lam, n_env in ((0.5, 0.3), (0.8, 1.0)):
         check = verify_decomposition_fock(
-            ChannelParams(transmissivity=lam, environment_photons=n_env),
-            states,
-            env_tail_tol=1e-11,
-            max_joint_dim=8192,
+            ChannelParams(transmissivity=lam, environment_photons=n_env), states
         )
         worst = max(worst, check.max_discrepancy)
     results.append(CheckResult("fock.moment-consistency", worst, 1e-8))
@@ -443,9 +440,10 @@ def cmd_optimize(args) -> int:
         tolerance=args.tol,
         seed=args.seed,
     )
-    result = optimize(params, args.n, config)
+    # The bounds check the signal range, so a bad --n fails before the search.
     lower = holevo_lower(params, args.n)
     upper = additive_extension_upper(params, args.n)
+    result = optimize(params, args.n, config)
     payload = {
         "transmissivity": params.transmissivity,
         "environment_photons": params.environment_photons,

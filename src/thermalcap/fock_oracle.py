@@ -27,9 +27,11 @@ diagonal delta of the input feeds only diagonal delta of the output;
 tracing out the thermal environment collapses the block columns into one
 real transfer tensor per channel, and `apply_channel` is a single batched
 matmul over the input's diagonals, without ever materializing the joint
-Hilbert space.  `_channel_transfer` keeps its last 8 transfer tensors,
-keyed by its arguments; a tensor build streams the block columns it
-reads and keeps none.
+Hilbert space.  Every push truncates alike, at DEFAULT_TAIL_TOL and
+DEFAULT_MAX_JOINT_DIM.  `_channel_transfer` keeps only its last tensor:
+an oracle report or an optimizer run fetches one and slices it for each
+smaller state, and a tensor build streams the block columns it reads and
+keeps none.
 
 Each step of a Holevo quantity is written once, for the oracle and
 `chi_opt` alike: `_diagonals` feeds the kernel `_push`, which runs only
@@ -410,10 +412,8 @@ def _blocks(lam: float, count: int, dim_env: int, dim_in: int) -> Iterator[np.nd
         yield blk
 
 
-def _env_distribution(
-    n_env: float, tail_tol: float, max_dim: int
-) -> tuple[np.ndarray, float]:
-    budget = TruncationBudget.for_thermal(n_env, tail_tol, max_dim)
+def _env_distribution(n_env: float) -> tuple[np.ndarray, float]:
+    budget = TruncationBudget.for_thermal(n_env)
     return _thermal_probs(n_env, budget.dim), budget.tail_bound
 
 
@@ -455,27 +455,26 @@ def _transfer_tensor(lam: float, env_probs: np.ndarray, dim_in: int) -> np.ndarr
     return transfer
 
 
-@functools.lru_cache(maxsize=8)
-def _channel_transfer(
-    params: ChannelParams, dim_in: int, env_tail_tol: float, max_joint_dim: int
-) -> tuple[np.ndarray, float]:
+@functools.lru_cache(maxsize=1)
+def _channel_transfer(params: ChannelParams, dim_in: int) -> tuple[np.ndarray, float]:
     """Transfer tensor for dim_in input levels, and the environment tail.
 
     The environment cutoff is sized from its geometric tail at
-    env_tail_tol; BudgetError when input and environment together exceed
-    max_joint_dim.  The last 8 results are kept, keyed by the arguments
-    (`ChannelParams` is frozen, so it hashes); the tensor is read-only.
-    A BudgetError is not kept, so it is raised again on every call.
+    DEFAULT_TAIL_TOL; BudgetError when input and environment together
+    exceed DEFAULT_MAX_JOINT_DIM.  Only the last result is kept, so a
+    process holds one tensor (`ChannelParams` is frozen, so it hashes);
+    the tensor is read-only.  Each caller fetches once per state, report
+    or run and slices for smaller states.  A BudgetError is not kept, so
+    it is raised again on every call.
     """
-    env_probs, env_tail = _env_distribution(
-        params.environment_photons, env_tail_tol, max_joint_dim
-    )
+    env_probs, env_tail = _env_distribution(params.environment_photons)
     dim_env = len(env_probs)
     joint = dim_in * dim_env
-    if joint > max_joint_dim:
+    if joint > DEFAULT_MAX_JOINT_DIM:
         raise BudgetError(
-            f"joint dimension {dim_in} x {dim_env} = {joint} exceeds cap {max_joint_dim}",
-            bound="joint_dim", value=joint, limit=max_joint_dim,
+            f"joint dimension {dim_in} x {dim_env} = {joint} "
+            f"exceeds cap {DEFAULT_MAX_JOINT_DIM}",
+            bound="joint_dim", value=joint, limit=DEFAULT_MAX_JOINT_DIM,
         )
     return _transfer_tensor(params.transmissivity, env_probs, dim_in), env_tail
 
@@ -539,27 +538,21 @@ def _pure_output(
     return out, _eigenvalue_entropy(np.linalg.eigvalsh(out))
 
 
-def apply_channel(
-    params: ChannelParams,
-    rho: FockDensityMatrix,
-    *,
-    env_tail_tol: float = DEFAULT_TAIL_TOL,
-    max_joint_dim: int = DEFAULT_MAX_JOINT_DIM,
-) -> FockDensityMatrix:
+def apply_channel(params: ChannelParams, rho: FockDensityMatrix) -> FockDensityMatrix:
     """Mix rho with a thermal environment on a beamsplitter, trace it out.
 
     The environment cutoff is sized from its geometric tail at
-    env_tail_tol.  The output lives on dim + env_dim - 1 levels, enough
-    to hold every photon the truncated joint state can carry, so no
-    weight is lost beyond the input deficit plus the environment tail;
-    that accounting is checked on every call.  The work is done by the
-    kernel `_push` on the upper diagonals of rho, through the cached
-    transfer tensor.
+    DEFAULT_TAIL_TOL; BudgetError (joint_dim) when rho's levels times the
+    environment's exceed DEFAULT_MAX_JOINT_DIM.  The output lives on
+    dim + env_dim - 1 levels, enough to hold every photon the truncated
+    joint state can carry, so no weight is lost beyond the input deficit
+    plus the environment tail; that accounting is checked on every call.
+    The work is done by the kernel `_push` on the upper diagonals of rho,
+    through the transfer tensor for rho's dimension.
     """
     if not isinstance(rho, FockDensityMatrix):
         raise TypeError(f"expected FockDensityMatrix, got {type(rho).__name__}")
-    dim_in = rho.dim
-    transfer, env_tail = _channel_transfer(params, dim_in, env_tail_tol, max_joint_dim)
+    transfer, env_tail = _channel_transfer(params, rho.dim)
     deficit = rho.deficit + env_tail
     return FockDensityMatrix(_push(transfer, _diagonals(rho.matrix), deficit), deficit)
 
@@ -657,8 +650,9 @@ class GridSpec:
     are dropped and the rest renormalized; at 24 nodes the floor discards
     under 2e-10 of the distribution while keeping the largest node at
     t ~ 20.5, which both covers the required phase-space radius 4 sqrt(N)
-    and keeps the per-node Fock cutoffs inside the joint cap.  numpy's
-    weights overflow from 187 nodes on, so none passes the floor there.
+    and keeps the per-node Fock cutoffs inside the joint cap.  n_radial
+    is at most MAX_RADIAL: from 187 nodes on numpy's Gauss-Laguerre
+    weights overflow.
     """
 
     n_radial: int = 24
@@ -667,10 +661,16 @@ class GridSpec:
     COVERAGE_FACTOR = 4.0      # required reach, in units of sqrt(N)
     MAX_SPACING = 0.5          # node spacing budget, in alpha units
     WEIGHT_FLOOR = 1e-9        # smallest radial weight kept
+    MAX_RADIAL = 186           # largest rule numpy's laggauss computes finitely
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_radial", _as_positive_dim(self.n_radial))
         object.__setattr__(self, "n_angular", _as_positive_dim(self.n_angular))
+        if self.n_radial > self.MAX_RADIAL:
+            raise ValueError(
+                f"n_radial {self.n_radial} exceeds {self.MAX_RADIAL}: numpy's "
+                f"Gauss-Laguerre weights overflow beyond it"
+            )
 
     def nodes(self, n_signal: float) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes and weights for mean photon number n_signal.
@@ -688,12 +688,6 @@ class GridSpec:
         t_nodes, t_weights = np.polynomial.laguerre.laggauss(self.n_radial)
         keep = t_weights >= self.WEIGHT_FLOOR
         t_nodes, t_weights = t_nodes[keep], t_weights[keep]
-        if t_nodes.size == 0:
-            raise BudgetError(
-                f"no weight of the {self.n_radial}-node Gauss-Laguerre rule "
-                f"reaches {self.WEIGHT_FLOOR:g}; lower n_radial",
-                bound="grid_coverage", value=0.0, limit=self.COVERAGE_FACTOR**2,
-            )
         t_weights = t_weights / t_weights.sum()
 
         t_required = self.COVERAGE_FACTOR**2
@@ -793,9 +787,7 @@ def gaussian_ensemble_report(
     radii = alphas[::per_radius].real
     radius_weights = weights.reshape(-1, per_radius).sum(axis=1)
     dims, tails = zip(*(_coherent_cutoff(r * r, DEFAULT_TAIL_TOL, dim_cap) for r in radii))
-    transfer, env_tail = _channel_transfer(
-        params, max(dims), DEFAULT_TAIL_TOL, DEFAULT_MAX_JOINT_DIM
-    )
+    transfer, env_tail = _channel_transfer(params, max(dims))
     dims = np.array(dims)
     dim_out = transfer.shape[1]
     levels = np.arange(dim_out)
@@ -835,28 +827,23 @@ class MomentCheckReport:
 
 
 def verify_decomposition_fock(
-    params: ChannelParams,
-    test_states: list[FockDensityMatrix],
-    *,
-    env_tail_tol: float = DEFAULT_TAIL_TOL,
-    max_joint_dim: int = DEFAULT_MAX_JOINT_DIM,
+    params: ChannelParams, test_states: list[FockDensityMatrix]
 ) -> MomentCheckReport:
     """Check the amplifier-after-loss factorization at the moment level.
 
     For each test state the first and second quadrature moments of the
-    simulated channel output are compared against the input moments
-    mapped through the pure-loss stage (transmissivity lam/G) followed
-    by the amplifier stage (gain G).  Passes when the largest absolute
-    discrepancy over all entries is at most 1e-8.
+    simulated channel output, from `apply_channel` and so truncated as
+    every push is, are compared against the input moments mapped through
+    the pure-loss stage (transmissivity lam/G) followed by the amplifier
+    stage (gain G).  Passes when the largest absolute discrepancy over
+    all entries is at most 1e-8.
     """
     dec = decompose(params)
     lam_loss = dec.pure_loss_transmissivity
     gain = dec.gain
     discrepancies = []
     for rho in test_states:
-        out = apply_channel(
-            params, rho, env_tail_tol=env_tail_tol, max_joint_dim=max_joint_dim
-        )
+        out = apply_channel(params, rho)
         mean_direct, cov_direct = quadrature_moments(out)
         mean_in, cov_in = quadrature_moments(rho)
         mean_pred = math.sqrt(gain) * math.sqrt(lam_loss) * mean_in

@@ -26,8 +26,6 @@ from thermalcap.chi_opt import (
     optimize,
 )
 from thermalcap.fock_oracle import (
-    DEFAULT_MAX_JOINT_DIM,
-    DEFAULT_TAIL_TOL,
     FockDensityMatrix,
     GridSpec,
     _LEVELS_PER_PHOTON,
@@ -361,10 +359,9 @@ def test_mixed_initial_member_is_split_into_eigenvectors():
     assert all(_is_pure(state) for state, _ in result.ensemble.members)
 
 
-def test_members_keep_their_dimensions():
-    # Moves keep each member's dimension and inserted members come from
-    # the candidate pool at config.dim, even when the starting members
-    # differ in dimension; the mixed member splits into two at its own.
+def _mixed_dimension_start():
+    # Members at 6, 9 and 12 levels and the insertion pool at 8; a coarse
+    # tolerance makes sweeps stall, and so grow, early.
     mixed = np.zeros((9, 9), dtype=complex)
     mixed[0, 0] = mixed[1, 1] = 0.5
     initial = Ensemble(
@@ -374,14 +371,30 @@ def test_members_keep_their_dimensions():
             (coherent_state(1.0, 12), 0.3),
         )
     )
-    # A coarse tolerance makes sweeps stall, and so grow, early.
-    cfg = OptimizerConfig(dim=8, max_iterations=6, tolerance=1e-2, seed=0, initial=initial)
+    return OptimizerConfig(dim=8, max_iterations=6, tolerance=1e-2, seed=0, initial=initial)
+
+
+def test_members_keep_their_dimensions():
+    # Moves keep each member's dimension and inserted members come from
+    # the candidate pool at config.dim, even when the starting members
+    # differ in dimension; the mixed member splits into two at its own.
+    cfg = _mixed_dimension_start()
     result = optimize(params(0.6, 0.3), 1.0, cfg)
     dims = [state.dim for state, _ in result.ensemble.members]
     assert dims[:4] == [6, 9, 9, 12]
     assert result.stats.displacements_accepted > 0
     assert result.stats.insertions == len(dims) - 4 > 0
     assert all(d == cfg.dim for d in dims[4:])
+
+
+def test_run_builds_one_transfer_tensor():
+    # Every push of a run, at 6, 8, 9 or 12 levels, slices the one tensor
+    # fetched at the largest dimension when the run starts.
+    _channel_transfer.cache_clear()
+    result = optimize(params(0.6, 0.3), 1.0, _mixed_dimension_start())
+    info = _channel_transfer.cache_info()
+    assert result.stats.channel_pushes > 0
+    assert (info.misses, info.hits) == (1, 0)
 
 
 def test_mixed_initial_split_over_member_cap_raises():
@@ -463,9 +476,7 @@ def test_push_matches_apply_channel():
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             psi /= np.linalg.norm(psi)
             rho = FockDensityMatrix(np.outer(psi, psi.conj()))
-            transfer, env_tail = _channel_transfer(
-                p, dim, DEFAULT_TAIL_TOL, DEFAULT_MAX_JOINT_DIM
-            )
+            transfer, env_tail = _channel_transfer(p, dim)
             diags = _diagonals_by_loop(rho.matrix)
             out = _push(transfer, diags, env_tail)
             assert np.array_equal(out, apply_channel(p, rho).matrix)
@@ -546,9 +557,9 @@ def test_directions_match_finite_differences():
     budget = 10.0
 
     def chi_nats(members):
-        return _Run(p, budget, members, weights).current_chi * LN2
+        return _Run(p, budget, members, weights, dim).current_chi * LN2
 
-    gradient = weights * _Run(p, budget, vectors, weights).directions()
+    gradient = weights * _Run(p, budget, vectors, weights, dim).directions()
     h = 1e-5
     differences = []
     for k in range(len(vectors)):
@@ -569,7 +580,7 @@ def test_ring_pool_matches_direct_pushes(n_env):
     # candidate: scores, entropies, photons and the inserted output agree.
     dim = 24
     vectors, weights = _initial_states(1.0, 8, dim)
-    run = _Run(params(0.6, n_env), 1.0, vectors, weights)
+    run = _Run(params(0.6, n_env), 1.0, vectors, weights, dim)
     pool = _Pool(run, dim)
     assert run.counts["channel_pushes"] == len(vectors) + 1 + _POOL_RADII
     outs, entropies, photons = run.outputs([_coherent_vector(a, dim) for a in pool.alphas])

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import thermalcap.cli
 import thermalcap.gfunc
 from thermalcap.bounds import holevo_lower
 from thermalcap.chi_opt import OptimizerStats
@@ -207,9 +208,17 @@ def test_optimize_iteration_cap_exit_four(tmp_path):
     assert payload["best_chi_bits"] <= payload["upper_bits"] + 1e-6
 
 
-def test_optimize_invalid_parameters_exit_one(capsys):
+def test_optimize_invalid_parameters_exit_one(capsys, monkeypatch):
     assert main(["optimize", "--lambda", "0.5", "--ne", "-1", "--n", "1"]) == 1
     assert main(
         ["optimize", "--lambda", "0.5", "--ne", "0", "--n", "1", "--members", "40"]
     ) == 1
     capsys.readouterr()
+
+    # A signal beyond the bounds' range fails before any search runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("optimize ran before the domain check")
+
+    monkeypatch.setattr(thermalcap.cli, "optimize", refuse)
+    assert main(["optimize", "--lambda", "0.5", "--ne", "0", "--n", "2e9"]) == 1
+    assert "signal photon number" in capsys.readouterr().err

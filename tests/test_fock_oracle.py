@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -11,6 +12,7 @@ from thermalcap import fock_oracle, gfunc
 from thermalcap.bounds import LN2, holevo_lower
 from thermalcap.fock_oracle import (
     DEFAULT_CHI_DIM_CAP,
+    DEFAULT_MAX_JOINT_DIM,
     BudgetError,
     _LEVELS_PER_PHOTON,
     FockDensityMatrix,
@@ -114,7 +116,7 @@ def test_block_builds_run_no_eigensolver(monkeypatch):
     # The blocks come from a recurrence, and a tensor build reads them in
     # a column window that must match the full blocks bit for bit.
     full = beamsplitter_blocks(0.6, 30)
-    env_probs, _ = fock_oracle._env_distribution(0.5, 1e-10, 4096)
+    env_probs, _ = fock_oracle._env_distribution(0.5)
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolver called in a block build")
@@ -230,7 +232,7 @@ def test_apply_channel_output_entropy_matches_closed_form():
 
 def test_apply_channel_trace_accounting():
     rho = thermal_state(0.7, 30)
-    out = apply_channel(params(0.8, 1.5), rho, env_tail_tol=1e-10)
+    out = apply_channel(params(0.8, 1.5), rho)
     assert out.deficit <= rho.deficit + 1e-10
     assert abs(float(np.trace(out.matrix).real) - (1.0 - out.deficit)) <= 1e-12
 
@@ -251,7 +253,7 @@ def test_apply_channel_phase_covariance():
 def test_transfer_tensor_slices_the_largest_build():
     # The oracle builds one tensor at its largest cutoff and slices it for
     # the smaller ones; each slice is bit for bit a build at that cutoff.
-    env_probs, _ = fock_oracle._env_distribution(0.5, 1e-10, 4096)
+    env_probs, _ = fock_oracle._env_distribution(0.5)
     dim_env = len(env_probs)
     largest = fock_oracle._transfer_tensor(0.6, env_probs, 40)
     assert largest.shape == (40, 40 + dim_env - 1, 40)
@@ -267,7 +269,7 @@ def _apply_by_output_offsets(lam, n_env, rho):
     # W_off[i, j] = sum_e p_e kd[e, e-off, i] kd[e, e-off, j] with the
     # Kraus diagonals kd[e, f, n] = B[n+e][n+e-f, n], applied as
     # out[i+off, j+off] += W_off[i, j] rho[i, j].
-    env_probs, _ = fock_oracle._env_distribution(n_env, 1e-10, 4096)
+    env_probs, _ = fock_oracle._env_distribution(n_env)
     dim, dim_env = rho.dim, len(env_probs)
     m_max = dim + dim_env - 2
     blocks = beamsplitter_blocks(lam, m_max)
@@ -335,7 +337,7 @@ def test_oracle_builds_one_transfer_tensor_per_report():
 def test_push_rejects_an_output_outside_the_trace_window():
     # A kernel output that gains trace, or is NaN, is caught by the kernel
     # itself, not only by a FockDensityMatrix wrapped around it.
-    transfer, env_tail = fock_oracle._channel_transfer(params(0.6, 0.5), 6, 1e-10, 4096)
+    transfer, env_tail = fock_oracle._channel_transfer(params(0.6, 0.5), 6)
     psi = fock_oracle._coherent_vector(0.5, 6)
     diags = fock_oracle._diagonals(np.outer(psi, psi.conj()))
     fock_oracle._push(transfer, diags, env_tail)
@@ -376,11 +378,13 @@ def test_grid_spec_validation():
 def test_grid_spec_insufficient_coverage():
     with pytest.raises(BudgetError):
         GridSpec(n_radial=3).nodes(1.0)
-    # From 187 nodes numpy's Gauss-Laguerre weights overflow to NaN or 0,
-    # so no node passes the weight floor.
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BudgetError) as excinfo:
-        GridSpec(n_radial=200).nodes(1.0)
-    assert excinfo.value.bound == "grid_coverage"
+    # From 187 nodes numpy's Gauss-Laguerre weights overflow, so such a
+    # rule is refused before it is computed; 186 nodes run cleanly.
+    with pytest.raises(ValueError, match="Gauss-Laguerre"):
+        GridSpec(n_radial=187)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        GridSpec(n_radial=186).nodes(1.0)
 
 
 def test_chi_pure_loss_matches_capacity():
@@ -469,18 +473,22 @@ def test_verify_decomposition_examples():
 
 
 def test_verify_decomposition_thermal_input():
-    # The hot environment (N_E = 5) needs a larger joint space.
-    rep = verify_decomposition_fock(
-        params(0.8, 5.0), [thermal_state(2.0, 64)], max_joint_dim=8192
-    )
+    # The hot environment (N_E = 5) takes 127 levels, so a 32-level input
+    # fills 4064 of the 4096-level joint cap.
+    rho = thermal_state(2.0, 32)
+    rep = verify_decomposition_fock(params(0.8, 5.0), [rho])
     assert rep.passed
-    out = apply_channel(params(0.8, 5.0), thermal_state(2.0, 64), max_joint_dim=8192)
-    assert abs(mean_photon_number(out) - 2.6) <= 1e-8
+    out = apply_channel(params(0.8, 5.0), rho)
+    expected = 0.8 * mean_photon_number(rho) + 0.2 * 5.0
+    assert abs(mean_photon_number(out) - expected) <= 1e-8
 
 
 def test_apply_channel_joint_dimension_cap():
-    with pytest.raises(BudgetError):
-        apply_channel(params(0.5, 5.0), thermal_state(2.0, 64), max_joint_dim=64)
+    # 64 input levels times the 127-level environment at N_E = 5.
+    with pytest.raises(BudgetError) as excinfo:
+        apply_channel(params(0.5, 5.0), thermal_state(2.0, 64))
+    assert (excinfo.value.bound, excinfo.value.value) == ("joint_dim", 64 * 127)
+    assert excinfo.value.limit == DEFAULT_MAX_JOINT_DIM
 
 
 def test_fock_density_matrix_validation():

@@ -1,6 +1,7 @@
 """Source hygiene: correctness checks must survive `python -O`, caches are
-bounded, each step of the Holevo quantity has one home, and every name
-the bench tracer patches must exist."""
+bounded, each step of the Holevo quantity has one home, transfer tensors
+are fetched once per caller, and every name the bench tracer patches must
+exist."""
 
 import ast
 from pathlib import Path
@@ -182,6 +183,33 @@ def apply_channel(t, d):
         (None, "_push", 4), ("output", "eigvalsh", 7), ("output", "_diagonals", 7),
         ("apply_channel", "_push", 9),
     ]
+
+# The transfer tensor is fetched once per `apply_channel` call, once per
+# oracle report and once per optimizer run, in `_Run.__init__`; every
+# other push slices a tensor its caller already holds.
+_TRANSFER_FETCHERS = {"apply_channel", "gaussian_ensemble_report"}
+
+
+def test_transfer_tensor_is_fetched_once_per_caller():
+    trees = dict(_package_trees())
+    run_init = next(
+        method
+        for node in ast.walk(trees["chi_opt.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "_Run"
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and method.name == "__init__"
+    )
+    in_run_init = {line for _, _, line in _uses(run_init, {"_channel_transfer"})}
+    found = [
+        f"{module}:{line} {function} uses _channel_transfer"
+        for module, tree in trees.items()
+        for function, _, line in _uses(tree, {"_channel_transfer"})
+        if not (module == "fock_oracle.py" and function in _TRANSFER_FETCHERS)
+        and not (module == "chi_opt.py" and line in in_run_init)
+    ]
+    assert not found, f"transfer tensors fetched outside their callers: {'; '.join(found)}"
+    assert in_run_init, "an optimizer run fetches no transfer tensor"
+
 
 def test_bench_tracer_targets_exist():
     # The bench tracer patches package names from outside, `chi_opt`'s
