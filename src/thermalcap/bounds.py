@@ -11,8 +11,9 @@ pipelining decomposition gives the upper bound
 
 Their difference equals delta(Y, lam*N)/ln 2, which is bounded by
 delta_limit(Y)/ln 2 < 1/ln 2 bits for every channel and every signal
-budget N.  `report` assembles both bounds, both gap routes, and the
-refined and universal gap bounds into a certified interval; the true
+budget N.  `report` assembles both bounds, the gap (by the delta route,
+which does not cancel near lam = 1, checked against upper - lower), and
+the refined and universal gap bounds into a certified interval; the true
 capacity is not known in general, so only the interval is ever reported.
 
 All public values are in bits; `gfunc` supplies nats and the single
@@ -59,10 +60,10 @@ MAX_SIGNAL_PHOTONS = 1e9
 class BoundReport:
     """Certified capacity interval for one (channel, signal budget) pair.
 
-    certified is True iff lower <= upper, gap == upper - lower, and
+    certified is True iff lower <= upper, 0 <= gap, and
     gap <= refined_gap_bound <= universal_gap_bound all hold within
-    CERTIFICATION_TOL, and additionally the gap agrees with its
-    independent delta-function route to the same tolerance.
+    CERTIFICATION_TOL, and additionally the gap (the delta route) agrees
+    with its independent route upper - lower to the same tolerance.
     """
 
     lower_bits: float
@@ -130,12 +131,17 @@ def additive_extension_upper(params: ChannelParams, n_signal: float) -> float:
 
 
 def gap(params: ChannelParams, n_signal: float) -> float:
-    """Upper bound minus lower bound, in bits.
+    """Upper bound minus lower bound, in bits, as delta(Y, lam*N)/ln 2.
 
-    Equals delta(Y, lam*N)/ln 2; `report` certifies that the two routes
-    agree to CERTIFICATION_TOL.  Exactly zero whenever Y = 0.
+    The delta route keeps its relative precision near lam = 1, where the
+    subtraction of the bounds cancels; `report` certifies that the two
+    routes agree to CERTIFICATION_TOL.  Exactly zero whenever Y = 0.
     """
-    return additive_extension_upper(params, n_signal) - holevo_lower(params, n_signal)
+    n_signal = _validate(params, n_signal)
+    y = (1.0 - params.transmissivity) * params.environment_photons
+    if y == 0.0:
+        return 0.0
+    return gfunc.delta(y, params.transmissivity * n_signal) / LN2
 
 
 def refined_gap_bound(params: ChannelParams) -> float:
@@ -157,12 +163,8 @@ def report(params: ChannelParams, n_signal: float) -> BoundReport:
     n_signal = _validate(params, n_signal)
     lower = holevo_lower(params, n_signal)
     upper = additive_extension_upper(params, n_signal)
-    gap_bits = upper - lower
+    gap_bits = gap(params, n_signal)
     refined = refined_gap_bound(params)
-
-    y = (1.0 - params.transmissivity) * params.environment_photons
-    x = params.transmissivity * n_signal
-    gap_via_delta = gfunc.delta(y, x) / LN2 if y > 0.0 else 0.0
 
     tol = CERTIFICATION_TOL
     certified = (
@@ -170,7 +172,7 @@ def report(params: ChannelParams, n_signal: float) -> BoundReport:
         and -tol <= gap_bits
         and gap_bits <= refined + tol
         and refined <= UNIVERSAL_GAP_BITS + tol
-        and abs(gap_bits - gap_via_delta) <= tol
+        and abs((upper - lower) - gap_bits) <= tol
     )
     return BoundReport(
         lower_bits=lower,

@@ -12,8 +12,8 @@ entropy routine of `fock_oracle`.  Pure members lose nothing: under a
 linear photon constraint chi is maximized on pure-state ensembles,
 because splitting a mixed member into its eigenvectors keeps the photon
 mean and, by concavity of the entropy, cannot lower chi (Schumacher and
-Westmoreland, PRA 56, 131, 1997).  A mixed member of an `initial`
-ensemble is split that way before the search starts.
+Westmoreland, PRA 56, 131, 1997).  Every run starts from coherent
+states, so nothing needs splitting.
 
 The search alternates two kinds of steps.  The weight step is a
 Blahut-Arimoto style exponentiated reweighting toward members with a
@@ -40,17 +40,16 @@ halves, down to a fixed floor.  A sweep whose gradient steps all fail
 halves it too, but not below half the insertion grid's spacing, so the
 steps stay short enough to be accepted while the weights converge.
 
-Inside a run the members are unit state vectors, each at its own
-dimension.  A displacement is two matvecs on a vector through one cached
-eigenbasis of a^dag - a per dimension (`_displacement_basis`), and a
-vector goes through the channel by `fock_oracle._pure_output`, as each
-radius of the oracle does, slicing the run's one transfer tensor, built
-at the run's largest dimension when it starts; density-matrix objects
-are built only for the `Ensemble` a run starts from and returns.  The
-members' channel outputs are stacked as a (members, D_out, D_out) array,
-so the average output, all relative-entropy scores and all displacement
-gradients are one matvec each.  Every chi in this module, `chi`
-included, comes from `fock_oracle._holevo` on that average, the
+Inside a run the members are unit state vectors, all on the run's one
+cutoff, `OptimizerConfig.dim`.  A displacement is two matvecs through
+the cached eigenbasis of a^dag - a on that cutoff (`_displacement_basis`),
+and a vector goes through the channel by `fock_oracle._pure_output`, as
+each radius of the oracle does, slicing the run's one transfer tensor;
+density-matrix objects are built only for the `Ensemble` a run returns.
+The members' channel outputs are stacked as a (members, D_out, D_out)
+array, so the average output, all relative-entropy scores and all
+displacement gradients are one matvec each.  Every chi in this module,
+`chi` included, comes from `fock_oracle._holevo` on that average, the
 evaluator the oracle uses, physicality check included.
 
 Everything is deterministic under a fixed seed, and the result is
@@ -71,7 +70,6 @@ import numpy as np
 
 from .gaussian_core import ChannelParams
 from .fock_oracle import (
-    EIGENVALUE_TOL,
     FockDensityMatrix,
     _LEVELS_PER_PHOTON,
     _channel_transfer,
@@ -153,8 +151,9 @@ class Ensemble:
 class OptimizerConfig:
     """Search-space size and termination settings.
 
-    `ensemble_size` is the starting member count when no `initial`
-    ensemble is given; `optimize` may insert members up to MAX_MEMBERS.
+    `ensemble_size` is the starting member count; `optimize` may insert
+    members up to MAX_MEMBERS.  Every member, started or inserted, lives
+    on `dim` levels.
     """
 
     ensemble_size: int = 8
@@ -162,7 +161,6 @@ class OptimizerConfig:
     max_iterations: int = 1000
     tolerance: float = 1e-7
     seed: int = 0
-    initial: Ensemble | None = None
 
     def __post_init__(self) -> None:
         if not (1 <= self.ensemble_size <= MAX_MEMBERS):
@@ -175,16 +173,6 @@ class OptimizerConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.initial is not None:
-            if len(self.initial) > MAX_MEMBERS:
-                raise ValueError(
-                    f"initial ensemble has {len(self.initial)} members, cap is {MAX_MEMBERS}"
-                )
-            for state, _ in self.initial.members:
-                if state.dim > MAX_DIM:
-                    raise ValueError(
-                        f"initial member dimension {state.dim} exceeds cap {MAX_DIM}"
-                    )
 
 
 @dataclass(frozen=True)
@@ -198,8 +186,8 @@ class OptimizerStats:
     pushes cover the whole run, the insertion pool included.
     Eigensolves count the spectra of channel outputs: one per push, for
     its entropy, and one per chi evaluation, for the average output.
-    One-off operator builds (transfer tensors, the displacement
-    eigenbasis) and the split of mixed `initial` members are not counted.
+    One-off operator builds (the transfer tensor, the displacement
+    eigenbasis) are not counted.
     """
 
     displacements_proposed: int = 0
@@ -258,9 +246,9 @@ def chi(params: ChannelParams, ensemble: Ensemble) -> float:
     return _holevo(average, float(weights @ entropies))[0]
 
 
-def _stack(matrices: list[np.ndarray], dim: int | None = None) -> np.ndarray:
-    """Square matrices zero-padded to dim (default: the largest), stacked."""
-    dim = dim or max(len(m) for m in matrices)
+def _stack(matrices: list[np.ndarray]) -> np.ndarray:
+    """Square matrices zero-padded to the largest, stacked."""
+    dim = max(len(m) for m in matrices)
     stack = np.zeros((len(matrices), dim, dim), dtype=complex)
     for k, m in enumerate(matrices):
         stack[k, : len(m), : len(m)] = m
@@ -274,11 +262,11 @@ def _average(outs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return average.reshape(dim, dim)
 
 
-@functools.lru_cache(maxsize=MAX_DIM)
+@functools.lru_cache(maxsize=1)
 def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues, eigenvectors and their adjoint of i (a^dag - a) on dim levels.
 
-    Kept for every member dimension a run can use; the arrays are read-only.
+    Kept for the one cutoff of the current run; the arrays are read-only.
     """
     ladder = np.sqrt(np.arange(1.0, dim))
     rows = np.arange(dim - 1)
@@ -297,8 +285,8 @@ def _displace(delta: complex, psi: np.ndarray) -> np.ndarray:
 
     With delta = r e^{i phi} the truncated generator is the diagonal
     similarity diag(e^{i n phi}) of r (a^dag - a), so one eigenbasis of
-    the real generator per dimension, from `_displacement_basis`, serves
-    every move: two matvecs and no eigensolve per displacement.
+    the real generator, from `_displacement_basis`, serves every move:
+    two matvecs and no eigensolve per displacement.
     """
     dim = len(psi)
     freq, vecs, vecs_h = _displacement_basis(dim)
@@ -389,50 +377,14 @@ def _mean_amplitude(psi: np.ndarray) -> complex:
     return complex(np.sqrt(np.arange(1.0, len(psi))) @ (psi[:-1].conj() * psi[1:]))
 
 
-def _pure_members(ensemble: Ensemble) -> tuple[list[np.ndarray], np.ndarray]:
-    """Unit state vectors and weights equivalent to the ensemble.
-
-    A member w * rho with rho = sum_i lam_i |v_i><v_i| becomes the members
-    v_i with weights w * lam_i / sum(lam).  For a trace-one rho the
-    ensemble's average state, and so its photon mean and average output,
-    are unchanged, while chi can only rise: the output entropy is
-    concave, so the members' mean entropy cannot grow.  Eigenvalues at
-    or below the positivity tolerance EIGENVALUE_TOL are rounding and
-    are dropped, so a pure member stays one member.  Raises ValueError
-    on an unphysical member, or when the split needs more than
-    MAX_MEMBERS members.
-    """
-    vectors: list[np.ndarray] = []
-    weights: list[float] = []
-    for state, weight in ensemble.members:
-        vals, vecs = np.linalg.eigh(state.matrix)
-        if vals[0] < -EIGENVALUE_TOL:
-            raise ValueError(
-                f"initial member is unphysical: eigenvalue {vals[0]:.3e} "
-                f"below -{EIGENVALUE_TOL:.0e}"
-            )
-        keep = vals > EIGENVALUE_TOL
-        kept = vals[keep]
-        vectors.extend(vecs[:, keep].T)
-        weights.extend(weight * kept / kept.sum())
-    if len(vectors) > MAX_MEMBERS:
-        raise ValueError(
-            f"initial ensemble splits into {len(vectors)} pure members, "
-            f"cap is {MAX_MEMBERS}"
-        )
-    return vectors, np.array(weights)
-
-
 class _Run:
     """Mutable state of one optimization: members, weights, channel outputs.
 
-    `psis` lists the members as unit vectors, each at its own dimension.
-    `outs` stacks the members' channel outputs, zero-padded to the
-    largest one, so the average output and every relative-entropy score
-    take one matvec each.  `counts` gathers the run's `OptimizerStats`.
-    One transfer tensor serves the whole run: it is fetched once, at the
-    larger of `dim` (the insertion pool's dimension) and the members'
-    dimensions, and every push slices it.
+    `psis` lists the members as unit vectors on `dim` levels, the run's
+    one cutoff.  `outs` stacks their channel outputs, so the average
+    output and every relative-entropy score take one matvec each.
+    `counts` gathers the run's `OptimizerStats`.  One transfer tensor,
+    fetched at `dim`, serves every push of the run, the pool's included.
     """
 
     def __init__(
@@ -445,9 +397,7 @@ class _Run:
     ):
         self.params = params
         self.budget = budget
-        self.transfer, self.env_tail = _channel_transfer(
-            params, max(dim, *(len(v) for v in vectors))
-        )
+        self.transfer, self.env_tail = _channel_transfer(params, dim)
         self.counts: Counter[str] = Counter()
         self.psis = list(vectors)
         self.weights = weights.copy()
@@ -469,12 +419,11 @@ class _Run:
         return _stack(list(outs)), np.array(entropies), np.array(photons)
 
     def _chi(
-        self, weights: np.ndarray, with_log: bool = False, outs: np.ndarray | None = None
+        self, weights: np.ndarray, with_log: bool = False
     ) -> tuple[float, np.ndarray | None]:
         self.counts["eigensolves"] += 1
-        outs = self.outs if outs is None else outs
         value, _, ln_avg = _holevo(
-            _average(outs, weights), float(weights @ self.entropies), with_log
+            _average(self.outs, weights), float(weights @ self.entropies), with_log
         )
         return value, ln_avg
 
@@ -555,15 +504,14 @@ class _Run:
         overdraws the photon budget gets its weights re-tilted back into
         feasibility, and a reweighting step is evaluated alongside the
         unchanged weights, so moves that only pay off after the weights
-        adapt stay reachable even when the constraint is active.  Moves
-        keep a member's dimension, so the new output fills the old one's
-        place in the stack.
+        adapt stay reachable even when the constraint is active.  The new
+        output takes the old one's place in the stack.
         """
         self.counts["displacements_proposed"] += 1
         before = self.current_chi
         out, entropy, photons = self.output(psi)
         old = (self.outs[k].copy(), self.entropies[k], self.photons[k])
-        self.outs[k, : len(out), : len(out)] = out
+        self.outs[k] = out
         self.entropies[k] = entropy
         self.photons[k] = photons
         weights = self.weights
@@ -609,8 +557,7 @@ class _Run:
     def _insert(self, pool: _Pool) -> bool:
         w = self.weights
         outs = self.outs
-        dim = max(outs.shape[-1], pool.outs.shape[-1])
-        _, ln_avg = self._chi(w, with_log=True, outs=_stack(outs, dim))
+        _, ln_avg = self._chi(w, with_log=True)
         scores = _scores(outs, self.entropies, ln_avg)
         mu = self._multiplier(scores)
         violation = (
@@ -622,7 +569,7 @@ class _Run:
         if not violation[j] > 0.0:
             return False
         psi, out = pool.candidate(j)
-        self.outs = _stack([*outs, out], dim)
+        self.outs = np.concatenate([outs, out[None]])
         self.entropies = np.append(self.entropies, pool.entropies[j])
         self.photons = np.append(self.photons, pool.photons[j])
         best, best_weights = self.current_chi, None
@@ -761,17 +708,16 @@ def optimize(
     """Maximize chi over ensembles with mean photon number <= n_signal.
 
     Alternates guarded reweighting with displacements of the members,
-    starting from `config.ensemble_size` coherent states, or from
-    `config.initial` with its mixed members split into eigenvectors
-    (ValueError if that needs more than MAX_MEMBERS members).  Each sweep
-    reweights, gives every member a step of length step * sqrt(n_signal)
-    along its chi gradient net of the photon multiplier (repeated once
-    if accepted, retried at a quarter of the length if not) and one
-    Gaussian probe drawn from `config.seed`, each kept only if it raises
-    chi, and reweights again.  A sweep that accepts no gradient step
-    halves the step, down to half the insertion grid's spacing (steps
-    already shorter stay).  A sweep that improves chi by less than the
-    tolerance is a stall.  At a stall below MAX_MEMBERS, coherent
+    starting from `config.ensemble_size` coherent states
+    (`_initial_states`); every member, started or inserted, lives on
+    `config.dim` levels.  Each sweep reweights, gives every member a
+    step of length step * sqrt(n_signal) along its chi gradient net of
+    the photon multiplier (repeated once if accepted, retried at a
+    quarter of the length if not) and one Gaussian probe drawn from
+    `config.seed`, each kept only if it raises chi, and reweights again.
+    A sweep that accepts no gradient step halves the step, down to half
+    the insertion grid's spacing (steps already shorter stay).  A sweep
+    that improves chi by less than the tolerance is a stall.  At a stall below MAX_MEMBERS, coherent
     states that violate stationarity are inserted (`_Run.grow`); if any
     is, the perturbation scale halves, or drops further to half the
     candidate grid's spacing, and the search goes on.  Any other stall
@@ -798,16 +744,7 @@ def optimize(
             history=((0, 0.0),),
         )
 
-    if config.initial is not None:
-        if config.initial.mean_photons > n + CONSTRAINT_SLACK:
-            raise ValueError(
-                f"initial ensemble mean photons {config.initial.mean_photons:.6g} "
-                f"exceeds constraint {n}"
-            )
-        vectors, weights = _pure_members(config.initial)
-    else:
-        vectors, weights = _initial_states(n, config.ensemble_size, config.dim)
-
+    vectors, weights = _initial_states(n, config.ensemble_size, config.dim)
     rng = np.random.default_rng(config.seed)
     run = _Run(params, n, vectors, weights, config.dim)
 

@@ -228,7 +228,7 @@ def _suite_bounds(seed: int) -> list[CheckResult]:
             uncertified += 1
         y = (1.0 - params.transmissivity) * params.environment_photons
         route = gfunc.delta(y, params.transmissivity * n) / LN2
-        worst_route = max(worst_route, abs(rep.gap_bits - route))
+        worst_route = max(worst_route, abs(rep.upper_bits - rep.lower_bits - route))
     results = [
         CheckResult("bounds.interval-order", worst_order, 1e-10),
         CheckResult("bounds.route-consistency", worst_route, 1e-10),

@@ -87,19 +87,25 @@ def g_second(x: float) -> float:
 def delta(y: float, x: float) -> float:
     """Gap function delta_Y(X) = g(X/(Y+1)) - g(X+Y) + g(Y), in nats.
 
-    Uses the identity g(a) - ln(a+1) = a*log1p(1/a) to cancel the
-    logarithmic parts analytically:
-
-        delta(Y, X) = h(Y) + h(X/(Y+1)) - h(X+Y),  h(u) = u*log1p(1/u),
-
-    so delta(Y, 0) = 0 exactly and delta < delta_limit(Y) holds
-    structurally (h is increasing and X/(Y+1) < X+Y).
+    With h(u) = u*log1p(1/u) = g(u) - ln(u+1), a = X/(Y+1) and b = X+Y,
+    delta = h(Y) - (h(b) - h(a)).  The rise h(b) - h(a) is formed from
+    the exact difference b - a = Y(1+a), as Y(1+a)*log1p(1/b) +
+    a*log1p(-Y/b), so it does not cancel when a and b nearly meet
+    (lam -> 1).  For Y >= X, where a <= b/2, the plain difference does
+    not cancel either, and it avoids log1p(-1) when X is below ulp(Y).
+    Rounding can dip below 0 as X -> 0, so the result is clamped at 0.
     """
     y = _require_positive(y, "Y")
     x = _require_nonnegative(x, "X")
-    if x == 0.0:
-        return 0.0
-    return _xlog1p_inv(y) + _xlog1p_inv(x / (y + 1.0)) - _xlog1p_inv(x + y)
+    if x == 0.0 or y < _TINY:
+        return 0.0  # 0 <= delta <= h(Y), and h vanishes below _TINY
+    a, b = x / (y + 1.0), x + y
+    t = y / b
+    if t < 0.5:
+        rise = y * (1.0 + a) * math.log1p(1.0 / b) + a * math.log1p(-t)
+    else:
+        rise = _xlog1p_inv(b) - _xlog1p_inv(a)
+    return max(_xlog1p_inv(y) - rise, 0.0)
 
 
 def delta_prime(y: float, x: float) -> float:

@@ -84,8 +84,11 @@ def test_gap_reference_value_and_route_consistency():
     p = params(0.5, 1.0)
     g = gap(p, 10.0)
     assert abs(g - 0.72864211393547216) <= 1e-13
-    # Same number via the gap function directly: X = lam*N, Y = (1-lam)*N_E.
-    assert abs(g - gfunc.delta(0.5, 5.0) / LN2) <= 1e-10
+    # The gap is the delta route (X = lam*N, Y = (1-lam)*N_E); the
+    # difference of the bounds must give the same number.
+    assert g == gfunc.delta(0.5, 5.0) / LN2
+    by_subtraction = additive_extension_upper(p, 10.0) - holevo_lower(p, 10.0)
+    assert abs(g - by_subtraction) <= 1e-10
 
 
 def test_refined_gap_bound_values():
@@ -124,7 +127,8 @@ def test_route_consistency_on_random_triples():
         n = float(rng.uniform(1e-3, 100.0))
         p = params(lam, n_env)
         via_delta = gfunc.delta((1.0 - lam) * n_env, lam * n) / LN2
-        assert abs(gap(p, n) - via_delta) <= 1e-10
+        by_subtraction = additive_extension_upper(p, n) - holevo_lower(p, n)
+        assert abs(by_subtraction - via_delta) <= 1e-10
 
 
 def test_gap_strictly_increasing_in_n():
@@ -208,11 +212,22 @@ def test_report_certifies_across_the_whole_domain(lam, n_env, n):
     # Edges of every range: transmissivity down to 1e-300, the largest
     # environment and signal the layer accepts, and the zero-temperature
     # and zero-signal points that take the exact pure-loss route.  The
-    # gap is upper - lower, so near lam = 1 it carries ~1e-16 bits of
-    # cancellation error; the inequalities hold to CERTIFICATION_TOL.
+    # gap comes from the delta route, which does not cancel near lam = 1,
+    # so it meets the refined bound with no tolerance; the other
+    # inequalities hold to CERTIFICATION_TOL.
     r = report(params(lam, n_env), n)
     tol = CERTIFICATION_TOL
     assert r.certified
     assert r.lower_bits <= r.upper_bits + tol
-    assert r.gap_bits <= r.refined_gap_bound_bits + tol
+    assert r.gap_bits <= r.refined_gap_bound_bits
     assert r.refined_gap_bound_bits <= 1.0 / math.log(2.0) + tol
+
+
+def test_gap_next_to_lam_one_is_accurate():
+    # At lam = 1 - 2^-53 the bounds differ in their last bits: their
+    # difference reads 5.995e-15 bits, above the refined bound.  The delta
+    # route gives the 60-digit value 5.8223087507790443e-15 to 1e-13.
+    r = report(params(1.0 - 2.0**-53, 1.0), 1.0)
+    assert abs(r.gap_bits - 5.8223087507790443e-15) <= 1e-13 * 5.8223087507790443e-15
+    assert r.gap_bits < r.refined_gap_bound_bits
+    assert r.certified

@@ -1,11 +1,18 @@
 """Source hygiene: correctness checks must survive `python -O`, caches are
 bounded, each step of the Holevo quantity has one home, transfer tensors
-are fetched once per caller, and every name the bench tracer patches must
-exist."""
+are fetched once per caller, every name the bench tracer patches must
+exist, and a bench worker call still runs against the package."""
 
 import ast
+import json
+import os
 from pathlib import Path
 import runpy
+import subprocess
+import sys
+import time
+
+import pytest
 
 import thermalcap
 import thermalcap.cli  # noqa: F401  (the tracer patches `cli` names)
@@ -116,9 +123,9 @@ _ALLOWED_USERS = {  # name -> the `fock_oracle` functions that may use it
     "_eigenvalue_entropy": {"von_neumann_entropy", "_pure_output", "_holevo"},
 }
 _EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
-# The optimizer's own spectra: splitting mixed initial members, and the
-# displacement eigenbasis.  Every other spectrum belongs to `fock_oracle`.
-_CHI_OPT_EIGENSOLVER_USERS = {"_pure_members", "_displacement_basis"}
+# The optimizer's one spectrum of its own: the displacement eigenbasis.
+# Every other spectrum belongs to `fock_oracle`.
+_CHI_OPT_EIGENSOLVER_USERS = {"_displacement_basis"}
 
 
 def _uses(tree, names):
@@ -211,12 +218,15 @@ def test_transfer_tensor_is_fetched_once_per_caller():
     assert in_run_init, "an optimizer run fetches no transfer tensor"
 
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
 def test_bench_tracer_targets_exist():
     # The bench tracer patches package names from outside, `chi_opt`'s
     # imports of `fock_oracle` functions among them; a refactor that
     # drops one would break traced bench runs without failing a test.
     # The tracer is run from its source, so nothing is written under bench/.
-    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tracer = BENCH / "tracer.py"
     targets = runpy.run_path(str(tracer))["targets"]
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
@@ -225,3 +235,23 @@ def test_bench_tracer_targets_exist():
         if not hasattr(owner, attr)
     ]
     assert not missing, f"names the bench tracer patches are gone: {', '.join(missing)}"
+
+
+@pytest.mark.parametrize("workload", ["oracle", "optimize_pure_loss"])
+def test_bench_worker_call_succeeds(workload, tmp_path):
+    # The bench worker builds configurations and reads result fields of
+    # its own (`OptimizerConfig(seed=, max_iterations=)`, `result.history`,
+    # `ChiReport.member_dims`, ...); a refactor that drops one fails every
+    # bench call while the rest of the suite stays green.  One traced call,
+    # spawned as `bench/run.py` spawns it, with one BLAS thread; no
+    # bytecode is written, so nothing lands under bench/.
+    spec = {"workload": workload, "seed": 0, "index": 0, "trace": True,
+            "scratch": str(tmp_path), "spawned": time.monotonic()}
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           **{name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "worker.py"), json.dumps(spec)],
+        capture_output=True, text=True, timeout=120, cwd=BENCH.parent, env=env,
+    )
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert record["ok"], f"{record.get('error')}\n{proc.stderr[-2000:]}"
