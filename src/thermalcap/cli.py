@@ -424,6 +424,8 @@ def cmd_oracle(args) -> int:
     print(f"difference_bits = {difference:.10g}")
     print(f"alpha_entropy_spread_nats = {spread:.10g}")
     print(f"max_tail_bound = {chi_report.max_tail_bound:.10g}")
+    print(f"dim_env = {chi_report.dim_env}")
+    print(f"transfer_bytes = {chi_report.transfer_bytes}")
     if difference <= args.tol and spread <= _ENTROPY_SPREAD_TOL:
         print("oracle agreement: pass")
         return 0

@@ -88,12 +88,14 @@ def delta(y: float, x: float) -> float:
     """Gap function delta_Y(X) = g(X/(Y+1)) - g(X+Y) + g(Y), in nats.
 
     With h(u) = u*log1p(1/u) = g(u) - ln(u+1), a = X/(Y+1) and b = X+Y,
-    delta = h(Y) - (h(b) - h(a)).  The rise h(b) - h(a) is formed from
-    the exact difference b - a = Y(1+a), as Y(1+a)*log1p(1/b) +
-    a*log1p(-Y/b), so it does not cancel when a and b nearly meet
-    (lam -> 1).  For Y >= X, where a <= b/2, the plain difference does
-    not cancel either, and it avoids log1p(-1) when X is below ulp(Y).
-    Rounding can dip below 0 as X -> 0, so the result is clamped at 0.
+    delta = h(Y) - (h(b) - h(a)).  For Y < X the rise h(b) - h(a) is
+    formed from the exact difference b - a = Y(1+a), as
+    Y(1+a)*log1p(1/b) + a*log1p(-Y/b), so it does not cancel when a and
+    b nearly meet (lam -> 1).  For X <= Y, h(Y) - h(b) is formed exactly
+    as Y*log1p(X / (Y (Y+1) (1+a))) - X*log1p(1/b), so it does not cancel
+    as X -> 0 either; the divisions go one at a time, so large Y cannot
+    overflow.  Rounding can dip below 0 as X -> 0, so the result is
+    clamped at 0.
     """
     y = _require_positive(y, "Y")
     x = _require_nonnegative(x, "X")
@@ -103,9 +105,9 @@ def delta(y: float, x: float) -> float:
     t = y / b
     if t < 0.5:
         rise = y * (1.0 + a) * math.log1p(1.0 / b) + a * math.log1p(-t)
-    else:
-        rise = _xlog1p_inv(b) - _xlog1p_inv(a)
-    return max(_xlog1p_inv(y) - rise, 0.0)
+        return max(_xlog1p_inv(y) - rise, 0.0)
+    fall = y * math.log1p(x / y / (y + 1.0) / (1.0 + a)) - x * math.log1p(1.0 / b)
+    return max(_xlog1p_inv(a) + fall, 0.0)
 
 
 def delta_prime(y: float, x: float) -> float:

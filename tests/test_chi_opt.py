@@ -368,8 +368,8 @@ def _diagonals_by_loop(matrix):
     dim = len(matrix)
     diags = np.zeros((dim, dim), dtype=complex)
     for delta in range(dim):
-        for j in range(delta, dim):
-            diags[delta, j] = matrix[j - delta, j]
+        for k in range(dim - delta):
+            diags[delta, k] = matrix[k, k + delta]
     return diags
 
 

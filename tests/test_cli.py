@@ -149,6 +149,7 @@ def test_oracle_agreement(capsys):
     out = capsys.readouterr().out
     assert "oracle agreement: pass" in out
     assert "chi_bits" in out and "lower_bits" in out
+    assert "dim_env = 21\n" in out and "transfer_bytes = " in out
 
 
 def test_oracle_zero_signal_prints_a_positive_zero(capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 from hypothesis import given, settings, strategies as st
@@ -250,18 +251,48 @@ def test_apply_channel_phase_covariance():
     np.testing.assert_allclose(rotated.matrix, expected, rtol=0, atol=1e-12)
 
 
+def _lag_blocks(transfer):
+    # T_delta of a packed tensor, each cut to its support; the group
+    # padding outside that support must hold zeros.
+    dim_out, dim_in = transfer[0].shape[1:]
+    blocks = [block for group in transfer for block in group]
+    assert len(blocks) == dim_in
+    for delta, block in enumerate(blocks):
+        rows, cols = dim_out - delta, dim_in - delta
+        assert not block[rows:].any() and not block[:, cols:].any()
+    return [block[: dim_out - d, : dim_in - d] for d, block in enumerate(blocks)]
+
+
 def test_transfer_tensor_slices_the_largest_build():
     # The oracle builds one tensor at its largest cutoff and slices it for
-    # the smaller ones; each slice is bit for bit a build at that cutoff.
+    # the smaller ones; each lag block of a build at a smaller cutoff is
+    # bit for bit the leading slice of that lag's block in the largest.
+    for n_env in (0.0, 0.5, 2.0):
+        env_probs, _ = fock_oracle._env_distribution(n_env)
+        dim_env = len(env_probs)
+        largest = _lag_blocks(fock_oracle._transfer_tensor(0.6, env_probs, 40))
+        for dim in (1, 17, 39):
+            fresh = _lag_blocks(fock_oracle._transfer_tensor(0.6, env_probs, dim))
+            for delta, block in enumerate(fresh):
+                rows, cols = dim + dim_env - 1 - delta, dim - delta
+                assert block.shape == (rows, cols)
+                assert np.array_equal(largest[delta][:rows, :cols], block)
+
+
+def test_transfer_tensor_stores_only_the_support():
+    # A dense T[delta, p, j] at the oracle's 164 levels (N_E 0.5, so 21
+    # environment levels) would hold 164 * 184 * 164 floats.  The packed
+    # build stores at most half of that, and its peak stays below it.
     env_probs, _ = fock_oracle._env_distribution(0.5)
-    dim_env = len(env_probs)
-    largest = fock_oracle._transfer_tensor(0.6, env_probs, 40)
-    assert largest.shape == (40, 40 + dim_env - 1, 40)
-    for dim in (1, 17, 39):
-        sliced = largest[:dim, : dim + dim_env - 1, :dim]
-        fresh = fock_oracle._transfer_tensor(0.6, env_probs, dim)
-        assert fresh.shape == (dim, dim + dim_env - 1, dim)
-        assert np.array_equal(sliced, fresh)
+    dense_bytes = 164 * (164 + len(env_probs) - 1) * 164 * 8
+    tracemalloc.start()
+    try:
+        transfer = fock_oracle._transfer_tensor(0.6, env_probs, 164)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(group.nbytes for group in transfer) <= dense_bytes / 2
+    assert peak < dense_bytes
 
 
 def _apply_by_output_offsets(lam, n_env, rho):
@@ -332,6 +363,9 @@ def test_oracle_builds_one_transfer_tensor_per_report():
     info = fock_oracle._channel_transfer.cache_info()
     assert len(set(report.member_dims.tolist())) == 14
     assert (info.misses, info.hits) == (1, 0)
+    transfer, _ = fock_oracle._channel_transfer(params(0.6, 0.5), 164)
+    assert report.member_dims.max() == 164 and report.dim_env == 21
+    assert report.transfer_bytes == sum(group.nbytes for group in transfer)
 
 
 def test_push_rejects_an_output_outside_the_trace_window():
@@ -343,7 +377,7 @@ def test_push_rejects_an_output_outside_the_trace_window():
     fock_oracle._push(transfer, diags, env_tail)
     for scale in (1.5, math.nan):
         with pytest.raises(RuntimeError, match="trace accounting violated"):
-            fock_oracle._push(scale * transfer, diags, env_tail)
+            fock_oracle._push(tuple(scale * g for g in transfer), diags, env_tail)
 
 
 def test_pure_entropy_and_vacuum_chi_are_positive_zero():

@@ -1,5 +1,6 @@
 """Tests for the thermal entropy function g and the gap function delta."""
 
+from decimal import Decimal, localcontext
 import math
 
 import numpy as np
@@ -111,6 +112,22 @@ def test_delta_reference_values():
     assert gfunc.delta(1.0, 0.0) == 0.0
     assert abs(gfunc.delta(1.0, 1.0) - DELTA_1_1) <= 1e-13 * DELTA_1_1
     assert abs(gfunc.delta(1.0, 1e9) - LN2) <= 1e-8
+
+
+def test_delta_keeps_its_digits_when_x_is_far_below_y():
+    # At lam 0.339, N_E 6.4e5, N 1.6e-6, h(Y) - h(X+Y) cancels when formed
+    # as a plain difference (relative error 1.1e-6).  Reference: the
+    # defining formula in 60-digit decimal arithmetic on the same doubles.
+    y, x = (1.0 - 0.339) * 6.4e5, 0.339 * 1.6e-6
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def g(u):
+            return (u + 1) * (u + 1).ln() - u * u.ln()
+
+        yd, xd = Decimal(y), Decimal(x)
+        exact = float(g(xd / (yd + 1)) - g(xd + yd) + g(yd))
+    assert abs(gfunc.delta(y, x) - exact) <= 1e-13 * exact
 
 
 def test_delta_composition_identity():

@@ -114,13 +114,16 @@ def f(x): return x
 
 # The channel push, the diagonal reader and the entropy of a spectrum are
 # each written once in `fock_oracle`, and everything that forms a chi goes
-# through `_pure_output` or `apply_channel` and `_holevo`.  A use anywhere
-# else, a same-named function in another module included, is a second
-# copy of one of these steps in the making.
+# through `_pure_output` or `apply_channel` and `_holevo`.  The packed
+# tensor build runs only under the cached `_channel_transfer`, so no
+# second build can be held beside the cached one.  A use anywhere else, a
+# same-named function in another module included, is a second copy of
+# one of these steps in the making.
 _ALLOWED_USERS = {  # name -> the `fock_oracle` functions that may use it
     "_push": {"apply_channel", "_pure_output"},
     "_diagonals": {"apply_channel", "_pure_output"},
     "_eigenvalue_entropy": {"von_neumann_entropy", "_pure_output", "_holevo"},
+    "_transfer_tensor": {"_channel_transfer"},
 }
 _EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
 # The optimizer's one spectrum of its own: the displacement eigenbasis.
