@@ -27,7 +27,7 @@ E(D(d) rho D(d)^dag) = D(sqrt(lam) d) E(rho) D(sqrt(lam) d)^dag, so a
 member's chi gradient comes from C = ln of the average output alone:
 with A = a^dag - a and B = i (a^dag + a) on the output levels, member k
 gains sqrt(lam) (tr(rho_k [A, C]) + i tr(rho_k [B, C])) nats per unit
-weight and unit displacement, and its photon cost grows by 2 <a>_k.
+weight and unit displacement, and its photon cost grows by 2 alpha_k.
 Each sweep steps every member along that direction, net of the photon
 multiplier, and adds one random probe.
 
@@ -40,12 +40,12 @@ halves, down to a fixed floor.  A sweep whose gradient steps all fail
 halves it too, but not below half the insertion grid's spacing, so the
 steps stay short enough to be accepted while the weights converge.
 
-Inside a run the members are unit state vectors, all on the run's one
-cutoff, `OptimizerConfig.dim`.  A displacement is two matvecs through
-the cached eigenbasis of a^dag - a on that cutoff (`_displacement_basis`),
-and a vector goes through the channel by `fock_oracle._pure_output`, as
-each radius of the oracle does, slicing the run's one transfer tensor;
-density-matrix objects are built only for the `Ensemble` a run returns.
+Members are coherent amplitudes alpha on the run's one cutoff,
+`OptimizerConfig.dim`: a displacement by delta moves alpha to alpha +
+delta.  Each pushed state is the truncated coherent vector at its
+amplitude, sent through the channel by `fock_oracle._pure_output`, as
+each radius of the oracle is, slicing the run's one transfer tensor;
+density matrices are built only for the `Ensemble` a run returns.
 The members' channel outputs are stacked as a (members, D_out, D_out)
 array, so the average output, all relative-entropy scores and all
 displacement gradients are one matvec each.  Every chi in this module,
@@ -62,8 +62,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-import cmath
-import functools
 import math
 
 import numpy as np
@@ -186,8 +184,7 @@ class OptimizerStats:
     pushes cover the whole run, the insertion pool included.
     Eigensolves count the spectra of channel outputs: one per push, for
     its entropy, and one per chi evaluation, for the average output.
-    One-off operator builds (the transfer tensor, the displacement
-    eigenbasis) are not counted.
+    The one-off build of the run's transfer tensor is not counted.
     """
 
     displacements_proposed: int = 0
@@ -260,39 +257,6 @@ def _average(outs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     members, dim = outs.shape[:2]
     average = (weights @ outs.view(float).reshape(members, -1)).view(complex)
     return average.reshape(dim, dim)
-
-
-@functools.lru_cache(maxsize=1)
-def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, eigenvectors and their adjoint of i (a^dag - a) on dim levels.
-
-    Kept for the one cutoff of the current run; the arrays are read-only.
-    """
-    ladder = np.sqrt(np.arange(1.0, dim))
-    rows = np.arange(dim - 1)
-    herm = np.zeros((dim, dim), dtype=complex)  # i (a^dag - a)
-    herm[rows + 1, rows] = 1j * ladder
-    herm[rows, rows + 1] = -1j * ladder
-    freq, vecs = np.linalg.eigh(herm)
-    basis = (freq, vecs, np.ascontiguousarray(vecs.conj().T))
-    for array in basis:
-        array.setflags(write=False)
-    return basis
-
-
-def _displace(delta: complex, psi: np.ndarray) -> np.ndarray:
-    """exp(delta a^dag - conj(delta) a) psi on the truncated Fock space of psi.
-
-    With delta = r e^{i phi} the truncated generator is the diagonal
-    similarity diag(e^{i n phi}) of r (a^dag - a), so one eigenbasis of
-    the real generator, from `_displacement_basis`, serves every move:
-    two matvecs and no eigensolve per displacement.
-    """
-    dim = len(psi)
-    freq, vecs, vecs_h = _displacement_basis(dim)
-    phase = np.exp(1j * cmath.phase(delta) * np.arange(dim))
-    spectral = np.exp(-1j * abs(delta) * freq) * (vecs_h @ (phase.conj() * psi))
-    return phase * (vecs @ spectral)
 
 
 def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.ndarray:
@@ -372,50 +336,53 @@ def _photons(psi: np.ndarray) -> float:
     return float(np.arange(len(psi)) @ probs / probs.sum())
 
 
-def _mean_amplitude(psi: np.ndarray) -> complex:
-    """<a> of a unit vector: sum_n sqrt(n) conj(psi[n-1]) psi[n]."""
-    return complex(np.sqrt(np.arange(1.0, len(psi))) @ (psi[:-1].conj() * psi[1:]))
-
-
 class _Run:
     """Mutable state of one optimization: members, weights, channel outputs.
 
-    `psis` lists the members as unit vectors on `dim` levels, the run's
-    one cutoff.  `outs` stacks their channel outputs, so the average
-    output and every relative-entropy score take one matvec each.
-    `counts` gathers the run's `OptimizerStats`.  One transfer tensor,
-    fetched at `dim`, serves every push of the run, the pool's included.
+    `alphas` lists the members as coherent amplitudes; each stands for
+    the truncated coherent vector at that amplitude on `dim` levels, the
+    run's one cutoff, built where it is pushed or returned.  `outs`
+    stacks their channel outputs, so the average output and every
+    relative-entropy score take one matvec each.  `counts` gathers the
+    run's `OptimizerStats`.  One transfer tensor, fetched at `dim`,
+    serves every push of the run, the pool's included.
     """
 
     def __init__(
         self,
         params: ChannelParams,
         budget: float,
-        vectors: list[np.ndarray],
+        alphas: list[complex],
         weights: np.ndarray,
         dim: int,
     ):
         self.params = params
         self.budget = budget
+        self.dim = dim
         self.transfer, self.env_tail = _channel_transfer(params, dim)
         self.counts: Counter[str] = Counter()
-        self.psis = list(vectors)
+        self.alphas = list(alphas)
         self.weights = weights.copy()
-        self.outs, self.entropies, self.photons = self.outputs(vectors)
+        self.outs, self.entropies, self.photons = self.outputs(self.alphas)
         self.current_chi = self._chi(self.weights)[0]
 
-    def output(self, psi: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """Channel output of a unit vector, its entropy, and the vector's photons."""
+    def output(self, alpha: complex) -> tuple[np.ndarray, float, float]:
+        """Channel output of the coherent vector at alpha, its entropy, its photons.
+
+        The photons are measured on the truncated vector itself, as
+        `Ensemble.mean_photons` measures them, not taken as |alpha|^2.
+        """
+        psi = _coherent_vector(alpha, self.dim)
         out, entropy = _pure_output(self.transfer, self.env_tail, psi)
         self.counts["channel_pushes"] += 1
         self.counts["eigensolves"] += 1
         return out, entropy, _photons(psi)
 
     def outputs(
-        self, vectors: list[np.ndarray]
+        self, alphas: list[complex]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`output` of each vector: the outputs stacked, entropies, photons."""
-        outs, entropies, photons = zip(*(self.output(v) for v in vectors))
+        """`output` at each amplitude: the outputs stacked, entropies, photons."""
+        outs, entropies, photons = zip(*(self.output(a) for a in alphas))
         return _stack(list(outs)), np.array(entropies), np.array(photons)
 
     def _chi(
@@ -471,9 +438,10 @@ class _Run:
 
         Entry k is dchi/dx + i dchi/dy in nats, for the displacement
         x + i y of member k, minus mu times the same derivative of its
-        photon number, 2 <a>_k.  By displacement covariance dchi/dx is
-        sqrt(lam) tr(rho_k [A, C]) with C = ln of the average output and
-        A = a^dag - a, and dchi/dy is the same with B = i (a^dag + a).
+        photon number |alpha_k|^2, which is 2 alpha_k.  By displacement
+        covariance dchi/dx is sqrt(lam) tr(rho_k [A, C]) with C = ln of
+        the average output and A = a^dag - a, and dchi/dy is the same
+        with B = i (a^dag + a).
         Both commutators are Hermitian, so all members take one real
         matvec over the stacked outputs, as in `_scores`.
         """
@@ -487,33 +455,25 @@ class _Run:
             commutators.view(float).reshape(2, -1).T
         )
         gradient = math.sqrt(self.params.transmissivity) * (traces[:, 0] + 1j * traces[:, 1])
-        return gradient - 2.0 * mu * np.array([_mean_amplitude(psi) for psi in self.psis])
+        return gradient - 2.0 * mu * np.array(self.alphas)
 
     def move(self, k: int, delta: complex, kind: str) -> bool:
-        """Displace member k by delta through `try_member`; counted under kind."""
-        moved = _displace(delta, self.psis[k])
-        accepted = self.try_member(k, moved / np.linalg.norm(moved))
-        self.counts[f"{kind}_proposed"] += 1
-        self.counts[f"{kind}_accepted"] += int(accepted)
-        return accepted
+        """Move member k to amplitude alpha_k + delta if that improves chi.
 
-    def try_member(self, k: int, psi: np.ndarray) -> bool:
-        """Install the unit vector psi as member k if it improves chi.
-
-        The move is judged jointly with the weight response.  A move that
-        overdraws the photon budget gets its weights re-tilted back into
+        The proposal is counted, in total and under kind.  The move is
+        judged jointly with the weight response.  A move that overdraws
+        the photon budget gets its weights re-tilted back into
         feasibility, and a reweighting step is evaluated alongside the
         unchanged weights, so moves that only pay off after the weights
         adapt stay reachable even when the constraint is active.  The new
         output takes the old one's place in the stack.
         """
         self.counts["displacements_proposed"] += 1
+        self.counts[f"{kind}_proposed"] += 1
+        alpha = self.alphas[k] + delta
         before = self.current_chi
-        out, entropy, photons = self.output(psi)
         old = (self.outs[k].copy(), self.entropies[k], self.photons[k])
-        self.outs[k] = out
-        self.entropies[k] = entropy
-        self.photons[k] = photons
+        self.outs[k], self.entropies[k], self.photons[k] = self.output(alpha)
         weights = self.weights
         if float(weights @ self.photons) > self.budget:
             if float(self.photons.min()) > self.budget:
@@ -526,10 +486,11 @@ class _Run:
         if chi_reweighted > best:
             best_weights, best = reweighted, chi_reweighted
         if best > before:
-            self.psis[k] = psi
+            self.alphas[k] = alpha
             self.weights = best_weights
             self.current_chi = best
             self.counts["displacements_accepted"] += 1
+            self.counts[f"{kind}_accepted"] += 1
             return True
         self.outs[k], self.entropies[k], self.photons[k] = old
         return False
@@ -549,7 +510,7 @@ class _Run:
         violating one does not raise chi.
         """
         grew = False
-        while len(self.psis) < MAX_MEMBERS and self._insert(pool):
+        while len(self.alphas) < MAX_MEMBERS and self._insert(pool):
             self.counts["insertions"] += 1
             grew = True
         return grew
@@ -568,7 +529,7 @@ class _Run:
         j = int(np.argmax(violation))
         if not violation[j] > 0.0:
             return False
-        psi, out = pool.candidate(j)
+        alpha, out = pool.candidate(j)
         self.outs = np.concatenate([outs, out[None]])
         self.entropies = np.append(self.entropies, pool.entropies[j])
         self.photons = np.append(self.photons, pool.photons[j])
@@ -587,17 +548,19 @@ class _Run:
             self.entropies = self.entropies[:-1]
             self.photons = self.photons[:-1]
             return False
-        self.psis.append(psi)
+        self.alphas.append(alpha)
         self.weights = best_weights
         self.current_chi = best
         return True
 
     def ensemble(self) -> Ensemble:
+        """The members as pure density matrices on `dim` levels, weights normalized."""
         total = self.weights.sum()
+        vectors = (_coherent_vector(alpha, self.dim) for alpha in self.alphas)
         return Ensemble(
             tuple(
                 (FockDensityMatrix(np.outer(psi, psi.conj())), w / total)
-                for psi, w in zip(self.psis, self.weights)
+                for psi, w in zip(vectors, self.weights)
             )
         )
 
@@ -626,14 +589,14 @@ class _Pool:
     e^{i (m - n) phi}, with the same entropy, and the input has the same
     photon number.  So only the origin and one point per ring, at phase
     0, are pushed, through the run, which counts them; a candidate's
-    output is made by rotating its ring's only when it is inserted.
+    output is made by rotating its ring's only when it is inserted.  The
+    grid lies on the run's cutoff.
     """
 
-    def __init__(self, run: _Run, dim: int):
-        self.dim = dim
-        self.spacing = _radius_cap(dim) / _POOL_RADII
+    def __init__(self, run: _Run):
+        self.spacing = _radius_cap(run.dim) / _POOL_RADII
         radii = [i * self.spacing for i in range(_POOL_RADII + 1)]
-        self.outs, entropies, photons = run.outputs([_coherent_vector(r, dim) for r in radii])
+        self.outs, entropies, photons = run.outputs(radii)
         self.alphas: list[complex] = [0.0]
         rings = [0]
         for i in range(1, _POOL_RADII + 1):
@@ -662,18 +625,17 @@ class _Pool:
         traces = np.einsum("jd,jd->j", lag_sums[self.rings], self.phases).real
         return -self.entropies - traces
 
-    def candidate(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """State vector and channel output of candidate j."""
+    def candidate(self, j: int) -> tuple[complex, np.ndarray]:
+        """Amplitude and channel output of candidate j."""
         alpha = self.alphas[j]
         phase = np.exp(1j * np.angle(alpha) * np.arange(self.outs.shape[-1]))
-        out = self.outs[self.rings[j]] * np.outer(phase, phase.conj())
-        return _coherent_vector(alpha, self.dim), out
+        return alpha, self.outs[self.rings[j]] * np.outer(phase, phase.conj())
 
 
 def _initial_states(
     n_signal: float, size: int, dim: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Vacuum plus up to two rings of coherent states, feasibly weighted.
+) -> tuple[list[complex], np.ndarray]:
+    """Vacuum plus up to two rings of coherent amplitudes, feasibly weighted.
 
     Ring radii are fractions of sqrt(N) that work well for the pure-loss
     channel at small N, clamped so every amplitude meets the coherent
@@ -693,11 +655,10 @@ def _initial_states(
         r_outer = min(1.8 * scale, radius_cap)
         alphas += _ring(r_inner, n_inner, 0.0)
         alphas += _ring(r_outer, n_outer, 0.5)
-    vectors = [_coherent_vector(a, dim) for a in alphas]
     photons = np.array([abs(a) ** 2 for a in alphas])
     raw = np.exp(-photons / max(n_signal, 1e-12))
     weights = _tilted_weights(raw, photons, 0.95 * n_signal)
-    return vectors, weights
+    return alphas, weights
 
 
 def optimize(
@@ -709,19 +670,20 @@ def optimize(
 
     Alternates guarded reweighting with displacements of the members,
     starting from `config.ensemble_size` coherent states
-    (`_initial_states`); every member, started or inserted, lives on
-    `config.dim` levels.  Each sweep reweights, gives every member a
-    step of length step * sqrt(n_signal) along its chi gradient net of
-    the photon multiplier (repeated once if accepted, retried at a
-    quarter of the length if not) and one Gaussian probe drawn from
-    `config.seed`, each kept only if it raises chi, and reweights again.
-    A sweep that accepts no gradient step halves the step, down to half
-    the insertion grid's spacing (steps already shorter stay).  A sweep
-    that improves chi by less than the tolerance is a stall.  At a stall below MAX_MEMBERS, coherent
-    states that violate stationarity are inserted (`_Run.grow`); if any
-    is, the perturbation scale halves, or drops further to half the
-    candidate grid's spacing, and the search goes on.  Any other stall
-    halves the scale, down to a floor of 1e-4 times sqrt(n_signal).
+    (`_initial_states`); every member, started or inserted, is a
+    coherent amplitude on `config.dim` levels.  Each sweep reweights,
+    gives every member's amplitude a step of length step * sqrt(n_signal)
+    along its chi gradient net of the photon multiplier (repeated once if
+    accepted, retried at a quarter of the length if not) and one Gaussian
+    probe drawn from `config.seed`, each kept only if it raises chi, and
+    reweights again.  A sweep that accepts no gradient step halves the
+    step, down to half the insertion grid's spacing (steps already
+    shorter stay).  A sweep that improves chi by less than the tolerance
+    is a stall.  At a stall below MAX_MEMBERS, coherent states that
+    violate stationarity are inserted (`_Run.grow`); if any is, the
+    perturbation scale halves, or drops further to half the candidate
+    grid's spacing, and the search goes on.  Any other stall halves the
+    scale, down to a floor of 1e-4 times sqrt(n_signal).
     `converged` is True only when a sweep at that floor stalls and
     nothing can be inserted; hitting the iteration cap first reports
     converged=False.
@@ -744,9 +706,9 @@ def optimize(
             history=((0, 0.0),),
         )
 
-    vectors, weights = _initial_states(n, config.ensemble_size, config.dim)
+    alphas, weights = _initial_states(n, config.ensemble_size, config.dim)
     rng = np.random.default_rng(config.seed)
-    run = _Run(params, n, vectors, weights, config.dim)
+    run = _Run(params, n, alphas, weights, config.dim)
 
     current = run.current_chi
     history = [(0, current)]
@@ -780,9 +742,9 @@ def optimize(
             # the weights alone to stall the sweep.
             step = max(step * _STEP_DECAY, min(step, grid_step))
         if current - before < config.tolerance:
-            if len(run.psis) < MAX_MEMBERS:
+            if len(run.alphas) < MAX_MEMBERS:
                 if pool is None:
-                    pool = _Pool(run, config.dim)
+                    pool = _Pool(run)
                 if run.grow(pool):
                     current = run.current_chi
                     history[-1] = (iteration, current)

@@ -44,8 +44,10 @@ from .fock_oracle import (
     DEFAULT_CHI_DIM_CAP,
     BudgetError,
     TruncationBudget,
+    _LEVELS_PER_PHOTON,
     coherent_state,
     gaussian_ensemble_report,
+    mean_photon_number,
     thermal_entropy_tail,
     thermal_state,
     verify_decomposition_fock,
@@ -446,6 +448,8 @@ def cmd_optimize(args) -> int:
     lower = holevo_lower(params, args.n)
     upper = additive_extension_upper(params, args.n)
     result = optimize(params, args.n, config)
+    max_member_photons = max(mean_photon_number(state) for state, _ in result.ensemble.members)
+    member_photon_limit = config.dim / _LEVELS_PER_PHOTON
     payload = {
         "transmissivity": params.transmissivity,
         "environment_photons": params.environment_photons,
@@ -461,9 +465,13 @@ def cmd_optimize(args) -> int:
         "mean_photons": result.ensemble.mean_photons,
         "seed": args.seed,
         "stats": asdict(result.stats),
-        # A best value above the certified upper bound means a truncation
-        # or discretization budget needs auditing, not a capacity claim.
-        "budget_audit": result.best_chi_bits > upper + 1e-6,
+        "max_member_photons": max_member_photons,
+        "member_photon_limit": member_photon_limit,
+        # A best value above the certified upper bound, or a member past the
+        # coherent truncation limit of the cutoff, means a truncation budget
+        # needs auditing, not a capacity claim.
+        "budget_audit": result.best_chi_bits > upper + 1e-6
+        or max_member_photons > member_photon_limit,
     }
     _write_out(args.out, json.dumps(payload, indent=2) + "\n")
     return 0 if result.converged else 4

@@ -14,9 +14,7 @@ from thermalcap.chi_opt import (
     Ensemble,
     OptimizerConfig,
     _average,
-    _displace,
     _initial_states,
-    _mean_amplitude,
     _Pool,
     _Run,
     _scores,
@@ -29,7 +27,6 @@ from thermalcap.fock_oracle import (
     GridSpec,
     _LEVELS_PER_PHOTON,
     _channel_transfer,
-    _coherent_vector,
     _diagonals,
     _holevo,
     _pure_output,
@@ -340,30 +337,6 @@ def test_unphysical_average_raises():
         chi(params(1.0, 0.0), ens)
 
 
-def _displacement_by_eigensolve(delta, dim):
-    # One eigendecomposition of the generator per displacement.
-    ladder = np.sqrt(np.arange(1.0, dim))
-    gen = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(dim - 1)
-    gen[rows + 1, rows] = delta * ladder
-    gen[rows, rows + 1] = -np.conj(delta) * ladder
-    vals, vecs = np.linalg.eigh(1j * gen)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
-
-
-def test_displacement_unitary_matches_direct_eigensolve():
-    rng = np.random.default_rng(17)
-    for dim in (2, 8, 24, 32):
-        deltas = [0.5, -0.5, 0.5j, -0.5j, 0.05, -0.05j]
-        deltas += [complex(*rng.normal(0.0, 0.3, 2)) for _ in range(8)]
-        for delta in deltas:
-            # Displacing each basis vector gives the unitary column by column.
-            unitary = np.column_stack([_displace(delta, e) for e in np.eye(dim, dtype=complex)])
-            reference = _displacement_by_eigensolve(delta, dim)
-            assert np.abs(unitary - reference).max() <= 1e-12
-            assert np.abs(unitary @ unitary.conj().T - np.eye(dim)).max() <= 1e-12
-
-
 def _diagonals_by_loop(matrix):
     dim = len(matrix)
     diags = np.zeros((dim, dim), dtype=complex)
@@ -405,22 +378,22 @@ def test_push_matches_apply_channel():
 # than rounding fails here.
 _PINNED_HISTORIES = {
     0.0: (
-        1.1483978369652617, 1.5092250039015653, 1.5113388264265208,
-        1.5145196426590566, 1.5148905147102936, 1.5149824026216774,
-        1.5150153748271304, 1.5159154529211332, 1.5163531373887176,
-        1.5168157802549886, 1.5171818392559886, 1.5173678777357944,
-        1.5174189063960901, 1.517741344762976, 1.518055333940751,
-        1.5181100539955052, 1.5182364673794104, 1.5182824714289787,
-        1.5183320468834485, 1.5184138019532039, 1.5184170326502593,
+        1.1483978369652608, 1.5092250039013935, 1.511338826426222,
+        1.514519642658732, 1.5148905147114375, 1.514982402621381,
+        1.5150153748268136, 1.5159154529211178, 1.5163531373888415,
+        1.51681578025526, 1.5171818392568872, 1.5173678777352075,
+        1.5174189063959445, 1.5177413447628363, 1.5180553339404002,
+        1.5181100539958385, 1.518236467379549, 1.5182824714289664,
+        1.5183320468831092, 1.5184138019525215, 1.5184170326497,
     ),
     0.5: (
-        0.7105671827190546, 0.9985639955815601, 0.999630506338424,
-        0.9997105519189293, 0.9997355335496078, 0.9999680420041575,
-        1.000159730138384, 1.0003043967765748, 1.0004339434141416,
-        1.000635597392057, 1.000642512297067, 1.000769221724657,
-        1.0009184207938768, 1.0010258351014925, 1.0011920268675227,
-        1.0013010086358565, 1.0014641320038529, 1.0015737669534017,
-        1.001660289409612, 1.0017031067415583, 1.0017927826553221,
+        0.7105671827190552, 0.9985639955808149, 0.9996305063376019,
+        0.9997105519181824, 0.9997355335488614, 0.9999680420034295,
+        1.0001597301375689, 1.0003043967757024, 1.000433943413293,
+        1.0006355973912355, 1.0006425122962401, 1.0007692217237394,
+        1.0009184207927222, 1.0010258351003434, 1.001192026866512,
+        1.0013010086347742, 1.0014641320028725, 1.0015737669525457,
+        1.001660289408621, 1.001703106740535, 1.0017927826542656,
     ),
 }
 
@@ -448,40 +421,43 @@ def test_first_twenty_sweeps_do_not_stall_for_any_seed(n_env):
         assert min(b - a for a, b in zip(history, history[1:])) >= config.tolerance
 
 
-def test_mean_amplitude_of_a_coherent_vector():
-    for alpha in (0.0, 0.8, -1.1 + 0.4j, 1.5j):
-        assert abs(_mean_amplitude(_coherent_vector(alpha, 24)) - alpha) <= 1e-13
-
-
 def test_directions_match_finite_differences():
-    # With the budget slack the multiplier is 0, so member k's direction
-    # times its weight is dchi/dx + i dchi/dy in nats for a displacement
-    # x + i y; central differences of the exact truncated chi agree.
+    # Member k's direction times its weight is d/dx + i d/dy, for the
+    # shift x + i y of its amplitude, of chi in nats less mu times the
+    # ensemble's photons, with mu the run's photon multiplier.  With the
+    # budget slack mu is 0; with the budget at the members' own photons it
+    # binds, and the photon term's slope 2 alpha is checked too.
+    # Central differences of the exact truncated objective agree.
     p = params(0.6, 0.5)
     dim = 24
-    fock_one = np.zeros(dim, dtype=complex)
-    fock_one[1] = 1.0
-    vectors = [_coherent_vector(a, dim) for a in (0.0, 0.8, -0.5 + 0.6j, 1.1j, 0.3 - 0.9j)]
-    vectors.append(fock_one)
+    alphas = [0.0, 0.8, -0.5 + 0.6j, 1.1j, 0.3 - 0.9j, 1.4 + 0.2j]
     weights = np.array([0.3, 0.15, 0.15, 0.15, 0.15, 0.1])
-    budget = 10.0
+    slack = _Run(p, 10.0, alphas, weights, dim)
+    for budget in (slack.budget, float(weights @ slack.photons)):
+        run = _Run(p, budget, alphas, weights, dim)
+        _, _, ln_avg = _holevo(
+            _average(run.outs, weights), float(weights @ run.entropies), with_log=True
+        )
+        mu = run._multiplier(_scores(run.outs, run.entropies, ln_avg))
+        assert (mu > 0.0) == (budget < slack.budget)
 
-    def chi_nats(members):
-        return _Run(p, budget, members, weights, dim).current_chi * LN2
+        def objective(members):
+            shifted = _Run(p, budget, members, weights, dim)
+            return shifted.current_chi * LN2 - mu * float(weights @ shifted.photons)
 
-    gradient = weights * _Run(p, budget, vectors, weights, dim).directions()
-    h = 1e-5
-    differences = []
-    for k in range(len(vectors)):
-        parts = []
-        for unit in (1.0, 1.0j):
-            plus, minus = list(vectors), list(vectors)
-            plus[k] = _displace(h * unit, vectors[k])
-            minus[k] = _displace(-h * unit, vectors[k])
-            parts.append((chi_nats(plus) - chi_nats(minus)) / (2.0 * h))
-        differences.append(complex(*parts))
-    error = np.abs(np.array(differences) - gradient).max()
-    assert error <= 1e-6 * np.abs(gradient).max()
+        gradient = weights * run.directions()
+        h = 1e-5
+        differences = []
+        for k in range(len(alphas)):
+            parts = []
+            for unit in (1.0, 1.0j):
+                plus, minus = list(alphas), list(alphas)
+                plus[k] += h * unit
+                minus[k] -= h * unit
+                parts.append((objective(plus) - objective(minus)) / (2.0 * h))
+            differences.append(complex(*parts))
+        error = np.abs(np.array(differences) - gradient).max()
+        assert error <= 1e-6 * np.abs(gradient).max()
 
 
 @pytest.mark.parametrize("n_env", [0.0, 0.5])
@@ -489,11 +465,11 @@ def test_ring_pool_matches_direct_pushes(n_env):
     # Phase covariance lets one push per ring stand in for a push per
     # candidate: scores, entropies, photons and the inserted output agree.
     dim = 24
-    vectors, weights = _initial_states(1.0, 8, dim)
-    run = _Run(params(0.6, n_env), 1.0, vectors, weights, dim)
-    pool = _Pool(run, dim)
-    assert run.counts["channel_pushes"] == len(vectors) + 1 + _POOL_RADII
-    outs, entropies, photons = run.outputs([_coherent_vector(a, dim) for a in pool.alphas])
+    alphas, weights = _initial_states(1.0, 8, dim)
+    run = _Run(params(0.6, n_env), 1.0, alphas, weights, dim)
+    pool = _Pool(run)
+    assert run.counts["channel_pushes"] == len(alphas) + 1 + _POOL_RADII
+    outs, entropies, photons = run.outputs(pool.alphas)
     assert len(outs) == 1 + _POOL_RADII * _POOL_ANGLES
     _, _, ln_avg = _holevo(
         _average(run.outs, run.weights), float(run.weights @ run.entropies), with_log=True
@@ -502,6 +478,6 @@ def test_ring_pool_matches_direct_pushes(n_env):
     assert np.abs(pool.entropies - entropies).max() <= 1e-13
     assert np.abs(pool.photons - photons).max() <= 1e-13
     for j, alpha in enumerate(pool.alphas):
-        psi, out = pool.candidate(j)
-        assert np.array_equal(psi, _coherent_vector(alpha, dim))
+        candidate, out = pool.candidate(j)
+        assert candidate == alpha
         assert np.abs(out - outs[j]).max() <= 1e-14

@@ -209,6 +209,21 @@ def test_optimize_iteration_cap_exit_four(tmp_path):
     assert payload["best_chi_bits"] <= payload["upper_bits"] + 1e-6
 
 
+def test_optimize_flags_members_past_the_truncation_limit(capsys):
+    # At N = 4 on 8 levels the search moves a member past the coherent
+    # limit dim / 4 while chi stays below the upper bound; the audit flag
+    # must say so rather than stay silent.
+    code = main(
+        ["optimize", "--lambda", "0.6", "--ne", "0", "--n", "4", "--dim", "8", "--iters", "5"]
+    )
+    assert code == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["member_photon_limit"] == 2.0
+    assert payload["max_member_photons"] > payload["member_photon_limit"]
+    assert payload["best_chi_bits"] <= payload["upper_bits"] + 1e-6
+    assert payload["budget_audit"] is True
+
+
 def test_optimize_invalid_parameters_exit_one(capsys, monkeypatch):
     assert main(["optimize", "--lambda", "0.5", "--ne", "-1", "--n", "1"]) == 1
     assert main(

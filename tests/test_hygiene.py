@@ -126,9 +126,6 @@ _ALLOWED_USERS = {  # name -> the `fock_oracle` functions that may use it
     "_transfer_tensor": {"_channel_transfer"},
 }
 _EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
-# The optimizer's one spectrum of its own: the displacement eigenbasis.
-# Every other spectrum belongs to `fock_oracle`.
-_CHI_OPT_EIGENSOLVER_USERS = {"_displacement_basis"}
 
 
 def _uses(tree, names):
@@ -169,13 +166,36 @@ def test_each_holevo_step_has_one_home():
 
 
 def test_chi_opt_leaves_output_spectra_to_fock_oracle():
+    # The optimizer takes no spectrum of its own: every one belongs to
+    # `fock_oracle`.
     tree = dict(_package_trees())["chi_opt.py"]
     found = [
         f"chi_opt.py:{line} {function} calls {name}"
         for function, name, line in _uses(tree, _EIGENSOLVERS)
-        if function not in _CHI_OPT_EIGENSOLVER_USERS
     ]
     assert not found, f"eigensolves outside their home: {'; '.join(found)}"
+
+
+def _run_method_uses(tree, names, methods):
+    """Lines where a method of `chi_opt._Run` in methods reads a name in names."""
+    run = next(
+        node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "_Run"
+    )
+    return {line for function, _, line in _uses(run, names) if function in methods}
+
+
+def test_chi_opt_builds_member_vectors_in_one_place():
+    # Optimizer members are coherent amplitudes; their state vectors are
+    # built only where `_Run` pushes one or returns the ensemble.
+    tree = dict(_package_trees())["chi_opt.py"]
+    allowed = _run_method_uses(tree, {"_coherent_vector"}, {"output", "ensemble"})
+    found = [
+        f"chi_opt.py:{line} {function} uses _coherent_vector"
+        for function, _, line in _uses(tree, {"_coherent_vector"})
+        if line not in allowed
+    ]
+    assert not found, f"member vectors built outside `_Run`: {'; '.join(found)}"
+    assert len(allowed) == 2, "`_Run.output` or `_Run.ensemble` builds no member vector"
 
 
 def test_use_check_sees_methods_aliases_and_attributes():
@@ -202,14 +222,7 @@ _TRANSFER_FETCHERS = {"apply_channel", "gaussian_ensemble_report"}
 
 def test_transfer_tensor_is_fetched_once_per_caller():
     trees = dict(_package_trees())
-    run_init = next(
-        method
-        for node in ast.walk(trees["chi_opt.py"])
-        if isinstance(node, ast.ClassDef) and node.name == "_Run"
-        for method in node.body
-        if isinstance(method, ast.FunctionDef) and method.name == "__init__"
-    )
-    in_run_init = {line for _, _, line in _uses(run_init, {"_channel_transfer"})}
+    in_run_init = _run_method_uses(trees["chi_opt.py"], {"_channel_transfer"}, {"__init__"})
     found = [
         f"{module}:{line} {function} uses _channel_transfer"
         for module, tree in trees.items()
