@@ -45,7 +45,6 @@ from .fock_oracle import (
     FockDensityMatrix,
     GridSpec,
     MomentCheckReport,
-    TruncationBudget,
     apply_channel,
     beamsplitter_blocks,
     coherent_state,
@@ -93,7 +92,6 @@ __all__ = [
     "report",
     "BudgetError",
     "FockDensityMatrix",
-    "TruncationBudget",
     "GridSpec",
     "ChiReport",
     "MomentCheckReport",

@@ -42,10 +42,11 @@ steps stay short enough to be accepted while the weights converge.
 
 Members are coherent amplitudes alpha on the run's one cutoff,
 `OptimizerConfig.dim`: a displacement by delta moves alpha to alpha +
-delta.  Each pushed state is the truncated coherent vector at its
-amplitude, sent through the channel by `fock_oracle._pure_output`, as
-each radius of the oracle is, slicing the run's one transfer tensor;
-density matrices are built only for the `Ensemble` a run returns.
+delta.  Every push hands an amplitude to `fock_oracle._coherent_output`,
+as each radius of the oracle does, slicing the run's one transfer
+tensor; it builds the truncated coherent vector, and returns its output,
+output entropy and photons.  State vectors and density matrices are
+built here only for the `Ensemble` a run returns.
 The members' channel outputs are stacked as a (members, D_out, D_out)
 array, so the average output, all relative-entropy scores and all
 displacement gradients are one matvec each.  Every chi in this module,
@@ -71,9 +72,9 @@ from .fock_oracle import (
     FockDensityMatrix,
     _LEVELS_PER_PHOTON,
     _channel_transfer,
+    _coherent_output,
     _coherent_vector,
     _holevo,
-    _pure_output,
     apply_channel,
     coherent_state,
     mean_photon_number,
@@ -161,6 +162,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("ensemble_size", "dim", "max_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.ensemble_size <= MAX_MEMBERS):
             raise ValueError(
                 f"ensemble_size must be in [1, {MAX_MEMBERS}], got {self.ensemble_size}"
@@ -330,22 +335,17 @@ def _scores(outs: np.ndarray, entropies: np.ndarray, ln_avg: np.ndarray) -> np.n
     return -entropies - outs.view(float).reshape(members, -1) @ log_avg
 
 
-def _photons(psi: np.ndarray) -> float:
-    """Mean photon number of a state vector, normalized by its squared norm."""
-    probs = (psi * psi.conj()).real
-    return float(np.arange(len(psi)) @ probs / probs.sum())
-
-
 class _Run:
     """Mutable state of one optimization: members, weights, channel outputs.
 
     `alphas` lists the members as coherent amplitudes; each stands for
     the truncated coherent vector at that amplitude on `dim` levels, the
-    run's one cutoff, built where it is pushed or returned.  `outs`
-    stacks their channel outputs, so the average output and every
-    relative-entropy score take one matvec each.  `counts` gathers the
-    run's `OptimizerStats`.  One transfer tensor, fetched at `dim`,
-    serves every push of the run, the pool's included.
+    run's one cutoff, which `_coherent_output` builds for each push and
+    `ensemble` for the result.  `outs` stacks their channel outputs, so
+    the average output and every relative-entropy score take one matvec
+    each.  `counts` gathers the run's `OptimizerStats`.  One transfer
+    tensor, fetched at `dim`, serves every push of the run, the pool's
+    included.
     """
 
     def __init__(
@@ -367,16 +367,15 @@ class _Run:
         self.current_chi = self._chi(self.weights)[0]
 
     def output(self, alpha: complex) -> tuple[np.ndarray, float, float]:
-        """Channel output of the coherent vector at alpha, its entropy, its photons.
+        """`fock_oracle._coherent_output` at alpha on the run's cutoff, counted.
 
-        The photons are measured on the truncated vector itself, as
-        `Ensemble.mean_photons` measures them, not taken as |alpha|^2.
+        It gives the channel output, its entropy and the photons of the
+        truncated vector, as `Ensemble.mean_photons` measures them; each
+        call counts one push and one eigensolve.
         """
-        psi = _coherent_vector(alpha, self.dim)
-        out, entropy = _pure_output(self.transfer, self.env_tail, psi)
         self.counts["channel_pushes"] += 1
         self.counts["eigensolves"] += 1
-        return out, entropy, _photons(psi)
+        return _coherent_output(self.transfer, self.env_tail, alpha, self.dim)
 
     def outputs(
         self, alphas: list[complex]

@@ -43,8 +43,8 @@ from .bounds import (
 from .fock_oracle import (
     DEFAULT_CHI_DIM_CAP,
     BudgetError,
-    TruncationBudget,
     _LEVELS_PER_PHOTON,
+    _thermal_cutoff,
     coherent_state,
     gaussian_ensemble_report,
     mean_photon_number,
@@ -265,9 +265,9 @@ def _suite_fock(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     for n in (0.2, 0.5, 1.0, 2.0, 5.0):
-        budget = TruncationBudget.for_thermal(n)
-        entropy = von_neumann_entropy(thermal_state(n, budget.dim))
-        tail = thermal_entropy_tail(n, budget.dim)
+        dim, _ = _thermal_cutoff(n)
+        entropy = von_neumann_entropy(thermal_state(n, dim))
+        tail = thermal_entropy_tail(n, dim)
         worst_ratio = max(worst_ratio, abs(entropy - gfunc.g(n)) / (10.0 * tail))
     results = [CheckResult("fock.thermal-entropy-vs-tail", worst_ratio, 1.0)]
 

@@ -9,14 +9,14 @@ moments against the analytic predictions.
 Truncation is never silent.  Every constructor carries an analytic bound
 on the probability weight it discards, `apply_channel` propagates those
 bounds, and requests that cannot meet their budget raise `BudgetError`
-naming the violated bound.  Each cutoff is decided in one place:
-`TruncationBudget.for_thermal` sizes a thermal environment from its
-geometric tail, for `_channel_transfer` and so for every channel push;
-`_coherent_cutoff` sizes a coherent state from its Chernoff-Poisson tail,
-starting at 4|alpha|^2 levels (`_LEVELS_PER_PHOTON`, the precondition of
-`coherent_state`, which the optimizer's ring radius respects too), for
-both `TruncationBudget.for_coherent` and `gaussian_ensemble_report`.  The
-one degraded answer is the oracle's: a coherent cutoff stopped by
+naming the violated bound.  Each cutoff is decided in one place, at the
+one tail tolerance DEFAULT_TAIL_TOL: `_thermal_cutoff` sizes a thermal
+environment from its geometric tail, for `_channel_transfer` and so for
+every channel push, and `_coherent_cutoff` sizes a coherent state from
+its Chernoff-Poisson tail, starting at 4|alpha|^2 levels
+(`_LEVELS_PER_PHOTON`, the precondition of `coherent_state`, which the
+optimizer's ring radius respects too), for `gaussian_ensemble_report`.
+The one degraded answer is the oracle's: a coherent cutoff stopped by
 dim_cap reports the tail it reached in `ChiReport.max_tail_bound`.
 
 The beamsplitter unitary conserves total photon number, so it is built
@@ -39,8 +39,9 @@ tensor build streams the block columns it reads and keeps none.
 
 Each step of a Holevo quantity is written once, for the oracle and
 `chi_opt` alike: `_diagonals` feeds the kernel `_push`, which runs only
-under `apply_channel` and `_pure_output` (a state vector's output and its
-entropy), and `_holevo` turns an average output into chi.
+under `apply_channel` and `_coherent_output` (a coherent amplitude's
+output, its entropy and its photons, for each oracle radius and each
+optimizer member), and `_holevo` turns an average output into chi.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .gaussian_core import ChannelParams, decompose
 __all__ = [
     "BudgetError",
     "FockDensityMatrix",
-    "TruncationBudget",
     "GridSpec",
     "ChiReport",
     "MomentCheckReport",
@@ -170,85 +170,42 @@ class FockDensityMatrix:
         return float(self.matrix.trace().real)
 
 
-@dataclass(frozen=True)
-class TruncationBudget:
-    """A Fock cutoff together with the analytic tail bound it guarantees."""
+def _thermal_cutoff(n_mean: float) -> tuple[int, float]:
+    """The thermal-cutoff rule: (dim, geometric tail (N/(N+1))^dim) for N = n_mean.
 
-    dim: int
-    tail_bound: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", _as_positive_dim(self.dim))
-        if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
-            raise ValueError(f"tail bound must be nonnegative, got {self.tail_bound}")
-
-    @classmethod
-    def for_thermal(
-        cls,
-        n_mean: float,
-        tol: float = DEFAULT_TAIL_TOL,
-        max_dim: int = DEFAULT_MAX_JOINT_DIM,
-    ) -> "TruncationBudget":
-        """Smallest cutoff whose geometric tail (N/(N+1))^D is at most tol."""
-        n_mean = _check_photon_number(n_mean)
-        if not (0.0 < tol < 1.0):
-            raise ValueError(f"tail tolerance must be in (0, 1), got {tol}")
-        if n_mean == 0.0:
-            return cls(1, 0.0)
-        q = n_mean / (n_mean + 1.0)
-        dim = max(1, math.ceil(math.log(tol) / math.log(q)))
-        while q**dim > tol:          # guard against rounding in the ceil
-            dim += 1
-        if dim > max_dim:
-            raise BudgetError(
-                f"thermal cutoff {dim} for tail {tol:g} exceeds limit {max_dim}",
-                bound="thermal_dim", value=dim, limit=max_dim,
-            )
-        return cls(dim, q**dim)
-
-    @classmethod
-    def for_coherent(
-        cls,
-        alpha: complex,
-        tol: float = DEFAULT_TAIL_TOL,
-        max_dim: int = DEFAULT_MAX_JOINT_DIM,
-    ) -> "TruncationBudget":
-        """Cutoff for a coherent state: Chernoff-Poisson tail at most tol.
-
-        The cutoff comes from `_coherent_cutoff`, so dim >= 4|alpha|^2,
-        the precondition of `coherent_state`.  Raises BudgetError
-        (coherent_dim) when either needs more than max_dim levels; the
-        oracle instead reports the tail its capped cutoff reached.
-        """
-        mu = abs(complex(alpha)) ** 2
-        if not math.isfinite(mu):
-            raise ValueError(f"amplitude must be finite, got {alpha!r}")
-        dim, tail = _coherent_cutoff(mu, tol, max_dim)
-        if tail > tol:
-            raise BudgetError(
-                f"coherent cutoff for |alpha|^2 = {mu:g}, tail {tol:g} "
-                f"exceeds limit {max_dim}",
-                bound="coherent_dim", value=dim + 1, limit=max_dim,
-            )
-        return cls(dim, tail)
+    dim is the smallest cutoff whose tail is at most DEFAULT_TAIL_TOL;
+    BudgetError (thermal_dim) when it exceeds DEFAULT_MAX_JOINT_DIM.
+    """
+    n_mean = _check_photon_number(n_mean)
+    if n_mean == 0.0:
+        return 1, 0.0
+    q = n_mean / (n_mean + 1.0)
+    dim = max(1, math.ceil(math.log(DEFAULT_TAIL_TOL) / math.log(q)))
+    while q**dim > DEFAULT_TAIL_TOL:  # guard against rounding in the ceil
+        dim += 1
+    if dim > DEFAULT_MAX_JOINT_DIM:
+        raise BudgetError(
+            f"thermal cutoff {dim} for tail {DEFAULT_TAIL_TOL:g} "
+            f"exceeds limit {DEFAULT_MAX_JOINT_DIM}",
+            bound="thermal_dim", value=dim, limit=DEFAULT_MAX_JOINT_DIM,
+        )
+    return dim, q**dim
 
 
-def _coherent_cutoff(mu: float, tol: float, max_dim: int) -> tuple[int, float]:
+def _coherent_cutoff(mu: float, max_dim: int) -> tuple[int, float]:
     """The coherent-cutoff rule: (dim, Poisson tail reached) for |alpha|^2 = mu.
 
     Starts at max(ceil(4 mu), 1), the precondition of `coherent_state`
     (BudgetError coherent_dim if that exceeds max_dim), and grows until
-    the tail is at most tol or max_dim stops it.
+    the tail is at most DEFAULT_TAIL_TOL or max_dim stops it.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"tail tolerance must be in (0, 1), got {tol}")
     dim = max(math.ceil(_LEVELS_PER_PHOTON * mu), 1)
     if dim > max_dim:
         raise BudgetError(
             f"|alpha|^2 = {mu:g} needs cutoff {dim} > limit {max_dim}",
             bound="coherent_dim", value=dim, limit=max_dim,
         )
-    while dim < max_dim and poisson_tail_bound(mu, dim) > tol:
+    while dim < max_dim and poisson_tail_bound(mu, dim) > DEFAULT_TAIL_TOL:
         dim += 1
     return dim, poisson_tail_bound(mu, dim)
 
@@ -298,21 +255,22 @@ def thermal_entropy_tail(n_mean: float, dim: int) -> float:
     return q**dim * (math.log(n_mean + 1.0) + (dim + n_mean) * math.log1p(1.0 / n_mean))
 
 
-def dim_for_thermal_entropy(
-    n_mean: float, tol: float, max_dim: int = DEFAULT_MAX_JOINT_DIM
-) -> int:
-    """Smallest cutoff whose thermal entropy tail is at most tol nats."""
+def dim_for_thermal_entropy(n_mean: float, tol: float) -> int:
+    """Smallest cutoff whose thermal entropy tail is at most tol nats.
+
+    BudgetError (thermal_dim) beyond DEFAULT_MAX_JOINT_DIM levels.
+    """
     n_mean = _check_photon_number(n_mean)
     if not (0.0 < tol < 1.0):
         raise ValueError(f"entropy tolerance must be in (0, 1), got {tol}")
     dim = 1
     while thermal_entropy_tail(n_mean, dim) > tol:
         dim += 1
-        if dim > max_dim:
+        if dim > DEFAULT_MAX_JOINT_DIM:
             raise BudgetError(
                 f"thermal entropy cutoff for N = {n_mean:g}, tol {tol:g} "
-                f"exceeds limit {max_dim}",
-                bound="thermal_dim", value=dim, limit=max_dim,
+                f"exceeds limit {DEFAULT_MAX_JOINT_DIM}",
+                bound="thermal_dim", value=dim, limit=DEFAULT_MAX_JOINT_DIM,
             )
     return dim
 
@@ -420,8 +378,8 @@ def _blocks(lam: float, count: int, dim_env: int, dim_in: int) -> Iterator[np.nd
 
 
 def _env_distribution(n_env: float) -> tuple[np.ndarray, float]:
-    budget = TruncationBudget.for_thermal(n_env)
-    return _thermal_probs(n_env, budget.dim), budget.tail_bound
+    dim, tail = _thermal_cutoff(n_env)
+    return _thermal_probs(n_env, dim), tail
 
 
 def _transfer_tensor(
@@ -565,16 +523,21 @@ def _diagonals(matrix: np.ndarray) -> np.ndarray:
     return padded[lag, lag + lag[:, None]]
 
 
-def _pure_output(
-    transfer: tuple[np.ndarray, ...], env_tail: float, psi: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Channel output of the unit vector psi, and its entropy in nats.
+def _coherent_output(
+    transfer: tuple[np.ndarray, ...], env_tail: float, alpha: complex, dim: int
+) -> tuple[np.ndarray, float, float]:
+    """Output of the coherent vector at alpha on dim levels, its entropy, its photons.
 
-    transfer may be built for more than len(psi) levels; `_push` reads
-    the leading slice of each lag block, bit for bit the build at len(psi).
+    The entropy is in nats.  The photons are measured on the truncated
+    vector, as `mean_photon_number` measures its projector, not taken as
+    |alpha|^2.  transfer may be built for more than dim levels; `_push`
+    reads the leading slice of each lag block, bit for bit the build at dim.
     """
+    psi = _coherent_vector(alpha, dim)
     out = _push(transfer, _diagonals(np.outer(psi, psi.conj())), env_tail)
-    return out, _eigenvalue_entropy(np.linalg.eigvalsh(out))
+    probs = (psi * psi.conj()).real
+    photons = float(np.arange(dim) @ probs / probs.sum())
+    return out, _eigenvalue_entropy(np.linalg.eigvalsh(out)), photons
 
 
 def apply_channel(params: ChannelParams, rho: FockDensityMatrix) -> FockDensityMatrix:
@@ -817,11 +780,11 @@ def gaussian_ensemble_report(
     on one radius share one output entropy, and the average of their
     outputs over the n_angular uniform phases is exactly the phase-0
     output with every entry (m, n) zeroed unless m - n is a multiple of
-    n_angular.  Each radius therefore costs one `_pure_output`, as an
-    optimizer member does, added into one average matrix, and chi comes
-    from `_holevo`.  One packed transfer tensor is built, at the largest
-    cutoff, and each push reads the leading slice of its lag blocks for a
-    smaller one.
+    n_angular.  Each radius therefore costs one `_coherent_output` at its
+    phase-0 amplitude, as an optimizer member does, added into one
+    average matrix, and chi comes from `_holevo`.  One packed transfer
+    tensor is built, at the largest cutoff, and each push reads the
+    leading slice of its lag blocks for a smaller one.
     """
     n_signal = _check_photon_number(n_signal)
     dim_cap = _as_positive_dim(dim_cap)
@@ -830,7 +793,7 @@ def gaussian_ensemble_report(
     per_radius = grid.n_angular if n_signal > 0.0 else 1
     radii = alphas[::per_radius].real
     radius_weights = weights.reshape(-1, per_radius).sum(axis=1)
-    dims, tails = zip(*(_coherent_cutoff(r * r, DEFAULT_TAIL_TOL, dim_cap) for r in radii))
+    dims, tails = zip(*(_coherent_cutoff(r * r, dim_cap) for r in radii))
     transfer, env_tail = _channel_transfer(params, max(dims))
     dims = np.array(dims)
     # Group 0 of the packed tensor holds lag 0 on every level.
@@ -841,9 +804,7 @@ def gaussian_ensemble_report(
     entropies = np.empty(len(radii))
     # Largest cutoff first, the order that fixes the average's rounding.
     for k in np.argsort(-dims, kind="stable"):
-        out, entropies[k] = _pure_output(
-            transfer, env_tail, _coherent_vector(radii[k], int(dims[k]))
-        )
+        out, entropies[k], _ = _coherent_output(transfer, env_tail, radii[k], int(dims[k]))
         average[: len(out), : len(out)] += radius_weights[k] * out
 
     # FockDensityMatrix checks the average: finite, Hermitian, trace.

@@ -27,14 +27,15 @@ from thermalcap.fock_oracle import (
     GridSpec,
     _LEVELS_PER_PHOTON,
     _channel_transfer,
+    _coherent_output,
     _diagonals,
     _holevo,
-    _pure_output,
     _push,
     apply_channel,
     coherent_state,
     gaussian_ensemble_report,
     mean_photon_number,
+    von_neumann_entropy,
 )
 from thermalcap.gaussian_core import ChannelParams
 
@@ -124,6 +125,13 @@ def test_optimizer_config_validation():
         OptimizerConfig(dim=64)  # above the truncation cap
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=-1.0)
+    # Counts are integers: a float or a bool is refused, not run.
+    for bad in (
+        {"max_iterations": 1e3}, {"dim": 24.5}, {"ensemble_size": 2.5},
+        {"max_iterations": True}, {"ensemble_size": True},
+    ):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**bad)
 
 
 def test_optimize_zero_signal():
@@ -348,9 +356,10 @@ def _diagonals_by_loop(matrix):
 
 def test_push_matches_apply_channel():
     # The public wrapper adds validation only: on the same diagonals the
-    # kernel gives its matrix bit for bit.  The vector path reads the same
-    # diagonals off the unsymmetrized projector, which rho's constructor
-    # makes Hermitian, so it agrees with rho's output up to rounding.
+    # kernel gives its matrix bit for bit.  Diagonals read off the
+    # unsymmetrized projector, which rho's constructor makes Hermitian,
+    # give rho's output up to rounding, and so does `_coherent_output`,
+    # whose photons are those `mean_photon_number` reads off the state.
     rng = np.random.default_rng(23)
     for n_env in (0.0, 0.5):
         p = params(0.6, n_env)
@@ -366,9 +375,16 @@ def test_push_matches_apply_channel():
             assert np.array_equal(_diagonals(rho.matrix), diags)
             projector = np.outer(psi, psi.conj())
             assert np.array_equal(_diagonals(projector), _diagonals_by_loop(projector))
-            pure, _ = _pure_output(transfer, env_tail, psi)
-            assert np.array_equal(pure, _push(transfer, _diagonals(projector), env_tail))
+            pure = _push(transfer, _diagonals(projector), env_tail)
             assert np.abs(pure - out).max() <= 1e-15
+            radius = math.sqrt(rng.uniform() * dim / _LEVELS_PER_PHOTON)
+            alpha = complex(radius * np.exp(2j * math.pi * rng.uniform()))
+            state = coherent_state(alpha, dim)
+            expected = apply_channel(p, state)
+            coherent, entropy, photons = _coherent_output(transfer, env_tail, alpha, dim)
+            assert np.abs(coherent - expected.matrix).max() <= 1e-15
+            assert abs(entropy - von_neumann_entropy(expected)) <= 1e-12
+            assert math.isclose(photons, mean_photon_number(state), rel_tol=1e-15, abs_tol=1e-15)
 
 
 # Chi after each of 20 sweeps at the benchmark's optimizer points

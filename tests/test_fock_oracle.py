@@ -14,11 +14,13 @@ from thermalcap.bounds import LN2, holevo_lower
 from thermalcap.fock_oracle import (
     DEFAULT_CHI_DIM_CAP,
     DEFAULT_MAX_JOINT_DIM,
+    DEFAULT_TAIL_TOL,
     BudgetError,
     _LEVELS_PER_PHOTON,
     FockDensityMatrix,
     GridSpec,
-    TruncationBudget,
+    _coherent_cutoff,
+    _thermal_cutoff,
     apply_channel,
     beamsplitter_blocks,
     coherent_state,
@@ -158,33 +160,32 @@ def test_thermal_tail_bounds():
 
 
 def test_truncation_budget_sizes_dimensions():
-    budget = TruncationBudget.for_thermal(1.0)
-    assert thermal_tail_bound(1.0, budget.dim) <= 1e-10
-    assert budget.tail_bound <= 1e-10
-    budget = TruncationBudget.for_coherent(1.0)
-    assert poisson_tail_bound(1.0, budget.dim) <= 1e-10
+    dim, tail = _thermal_cutoff(1.0)
+    assert thermal_tail_bound(1.0, dim) <= 1e-10
+    assert tail <= 1e-10
+    dim, _ = _coherent_cutoff(1.0, DEFAULT_MAX_JOINT_DIM)
+    assert poisson_tail_bound(1.0, dim) <= 1e-10
 
 
 @settings(derandomize=True, deadline=None)
-@given(
-    mu=st.floats(0.0, 50.0),
-    phase=st.floats(0.0, 2.0 * math.pi),
-    tol=st.floats(1e-14, 0.5),
-)
-def test_coherent_budget_is_the_smallest_cutoff_meeting_both_rules(mu, phase, tol):
+@given(mu=st.floats(0.0, 50.0), phase=st.floats(0.0, 2.0 * math.pi))
+def test_coherent_budget_is_the_smallest_cutoff_meeting_both_rules(mu, phase):
     # dim >= 4|alpha|^2 (the coherent_state precondition) and a Poisson
-    # tail within tol; one level fewer must break one of the two.
+    # tail within DEFAULT_TAIL_TOL; one level fewer must break one of the two.
     alpha = math.sqrt(mu) * cmath.exp(1j * phase)
     mu = abs(alpha) ** 2
 
     def meets(dim):
-        return dim >= max(_LEVELS_PER_PHOTON * mu, 1) and poisson_tail_bound(mu, dim) <= tol
+        return (
+            dim >= max(_LEVELS_PER_PHOTON * mu, 1)
+            and poisson_tail_bound(mu, dim) <= DEFAULT_TAIL_TOL
+        )
 
-    budget = TruncationBudget.for_coherent(alpha, tol)
-    assert meets(budget.dim)
-    assert budget.tail_bound == poisson_tail_bound(mu, budget.dim)
-    assert budget.dim == 1 or not meets(budget.dim - 1)
-    coherent_state(alpha, budget.dim)
+    dim, tail = _coherent_cutoff(mu, DEFAULT_MAX_JOINT_DIM)
+    assert meets(dim)
+    assert tail == poisson_tail_bound(mu, dim)
+    assert dim == 1 or not meets(dim - 1)
+    coherent_state(alpha, dim)
 
 
 def test_coherent_state_examples():
@@ -457,18 +458,11 @@ def test_oracle_raises_the_budget_it_cannot_meet(n_env, dim_cap, bound, limit):
 
 
 def test_oracle_reports_the_tail_a_capped_cutoff_reaches():
-    # At dim_cap 4 the Poisson tail cannot reach env_tail_tol; the report
+    # At dim_cap 4 the Poisson tail cannot reach DEFAULT_TAIL_TOL; the report
     # carries the tail it reached instead of raising.
     report = gaussian_ensemble_report(params(0.6, 0.5), 0.02, dim_cap=4)
     assert report.member_dims.max() == 4
     assert report.max_tail_bound == pytest.approx(3.9936e-3, rel=1e-4)
-
-
-def test_oracle_rejects_a_zero_tail_tolerance():
-    # The oracle's coherent cutoffs come from the rule that
-    # `TruncationBudget.for_coherent` runs, tolerance check included.
-    with pytest.raises(ValueError):
-        TruncationBudget.for_coherent(1.0, 0.0)
 
 
 def test_oracle_checks_the_coherent_cutoff_before_the_environment():

@@ -1,9 +1,11 @@
 """Source hygiene: correctness checks must survive `python -O`, caches are
-bounded, each step of the Holevo quantity has one home, transfer tensors
-are fetched once per caller, every name the bench tracer patches must
+bounded, each step of the Holevo quantity has one home, each truncation
+constant is read only by its rules, transfer tensors are fetched once per
+caller, every exported name and every name the bench tracer patches must
 exist, and a bench worker call still runs against the package."""
 
 import ast
+import importlib
 import json
 import os
 from pathlib import Path
@@ -114,15 +116,15 @@ def f(x): return x
 
 # The channel push, the diagonal reader and the entropy of a spectrum are
 # each written once in `fock_oracle`, and everything that forms a chi goes
-# through `_pure_output` or `apply_channel` and `_holevo`.  The packed
+# through `_coherent_output` or `apply_channel` and `_holevo`.  The packed
 # tensor build runs only under the cached `_channel_transfer`, so no
 # second build can be held beside the cached one.  A use anywhere else, a
 # same-named function in another module included, is a second copy of
 # one of these steps in the making.
 _ALLOWED_USERS = {  # name -> the `fock_oracle` functions that may use it
-    "_push": {"apply_channel", "_pure_output"},
-    "_diagonals": {"apply_channel", "_pure_output"},
-    "_eigenvalue_entropy": {"von_neumann_entropy", "_pure_output", "_holevo"},
+    "_push": {"apply_channel", "_coherent_output"},
+    "_diagonals": {"apply_channel", "_coherent_output"},
+    "_eigenvalue_entropy": {"von_neumann_entropy", "_coherent_output", "_holevo"},
     "_transfer_tensor": {"_channel_transfer"},
 }
 _EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
@@ -165,6 +167,41 @@ def test_each_holevo_step_has_one_home():
     assert not found, f"Holevo steps used outside their home: {'; '.join(found)}"
 
 
+# Each truncation constant is read only where its rule lives: the tail
+# tolerance by the two cutoff rules, and the joint cap by the thermal rule,
+# the transfer-tensor fetch and the thermal entropy cutoff.
+_CONSTANT_READERS = {
+    "DEFAULT_TAIL_TOL": {"_thermal_cutoff", "_coherent_cutoff"},
+    "DEFAULT_MAX_JOINT_DIM": {"_thermal_cutoff", "_channel_transfer", "dim_for_thermal_entropy"},
+}
+
+
+def test_truncation_constants_are_read_where_their_rules_live():
+    found = [
+        f"{module}:{line} {function} reads {name}"
+        for module, tree in _package_trees()
+        for function, name, line in _uses(tree, _CONSTANT_READERS)
+        if module != "fock_oracle.py" or function not in _CONSTANT_READERS[name]
+    ]
+    assert not found, f"truncation constants read outside their rules: {'; '.join(found)}"
+
+
+def test_every_exported_name_exists():
+    # A stale `__all__` entry breaks `from <module> import *`.
+    modules = [thermalcap] + [
+        importlib.import_module(f"thermalcap.{path.stem}")
+        for path in sorted(Path(thermalcap.__file__).parent.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not missing, f"names in __all__ that do not exist: {', '.join(missing)}"
+
+
 def test_chi_opt_leaves_output_spectra_to_fock_oracle():
     # The optimizer takes no spectrum of its own: every one belongs to
     # `fock_oracle`.
@@ -185,17 +222,18 @@ def _run_method_uses(tree, names, methods):
 
 
 def test_chi_opt_builds_member_vectors_in_one_place():
-    # Optimizer members are coherent amplitudes; their state vectors are
-    # built only where `_Run` pushes one or returns the ensemble.
+    # Optimizer members are coherent amplitudes: every push hands one to
+    # `fock_oracle._coherent_output`, so `_Run` builds state vectors only
+    # for the ensemble it returns.
     tree = dict(_package_trees())["chi_opt.py"]
-    allowed = _run_method_uses(tree, {"_coherent_vector"}, {"output", "ensemble"})
+    allowed = _run_method_uses(tree, {"_coherent_vector"}, {"ensemble"})
     found = [
         f"chi_opt.py:{line} {function} uses _coherent_vector"
         for function, _, line in _uses(tree, {"_coherent_vector"})
         if line not in allowed
     ]
     assert not found, f"member vectors built outside `_Run`: {'; '.join(found)}"
-    assert len(allowed) == 2, "`_Run.output` or `_Run.ensemble` builds no member vector"
+    assert len(allowed) == 1, "`_Run.ensemble` builds no member vector"
 
 
 def test_use_check_sees_methods_aliases_and_attributes():
