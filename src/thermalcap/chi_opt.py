@@ -75,6 +75,7 @@ from .fock_oracle import (
     _coherent_output,
     _coherent_vector,
     _holevo,
+    _phase_rotated,
     apply_channel,
     coherent_state,
     mean_photon_number,
@@ -118,6 +119,16 @@ _POOL_RADII = 16
 _POOL_ANGLES = 32
 
 
+def _mean_photons(weights: np.ndarray, photons: np.ndarray) -> float:
+    """sum_k w_k n_k: the rounded products, summed exactly by `math.fsum`.
+
+    The one photon mean of the module: `Ensemble.mean_photons` reports
+    it and `_tilted_weights` and the optimizer hold it to the budget, so
+    a budget met in the search is met as reported.
+    """
+    return math.fsum((weights * photons).tolist())
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """A finite ensemble of Fock-truncated states with probability weights."""
@@ -140,7 +151,9 @@ class Ensemble:
 
     @property
     def mean_photons(self) -> float:
-        return math.fsum(w * mean_photon_number(s) for s, w in self.members if w > 0.0)
+        weights = np.array([w for _, w in self.members])
+        photons = np.array([mean_photon_number(s) if w > 0.0 else 0.0 for s, w in self.members])
+        return _mean_photons(weights, photons)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -174,6 +187,13 @@ class OptimizerConfig:
             raise ValueError(f"dim must be in [2, {MAX_DIM}], got {self.dim}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        real = isinstance(self.tolerance, (int, float, np.integer, np.floating))
+        if isinstance(self.tolerance, bool) or not real:
+            raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
@@ -267,43 +287,66 @@ def _average(outs: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.ndarray:
     """Renormalize exp-weights, tilting by the photon cost when needed.
 
-    Returns weights proportional to raw * exp(-mu * photons) with the
-    smallest mu >= 0 whose ensemble mean is within the budget, to float
-    resolution.  Raises ValueError if min(photons) > budget (never while
-    the current ensemble is feasible) or if the tilt overflows first.
+    Returns weights proportional to raw * exp(-mu * photons), normalized,
+    with the smallest mu >= 0 whose ensemble mean is within the budget,
+    to float resolution.  Within means two things: the unnormalized
+    weights' overdraft, which the Newton steps follow, is not positive,
+    and `_mean_photons` of the returned weights, the mean
+    `Ensemble.mean_photons` reports, is at most the budget.  Raises
+    ValueError if min(photons) > budget (never while the current
+    ensemble is feasible) or if the tilt overflows first.
 
     The tilted mean photon number falls monotonically in mu, with slope
     minus the tilted photon variance, so Newton steps from mu = 0 kept
     inside the bracket [overdrawn, feasible] converge quadratically.  A
-    step finer than a few ulps is stretched to cross the root, and
-    bisection takes over whenever a step leaves the bracket, so the loop
-    ends with the bracket down to adjacent floats and returns the
-    weights at its feasible end.
+    step shorter than the stretch (a few ulps), or one away from the
+    root (where the two tests of "within" disagree), is replaced by a
+    stretch toward it.  The stretch doubles after each step that stays
+    on its side without halving the overdraft, so a root blurred by
+    rounding, where the overdraft is noise and Newton steps creep, is
+    crossed in a few dozen steps.  Bisection takes over whenever a step
+    leaves the bracket, so the loop ends with the bracket down to
+    adjacent floats and returns the weights at its feasible end.
     """
 
     logr = np.log(np.maximum(raw, 1e-300))
     excess = photons - budget
+    # Weighted by the tilted weights, these rows sum to the weights' total,
+    # their overdraft (positive: overdrawn), the second moment of the
+    # excess, and the weight on members dearer than the cheapest.
+    rows = np.stack(
+        [np.ones_like(excess), excess, excess * excess, photons > photons.min()]
+    )
 
-    def tilted(mu: float) -> np.ndarray:
-        # Unnormalized weights; the sign of w @ excess says overdrawn.
+    def tilted(mu: float) -> tuple[np.ndarray, float, float, float, float]:
+        # Unnormalized weights at tilt mu, and their four sums in one matvec.
         logw = logr - mu * photons
-        return np.exp(logw - logw.max())
+        w = np.exp(logw - logw.max())
+        return (w, *(rows @ w).tolist())
 
-    square, dearer = excess * excess, np.where(photons > photons.min(), 1.0, 0.0)
-    w = tilted(0.0)
-    overdraft = float(w @ excess)
-    if not overdraft > 0.0:
-        return w / w.sum()
-    mu, lo, hi, w_hi = 0.0, 0.0, math.inf, w
+    def within(w: np.ndarray, total: float, overdraft: float) -> np.ndarray | None:
+        # The normalized weights if they meet the budget, else None.
+        if overdraft > 0.0:
+            return None
+        normalized = w / total
+        return normalized if _mean_photons(normalized, photons) <= budget else None
+
+    w, total, overdraft, second, _ = tilted(0.0)
+    feasible = within(w, total, overdraft)
+    if feasible is not None:
+        return feasible
+    mu, lo, hi, w_hi = 0.0, 0.0, math.inf, None
+    stretch = 4.0
     while True:
-        total = float(w.sum())
         mean = overdraft / total
-        variance = float(w @ square) / total - mean * mean
+        variance = second / total - mean * mean
         cand = mu + mean / variance if variance > 0.0 else math.inf
+        # Toward the root: up from an overdrawn tilt, down from a feasible one.
+        toward = 1.0 if mu == lo else -1.0
         if math.isfinite(cand):
-            nudge = 4.0 * math.ulp(cand)
-            if abs(cand - mu) < nudge:
-                cand = mu + math.copysign(nudge, cand - mu)
+            nudge = stretch * math.ulp(cand)
+            if (cand - mu) * toward < nudge:
+                cand = mu + toward * nudge
         if not lo < cand < hi:
             # Bisect, or double while no feasible tilt is known yet.
             cand = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0
@@ -311,17 +354,21 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
                 if hi == math.inf:
                     raise ValueError("photon tilt overflowed before meeting the budget")
                 break
-        mu = cand
-        w = tilted(mu)
-        overdraft = float(w @ excess)
-        if overdraft > 0.0:
+        mu, previous = cand, overdraft
+        w, total, overdraft, second, dearer = tilted(mu)
+        feasible = within(w, total, overdraft)
+        if feasible is None:
             lo = mu
             # Still overdrawn with all weight on the cheapest members: no tilt helps.
-            if hi == math.inf and w @ dearer == 0.0:
+            if hi == math.inf and dearer == 0.0:
                 raise ValueError("photon constraint cannot be met by reweighting")
         else:
-            hi, w_hi = mu, w
-    return w_hi / w_hi.sum()
+            hi, w_hi = mu, feasible
+        if (mu == lo) == (toward > 0.0) and abs(overdraft) >= 0.5 * abs(previous):
+            # Still on the same side, and the overdraft not halved: the step
+            # was lost in rounding, so the shortest step doubles.
+            stretch *= 2.0
+    return w_hi
 
 
 def _scores(outs: np.ndarray, entropies: np.ndarray, ln_avg: np.ndarray) -> np.ndarray:
@@ -474,7 +521,7 @@ class _Run:
         old = (self.outs[k].copy(), self.entropies[k], self.photons[k])
         self.outs[k], self.entropies[k], self.photons[k] = self.output(alpha)
         weights = self.weights
-        if float(weights @ self.photons) > self.budget:
+        if _mean_photons(weights, self.photons) > self.budget:
             if float(self.photons.min()) > self.budget:
                 # No reweighting can restore feasibility; reject outright.
                 self.outs[k], self.entropies[k], self.photons[k] = old
@@ -536,7 +583,7 @@ class _Run:
         share = 0.5
         for _ in range(12):
             weights = np.append((1.0 - share) * w, share)
-            if float(weights @ self.photons) > self.budget:
+            if _mean_photons(weights, self.photons) > self.budget:
                 weights = _tilted_weights(weights, self.photons, self.budget)
             value = self._chi(weights)[0]
             if value > best:
@@ -553,15 +600,20 @@ class _Run:
         return True
 
     def ensemble(self) -> Ensemble:
-        """The members as pure density matrices on `dim` levels, weights normalized."""
-        total = self.weights.sum()
+        """The members as pure density matrices on `dim` levels, weights normalized.
+
+        A matrix's photons, as `mean_photon_number` reads them, can differ
+        from its pushed vector's by rounding, so weights that meet the
+        budget on the run's photons may overdraw it on the matrices' by
+        an ulp; they are then re-tilted against the matrices' own.
+        """
         vectors = (_coherent_vector(alpha, self.dim) for alpha in self.alphas)
-        return Ensemble(
-            tuple(
-                (FockDensityMatrix(np.outer(psi, psi.conj())), w / total)
-                for psi, w in zip(vectors, self.weights)
-            )
-        )
+        states = [FockDensityMatrix(np.outer(psi, psi.conj())) for psi in vectors]
+        photons = np.array([mean_photon_number(state) for state in states])
+        weights = self.weights / self.weights.sum()
+        if _mean_photons(weights, photons) > self.budget:
+            weights = _tilted_weights(weights, photons, self.budget)
+        return Ensemble(tuple(zip(states, weights)))
 
 
 def _radius_cap(dim: int) -> float:
@@ -627,8 +679,7 @@ class _Pool:
     def candidate(self, j: int) -> tuple[complex, np.ndarray]:
         """Amplitude and channel output of candidate j."""
         alpha = self.alphas[j]
-        phase = np.exp(1j * np.angle(alpha) * np.arange(self.outs.shape[-1]))
-        return alpha, self.outs[self.rings[j]] * np.outer(phase, phase.conj())
+        return alpha, _phase_rotated(self.outs[self.rings[j]], np.angle(alpha))
 
 
 def _initial_states(

@@ -428,6 +428,8 @@ def cmd_oracle(args) -> int:
     print(f"max_tail_bound = {chi_report.max_tail_bound:.10g}")
     print(f"dim_env = {chi_report.dim_env}")
     print(f"transfer_bytes = {chi_report.transfer_bytes}")
+    print(f"transfer_seconds = {chi_report.transfer_seconds:.6f}")
+    print(f"eigensolve_seconds = {chi_report.eigensolve_seconds:.6f}")
     if difference <= args.tol and spread <= _ENTROPY_SPREAD_TOL:
         print("oracle agreement: pass")
         return 0

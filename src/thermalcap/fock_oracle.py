@@ -31,8 +31,10 @@ joint Hilbert space.  The tensor is packed: each lag keeps only the
 rectangle its entries can be nonzero in, and at most four groups of lags
 store about half of a dense (dim_in, dim_out, dim_in) array, whose
 nonzero share is about a fifth (19.2 MB instead of 39.6 MB at the
-oracle's 164 levels with 21 environment levels).  Every push truncates
-alike, at DEFAULT_TAIL_TOL and DEFAULT_MAX_JOINT_DIM.
+oracle's 164 levels with 21 environment levels).  It is built by one
+BLAS Gram product per output-minus-input diagonal, which yields every
+lag at once, and strided copies into the lag groups.  Every push
+truncates alike, at DEFAULT_TAIL_TOL and DEFAULT_MAX_JOINT_DIM.
 `_channel_transfer` keeps only its last tensor: an oracle report or an
 optimizer run fetches one and slices it for each smaller state, and a
 tensor build streams the block columns it reads and keeps none.
@@ -42,6 +44,13 @@ Each step of a Holevo quantity is written once, for the oracle and
 under `apply_channel` and `_coherent_output` (a coherent amplitude's
 output, its entropy and its photons, for each oracle radius and each
 optimizer member), and `_holevo` turns an average output into chi.
+A coherent push is real: `_coherent_output` pushes the real vector at
+|alpha|, so its diagonals, the kernel's matmuls, the output and the
+entropy's eigensolve are all real, and `_phase_rotated` turns the
+output into that of a complex amplitude by phase covariance.  The
+oracle's radii are real, so its average and every one of its
+eigensolves are real too; `apply_channel` keeps the complex path for
+arbitrary states.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 import functools
 import math
+import time
 
 import numpy as np
 
@@ -293,8 +303,8 @@ def thermal_state(n_mean: float, dim: int) -> FockDensityMatrix:
 
 
 def _coherent_vector(alpha: complex, dim: int) -> np.ndarray:
-    """Renormalized truncated Fock expansion of |alpha>."""
-    amps = np.empty(dim, dtype=complex)
+    """Renormalized truncated Fock expansion of |alpha>; real for a float alpha."""
+    amps = np.empty(dim, dtype=complex if isinstance(alpha, complex) else float)
     amps[0] = 1.0
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
@@ -382,6 +392,19 @@ def _env_distribution(n_env: float) -> tuple[np.ndarray, float]:
     return _thermal_probs(n_env, dim), tail
 
 
+def _strided(
+    base: np.ndarray, offset: int, shape: tuple[int, ...], strides: tuple[int, ...]
+) -> np.ndarray:
+    """View of the C-contiguous array base, with offset and strides in elements.
+
+    The ndarray constructor checks that the view stays inside base and is
+    far cheaper than `as_strided`, which a tensor build calls over a
+    thousand times.
+    """
+    item = base.itemsize
+    return np.ndarray(shape, base.dtype, base, offset * item, tuple(s * item for s in strides))
+
+
 def _transfer_tensor(
     lam: float, env_probs: np.ndarray, dim_in: int
 ) -> tuple[np.ndarray, ...]:
@@ -401,38 +424,72 @@ def _transfer_tensor(
     dim_in - lo), zero outside each lag's rectangle, so group 0 has shape
     (lags, dim_out, dim_in) and each group starts at the lag after the
     last one of the group before.  The groups hold about half the floats
-    of a dense (dim_in, dim_out, dim_in) tensor, and each lag is built
-    alone, so a dense tensor never exists.
+    of a dense (dim_in, dim_out, dim_in) tensor, which never exists.
+
+    Every lag is contracted at once, one diagonal s = p - k at a time:
+    with V_s[e, k] = sqrt(p_e) B[k+e][k+s, k], T_delta[k+s, k] is entry
+    (k, k + delta) of the Gram matrix V_s^T V_s, one BLAS product.  Each
+    Gram goes into a zero-padded buffer, so that a superdiagonal read past
+    its end gives zeros, and each lag group takes one strided copy of its
+    superdiagonals per diagonal.  A 1 x 1 Gram gets a zero second column,
+    so that it is a matrix product like the others and not a dot product,
+    whose rounding differs.
 
     No entry depends on the input cutoff: `_blocks` yields only the at most
     dim_env + 1 block columns the build reads, bit for bit those of the
-    full block, so T_delta of a build at d levels is the leading
+    full block, and V_s at d levels is the leading columns of V_s in any
+    larger build, so T_delta of a build at d levels is the leading
     (d + dim_env - 1 - delta, d - delta) slice of T_delta in any larger
-    build, bit for bit.
+    build, bit for bit when BLAS runs on one thread.  With more threads
+    OpenBLAS may split a large Gram product differently at the two sizes,
+    and a slice then agrees to rounding: at most 1e-19 at N_E 2 on two
+    threads, up to 164 levels.
     """
     dim_env = len(env_probs)
     dim_out = dim_in + dim_env - 1
-    # amp[e, p, n] = B[n+e][p, n]: input |n> with environment |e> to output |p>.
-    amp = np.zeros((dim_env, dim_out, dim_in))
+    # diag[r, e, n] = sqrt(p_e) B[n+e][p, n] on diagonal r = n - p + dim_env - 1,
+    # so V_s = diag[dim_env - 1 - s]; column dim_in is the zero pad.
+    width = dim_in + 1
+    diag = np.zeros((dim_out, dim_env, width))
     for total, blk in enumerate(_blocks(lam, dim_out, dim_env, dim_in)):
-        ns = np.arange(max(0, total - dim_env + 1), min(dim_in - 1, total) + 1)
-        amp[total - ns, : total + 1, ns] = blk[:, ns - max(0, total - dim_env)].T
-    # Scaling amp by sqrt(p_e) in place makes each term one product;
-    # summing over the environment one lag at a time keeps every
-    # temporary smaller than amp.
-    amp *= np.sqrt(env_probs)[:, None, None]
+        # Input levels n0..n1 meet environment level total - n; the window
+        # starts at column max(0, total - dim_env).
+        n0, n1 = max(0, total - dim_env + 1), min(dim_in - 1, total)
+        first = n0 - max(0, total - dim_env)
+        # Rows in reverse order p = total - i, so that both strides are positive.
+        target = _strided(
+            diag,
+            ((n0 - total + dim_env - 1) * dim_env + total - n0) * width + n0,
+            (total + 1, n1 - n0 + 1),
+            (dim_env * width, (dim_env - 1) * width + 1),
+        )
+        target[...] = blk[::-1, first : first + n1 - n0 + 1]
+    diag *= np.sqrt(env_probs)[:, None]
     size = -(-dim_in // _LAG_GROUPS)
-    groups = []
-    for lo in range(0, dim_in, size):
-        group = np.zeros((min(size, dim_in - lo), dim_out - lo, dim_in - lo))
-        for i, delta in enumerate(range(lo, lo + len(group))):
-            rows, cols = dim_out - delta, dim_in - delta
-            np.einsum(
-                "epk,epk->pk", amp[:, :rows, :cols], amp[:, delta:, delta:],
-                out=group[i, :rows, :cols],
-            )
+    groups = [
+        np.zeros((min(size, dim_in - lo), dim_out - lo, dim_in - lo))
+        for lo in range(0, dim_in, size)
+    ]
+    gram = np.zeros((max(dim_in, 2), dim_in + size + 1))
+    # Descending r: the Grams only grow, so the buffer past each is zero.
+    for r in range(dim_out - 1, -1, -1):
+        s, k0 = dim_env - 1 - r, max(0, r - dim_env + 1)
+        cols = max(dim_in - k0, 2)
+        v = diag[r, :, k0 : k0 + cols]
+        # Two operands, so that NumPy calls gemm: syrk, which it takes for
+        # v.T @ v, rounds its diagonal blocks otherwise and breaks the slices.
+        np.matmul(v.T, v.copy(), out=gram[:cols, :cols])
+        for lo, group in zip(range(0, dim_in, size), groups):
+            lags, rows, count = group.shape[0], dim_out - lo, dim_in - lo - k0
+            if count <= 0:
+                break
+            # group[i, k + s, k] = gram[k - k0, k - k0 + lo + i] for k >= k0.
+            _strided(
+                group, (k0 + s) * (dim_in - lo) + k0, (lags, count),
+                (rows * (dim_in - lo), dim_in - lo + 1),
+            )[...] = _strided(gram, lo, (lags, count), (1, gram.shape[1] + 1))
+    for group in groups:
         group.setflags(write=False)
-        groups.append(group)
     return tuple(groups)
 
 
@@ -467,27 +524,28 @@ def _push(
 ) -> np.ndarray:
     """Channel output for the input diagonals diags[delta, k] = rho[k, k + delta].
 
-    diags is a C-contiguous complex (d, d) array, zero where
+    diags is a C-contiguous real or complex (d, d) array, zero where
     k >= d - delta, and transfer a packed tensor from `_transfer_tensor`
     for at least d input levels: its lag blocks' leading slices are the
-    build at d.  Each lag group takes one real matmul (real and imaginary
-    parts side by side), and the lower triangle of the output is filled
-    by Hermiticity, so the result is exactly Hermitian.  Raises
+    build at d.  The output has the dtype of diags.  Each lag group takes
+    one real matmul (for complex diags, real and imaginary parts side by
+    side), and the lower triangle of the output is filled by Hermiticity,
+    so the result is exactly Hermitian.  Raises
     RuntimeError unless the output's trace lies in [1 - deficit, 1] up to
     rounding, `deficit` being the input's own deficit plus the environment
     tail; a NaN trace raises too.
     """
     dim_in = len(diags)
     dim_out = dim_in + transfer[0].shape[1] - transfer[0].shape[2]
-    terms = diags.view(float).reshape(dim_in, dim_in, 2)
+    terms = _parts(diags)
     # upper[p, p + delta] sits at flat[p * (width + 1) + delta], so
     # lags[delta, p] = upper[p, p + delta] is a strided view that each
     # group's matmul writes into.  Lag delta is zero for p + delta >=
     # dim_out, or lands in the padding columns, which are dropped.
     width = dim_out + dim_in
-    flat = np.zeros((dim_out + 1) * width, dtype=complex)
+    flat = np.zeros((dim_out + 1) * width, dtype=diags.dtype)
     lags = flat[: dim_out * (width + 1)].reshape(dim_out, width + 1)[:, :dim_in]
-    lags = lags.view(float).reshape(dim_out, dim_in, 2).transpose(1, 0, 2)
+    lags = _parts(lags).transpose(1, 0, 2)
     lo = 0
     for group in transfer:
         if lo >= dim_in:
@@ -509,35 +567,70 @@ def _push(
     return out
 
 
+def _parts(array: np.ndarray) -> np.ndarray:
+    """A float view with a last axis of parts: (re, im) if complex, one if real."""
+    return array.view(float).reshape(*array.shape, -1)
+
+
 def _diagonals(matrix: np.ndarray) -> np.ndarray:
     """Upper diagonals of a square matrix in the layout `_push` takes.
 
     diags[delta, k] = matrix[k, k + delta], zero for k >= dim - delta,
     read from [matrix | 0] so that k + delta >= dim lands in the zero
-    block.
+    block; real for a real matrix, complex for a complex one.  Entry
+    (k, k + delta) of the padded matrix sits at k (2 dim + 1) + delta, so
+    the diagonals are one strided view of it, copied.
     """
     dim = len(matrix)
-    lag = np.arange(dim)
-    padded = np.zeros((dim, 2 * dim), dtype=complex)
+    padded = np.zeros((dim, 2 * dim), dtype=matrix.dtype)
     padded[:, :dim] = matrix
-    return padded[lag, lag + lag[:, None]]
+    return _strided(padded, 0, (dim, dim), (1, 2 * dim + 1)).copy()
+
+
+def _phase_rotated(out: np.ndarray, phi: float) -> np.ndarray:
+    """U out U^dag for U = diag(e^{i n phi}): entry (m, n) times e^{i (m - n) phi}.
+
+    The channel is phase-covariant, so this is the output of the input
+    rotated by U, with the same spectrum.
+    """
+    phase = np.exp(1j * phi * np.arange(len(out)))
+    return out * np.outer(phase, phase.conj())
 
 
 def _coherent_output(
-    transfer: tuple[np.ndarray, ...], env_tail: float, alpha: complex, dim: int
+    transfer: tuple[np.ndarray, ...],
+    env_tail: float,
+    alpha: complex,
+    dim: int,
+    eigensolve_seconds: list[float] | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Output of the coherent vector at alpha on dim levels, its entropy, its photons.
 
-    The entropy is in nats.  The photons are measured on the truncated
-    vector, as `mean_photon_number` measures its projector, not taken as
-    |alpha|^2.  transfer may be built for more than dim levels; `_push`
-    reads the leading slice of each lag block, bit for bit the build at dim.
+    The vector is pushed at the real amplitude |alpha|, where it, its
+    diagonals, the transfer tensor and the output are all real, so each
+    lag group takes one real matmul and the entropy a real eigensolve.
+    For alpha = |alpha| e^{i phi} off the positive axis the output is then
+    rotated by e^{i (m - n) phi} (`_phase_rotated`), exact by phase
+    covariance, and comes out complex; a real alpha >= 0 gives a real
+    output.  The entropy is in nats.  The photons are measured on the
+    truncated vector, as `mean_photon_number` measures its projector, not
+    taken as |alpha|^2.  The seconds the eigensolve took are appended to
+    eigensolve_seconds when it is given.  transfer may be built for more
+    than dim levels; `_push` reads the leading slice of each lag block,
+    bit for bit the build at dim.
     """
-    psi = _coherent_vector(alpha, dim)
-    out = _push(transfer, _diagonals(np.outer(psi, psi.conj())), env_tail)
-    probs = (psi * psi.conj()).real
+    radius = abs(alpha)
+    psi = _coherent_vector(radius, dim)
+    out = _push(transfer, _diagonals(np.outer(psi, psi)), env_tail)
+    start = time.perf_counter()
+    entropy = _eigenvalue_entropy(np.linalg.eigvalsh(out))
+    if eigensolve_seconds is not None:
+        eigensolve_seconds.append(time.perf_counter() - start)
+    probs = psi * psi
     photons = float(np.arange(dim) @ probs / probs.sum())
-    return out, _eigenvalue_entropy(np.linalg.eigvalsh(out)), photons
+    if alpha != radius:
+        out = _phase_rotated(out, np.angle(alpha))
+    return out, entropy, photons
 
 
 def apply_channel(params: ChannelParams, rho: FockDensityMatrix) -> FockDensityMatrix:
@@ -736,7 +829,10 @@ class ChiReport:
     reached; where dim_cap stopped a cutoff short of DEFAULT_TAIL_TOL it is
     that degraded tail, reported rather than raised.  dim_env is the
     environment's cutoff and transfer_bytes what the report's one packed
-    transfer tensor holds.
+    transfer tensor holds.  transfer_seconds is the time the report spent
+    fetching that tensor (its build, unless it was cached), and
+    eigensolve_seconds the time spent in the output eigensolves, the
+    members' and the average's.
     """
 
     chi_bits: float
@@ -748,6 +844,8 @@ class ChiReport:
     max_tail_bound: float
     dim_env: int
     transfer_bytes: int
+    transfer_seconds: float
+    eigensolve_seconds: float
 
     def __post_init__(self) -> None:
         for name in ("member_entropies_nats", "alphas", "weights", "member_dims"):
@@ -781,10 +879,11 @@ def gaussian_ensemble_report(
     outputs over the n_angular uniform phases is exactly the phase-0
     output with every entry (m, n) zeroed unless m - n is a multiple of
     n_angular.  Each radius therefore costs one `_coherent_output` at its
-    phase-0 amplitude, as an optimizer member does, added into one
-    average matrix, and chi comes from `_holevo`.  One packed transfer
-    tensor is built, at the largest cutoff, and each push reads the
-    leading slice of its lag blocks for a smaller one.
+    real phase-0 amplitude, as an optimizer member does, added into one
+    real average matrix, and chi comes from `_holevo`, so every
+    eigensolve of the report is real.  One packed transfer tensor is
+    built, at the largest cutoff, and each push reads the leading slice
+    of its lag blocks for a smaller one.
     """
     n_signal = _check_photon_number(n_signal)
     dim_cap = _as_positive_dim(dim_cap)
@@ -794,24 +893,29 @@ def gaussian_ensemble_report(
     radii = alphas[::per_radius].real
     radius_weights = weights.reshape(-1, per_radius).sum(axis=1)
     dims, tails = zip(*(_coherent_cutoff(r * r, dim_cap) for r in radii))
+    start = time.perf_counter()
     transfer, env_tail = _channel_transfer(params, max(dims))
+    transfer_seconds = time.perf_counter() - start
     dims = np.array(dims)
     # Group 0 of the packed tensor holds lag 0 on every level.
     dim_out, dim_in = transfer[0].shape[1:]
     levels = np.arange(dim_out)
     mask = (levels[:, None] - levels[None, :]) % per_radius == 0
-    average = np.zeros((dim_out, dim_out), dtype=complex)
+    average = np.zeros((dim_out, dim_out))
     entropies = np.empty(len(radii))
+    solves: list[float] = []
     # Largest cutoff first, the order that fixes the average's rounding.
     for k in np.argsort(-dims, kind="stable"):
-        out, entropies[k], _ = _coherent_output(transfer, env_tail, radii[k], int(dims[k]))
+        out, entropies[k], _ = _coherent_output(
+            transfer, env_tail, radii[k], int(dims[k]), solves
+        )
         average[: len(out), : len(out)] += radius_weights[k] * out
 
-    # FockDensityMatrix checks the average: finite, Hermitian, trace.
-    chi_bits, average_entropy, _ = _holevo(
-        FockDensityMatrix(average * mask, env_tail).matrix,
-        float(radius_weights @ entropies),
-    )
+    average *= mask
+    FockDensityMatrix(average, env_tail)  # checks the average: finite, symmetric, trace
+    start = time.perf_counter()
+    chi_bits, average_entropy, _ = _holevo(average, float(radius_weights @ entropies))
+    solves.append(time.perf_counter() - start)
     return ChiReport(
         chi_bits=chi_bits,
         average_entropy_nats=average_entropy,
@@ -822,6 +926,8 @@ def gaussian_ensemble_report(
         max_tail_bound=max(*tails, env_tail),
         dim_env=dim_out - dim_in + 1,
         transfer_bytes=sum(group.nbytes for group in transfer),
+        transfer_seconds=transfer_seconds,
+        eigensolve_seconds=math.fsum(solves),
     )
 
 

@@ -15,6 +15,7 @@ from thermalcap.chi_opt import (
     OptimizerConfig,
     _average,
     _initial_states,
+    _mean_photons,
     _Pool,
     _Run,
     _scores,
@@ -134,6 +135,18 @@ def test_optimizer_config_validation():
             OptimizerConfig(**bad)
 
 
+@pytest.mark.parametrize("bad", [1.5, -1, True, "0"])
+def test_optimizer_config_rejects_a_seed_that_is_not_a_nonnegative_integer(bad):
+    with pytest.raises(ValueError, match="seed"):
+        OptimizerConfig(seed=bad)
+
+
+@pytest.mark.parametrize("bad", [True, "1e-7", None])
+def test_optimizer_config_rejects_a_tolerance_that_is_not_a_number(bad):
+    with pytest.raises(ValueError, match="tolerance"):
+        OptimizerConfig(tolerance=bad)
+
+
 def test_optimize_zero_signal():
     result = optimize(params(0.7, 0.3), 0.0)
     assert result.best_chi_bits == 0.0
@@ -244,6 +257,27 @@ def test_tilted_weights_matches_bisection():
     assert tilted > 100  # most cases exercise the root solve
 
 
+def test_tilted_weights_meet_the_budget_as_reported():
+    # Budgets within a few ulps of the members' photons, at scales down to
+    # 1e-30: the returned weights meet the budget by the sum
+    # `Ensemble.mean_photons` takes, and the solve ends although the
+    # overdraft there is rounding noise.
+    rng = np.random.default_rng(17)
+    for case in range(3000):
+        size = int(rng.integers(2, MAX_MEMBERS + 1))
+        budget = 10.0 ** rng.uniform(-30, 2)
+        if case % 3 == 0:
+            photons = budget * (1.0 + rng.integers(-8, 9, size) * 2.2e-16)
+        elif case % 3 == 1:
+            photons = budget * np.abs(1.0 + rng.normal(0.0, 1e-13, size))
+        else:
+            photons = budget * rng.exponential(1.0, size)
+        photons[0] = min(photons[0], budget)  # a feasible member
+        raw = rng.exponential(1.0, size) ** rng.uniform(0.5, 4.0)
+        weights = _tilted_weights(raw, photons, budget)
+        assert _mean_photons(weights, photons) <= budget
+
+
 def test_tilted_weights_raise_on_infeasible_budgets():
     # Every member costs more than the budget, at ordinary and tiny scales.
     for photons, budget in (([2.0, 3.0, 4.0], 1.0), ([1e-20, 3e-20], 1e-21)):
@@ -263,6 +297,19 @@ def test_optimize_completes_at_tiny_photon_budgets(n):
     assert result.iterations == 3
     assert result.ensemble.mean_photons <= n
     assert 0.0 <= result.best_chi_bits <= additive_extension_upper(p, n) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_env, n, seed",
+    [(0.0, 0.3, 0), (0.5, 0.3, 1), (0.5, 1e-6, 0), (0.0, 1e-30, 0),
+     (0.0, 1e-12, 4), (0.5, 1e-9, 2)],
+)
+def test_optimize_meets_the_photon_budget_it_reports(n_env, n, seed):
+    # The tilt holds the very mean `Ensemble.mean_photons` reports to the
+    # budget, so the result is within it exactly, not one ulp over.
+    config = OptimizerConfig(max_iterations=3, seed=seed)
+    result = optimize(params(0.6, n_env), n, config)
+    assert result.ensemble.mean_photons <= n
 
 
 def test_optimize_grows_past_starting_size():

@@ -152,6 +152,15 @@ def test_oracle_agreement(capsys):
     assert "dim_env = 21\n" in out and "transfer_bytes = " in out
 
 
+def test_oracle_prints_its_tensor_and_eigensolve_seconds(capsys):
+    assert main(["oracle", "--lambda", "0.6", "--ne", "0.5", "--n", "1", "--dim-cap", "96"]) == 0
+    lines = dict(
+        line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line
+    )
+    for name in ("transfer_seconds", "eigensolve_seconds"):
+        assert float(lines[name]) >= 0.0
+
+
 def test_oracle_zero_signal_prints_a_positive_zero(capsys):
     assert main(["oracle", "--lambda", "0.6", "--ne", "0", "--n", "0"]) == 0
     out = capsys.readouterr().out

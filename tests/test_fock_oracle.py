@@ -280,6 +280,52 @@ def test_transfer_tensor_slices_the_largest_build():
                 assert np.array_equal(largest[delta][:rows, :cols], block)
 
 
+def _transfer_by_einsum(lam, env_probs, dim_in):
+    # An independent reference for the packed build: the per-lag einsum it
+    # once used, over amp[e, p, n] = sqrt(p_e) B[n+e][p, n] read off the
+    # full blocks, T_delta[p, k] = sum_e amp[e, p, k] amp[e, p+delta, k+delta].
+    dim_env = len(env_probs)
+    dim_out = dim_in + dim_env - 1
+    blocks = beamsplitter_blocks(lam, dim_out - 1)
+    amp = np.zeros((dim_env, dim_out, dim_in))
+    for e in range(dim_env):
+        for n in range(dim_in):
+            amp[e, : n + e + 1, n] = math.sqrt(env_probs[e]) * blocks[n + e][:, n]
+    return [
+        np.einsum("epk,epk->pk", amp[:, : dim_out - d, : dim_in - d], amp[:, d:, d:])
+        for d in range(dim_in)
+    ]
+
+
+@pytest.mark.parametrize("n_env", [0.0, 0.5, 2.0])
+def test_transfer_tensor_matches_the_einsum_reference(n_env):
+    # The Gram-product build agrees with the per-lag einsum to rounding
+    # (at most 1.1e-16 measured), its padding included.
+    env_probs, _ = fock_oracle._env_distribution(n_env)
+    for dim in (1, 2, 17, 40, 164):
+        packed = _lag_blocks(fock_oracle._transfer_tensor(0.6, env_probs, dim))
+        reference = _transfer_by_einsum(0.6, env_probs, dim)
+        for block, expected in zip(packed, reference):
+            np.testing.assert_allclose(block, expected, rtol=0, atol=1e-15)
+
+
+def test_rotated_real_push_matches_the_complex_push():
+    # A coherent push runs at the real amplitude |alpha| and rotates the
+    # real output by phase covariance; pushing the complex vector gives
+    # the same output.
+    for n_env in (0.0, 0.5):
+        transfer, env_tail = fock_oracle._channel_transfer(params(0.6, n_env), 24)
+        real, _, _ = fock_oracle._coherent_output(transfer, env_tail, 1.3, 24)
+        assert real.dtype == np.float64
+        for alpha in (1.3 * cmath.exp(0.7j), -0.9, 2.0j, 0.4 - 1.1j):
+            psi = fock_oracle._coherent_vector(complex(alpha), 24)
+            diags = fock_oracle._diagonals(np.outer(psi, psi.conj()))
+            direct = fock_oracle._push(transfer, diags, env_tail)
+            rotated, _, _ = fock_oracle._coherent_output(transfer, env_tail, alpha, 24)
+            assert rotated.dtype == np.complex128
+            np.testing.assert_allclose(rotated, direct, rtol=0, atol=1e-15)
+
+
 def test_transfer_tensor_stores_only_the_support():
     # A dense T[delta, p, j] at the oracle's 164 levels (N_E 0.5, so 21
     # environment levels) would hold 164 * 184 * 164 floats.  The packed
@@ -367,6 +413,17 @@ def test_oracle_builds_one_transfer_tensor_per_report():
     transfer, _ = fock_oracle._channel_transfer(params(0.6, 0.5), 164)
     assert report.member_dims.max() == 164 and report.dim_env == 21
     assert report.transfer_bytes == sum(group.nbytes for group in transfer)
+
+
+def test_report_times_its_tensor_fetch_and_eigensolves():
+    # A cold report builds its tensor; a repeated one finds it cached.
+    fock_oracle._channel_transfer.cache_clear()
+    cold = gaussian_ensemble_report(params(0.6, 0.5), 1.0, dim_cap=96)
+    warm = gaussian_ensemble_report(params(0.6, 0.5), 1.0, dim_cap=96)
+    for report in (cold, warm):
+        for seconds in (report.transfer_seconds, report.eigensolve_seconds):
+            assert type(seconds) is float and seconds >= 0.0
+    assert warm.transfer_seconds < cold.transfer_seconds
 
 
 def test_push_rejects_an_output_outside_the_trace_window():

@@ -236,6 +236,22 @@ def test_chi_opt_builds_member_vectors_in_one_place():
     assert len(allowed) == 1, "`_Run.ensemble` builds no member vector"
 
 
+# A phase-0 output is rotated to another phase in one function: the
+# coherent push rotates a complex amplitude's output, and the optimizer's
+# insertion pool a candidate's from its ring's.
+_ROTATION_USERS = {("fock_oracle.py", "_coherent_output"), ("chi_opt.py", "candidate")}
+
+
+def test_phase_rotation_has_one_home():
+    found = [
+        (module, function, line)
+        for module, tree in _package_trees()
+        for function, _, line in _uses(tree, {"_phase_rotated"})
+    ]
+    sites = sorted((module, function) for module, function, _ in found)
+    assert sites == sorted(_ROTATION_USERS), f"phase rotation call sites: {found}"
+
+
 def test_use_check_sees_methods_aliases_and_attributes():
     source = """
 import numpy as np
