@@ -426,6 +426,7 @@ def cmd_oracle(args) -> int:
     print(f"difference_bits = {difference:.10g}")
     print(f"alpha_entropy_spread_nats = {spread:.10g}")
     print(f"max_tail_bound = {chi_report.max_tail_bound:.10g}")
+    print(f"binding_budget = {chi_report.binding_budget}")
     print(f"dim_env = {chi_report.dim_env}")
     print(f"transfer_bytes = {chi_report.transfer_bytes}")
     print(f"transfer_seconds = {chi_report.transfer_seconds:.6f}")

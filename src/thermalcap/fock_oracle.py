@@ -12,12 +12,15 @@ bounds, and requests that cannot meet their budget raise `BudgetError`
 naming the violated bound.  Each cutoff is decided in one place, at the
 one tail tolerance DEFAULT_TAIL_TOL: `_thermal_cutoff` sizes a thermal
 environment from its geometric tail, for `_channel_transfer` and so for
-every channel push, and `_coherent_cutoff` sizes a coherent state from
-its Chernoff-Poisson tail, starting at 4|alpha|^2 levels
-(`_LEVELS_PER_PHOTON`, the precondition of `coherent_state`, which the
-optimizer's ring radius respects too), for `gaussian_ensemble_report`.
+every channel push, and `_coherent_cutoff` sizes each oracle radius by
+its Chernoff-Poisson tail alone, for `gaussian_ensemble_report`.  It
+refuses a radius whose 4|alpha|^2 levels (`_LEVELS_PER_PHOTON`, the
+precondition of `coherent_state`, which the optimizer's ring radius
+respects too) exceed the cap, but the cutoff it returns may be smaller:
+92 levels for the largest radius at N = 2, where 4|alpha|^2 is 164.
 The one degraded answer is the oracle's: a coherent cutoff stopped by
-dim_cap reports the tail it reached in `ChiReport.max_tail_bound`.
+dim_cap reports the tail it reached in `ChiReport.max_tail_bound`, and
+`ChiReport.binding_budget` says which budget set that tail.
 
 The beamsplitter unitary conserves total photon number, so it is built
 block by block: within the span of |n, M-n> the unitary is a finite
@@ -30,8 +33,8 @@ lag group over the input's diagonals, without ever materializing the
 joint Hilbert space.  The tensor is packed: each lag keeps only the
 rectangle its entries can be nonzero in, and at most four groups of lags
 store about half of a dense (dim_in, dim_out, dim_in) array, whose
-nonzero share is about a fifth (19.2 MB instead of 39.6 MB at the
-oracle's 164 levels with 21 environment levels).  It is built by one
+nonzero share is about a fifth (3.8 MB instead of 7.6 MB at the
+oracle's 92 levels with 21 environment levels).  It is built by one
 BLAS Gram product per output-minus-input diagonal, which yields every
 lag at once, and strided copies into the lag groups.  Every push
 truncates alike, at DEFAULT_TAIL_TOL and DEFAULT_MAX_JOINT_DIM.
@@ -55,6 +58,7 @@ arbitrary states.
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Iterator
 from dataclasses import dataclass
 import functools
@@ -205,18 +209,23 @@ def _thermal_cutoff(n_mean: float) -> tuple[int, float]:
 def _coherent_cutoff(mu: float, max_dim: int) -> tuple[int, float]:
     """The coherent-cutoff rule: (dim, Poisson tail reached) for |alpha|^2 = mu.
 
-    Starts at max(ceil(4 mu), 1), the precondition of `coherent_state`
-    (BudgetError coherent_dim if that exceeds max_dim), and grows until
-    the tail is at most DEFAULT_TAIL_TOL or max_dim stops it.
+    dim is the smallest cutoff whose `poisson_tail_bound` is at most
+    DEFAULT_TAIL_TOL, or max_dim when even that tail is larger.  The
+    bound is 1 up to mu and falls strictly after it, so a bisection over
+    1..max_dim finds dim exactly, in about log2(max_dim) evaluations.
+    BudgetError (coherent_dim) when max(ceil(4 mu), 1), the precondition
+    of `coherent_state`, exceeds max_dim, although dim itself may be
+    smaller than 4 mu: the tail alone sizes the cutoff.
     """
-    dim = max(math.ceil(_LEVELS_PER_PHOTON * mu), 1)
-    if dim > max_dim:
+    need = max(math.ceil(_LEVELS_PER_PHOTON * mu), 1)
+    if need > max_dim:
         raise BudgetError(
-            f"|alpha|^2 = {mu:g} needs cutoff {dim} > limit {max_dim}",
-            bound="coherent_dim", value=dim, limit=max_dim,
+            f"|alpha|^2 = {mu:g} needs cutoff {need} > limit {max_dim}",
+            bound="coherent_dim", value=need, limit=max_dim,
         )
-    while dim < max_dim and poisson_tail_bound(mu, dim) > DEFAULT_TAIL_TOL:
-        dim += 1
+    dim = 1 + bisect.bisect_left(
+        range(1, max_dim), True, key=lambda d: poisson_tail_bound(mu, d) <= DEFAULT_TAIL_TOL
+    )
     return dim, poisson_tail_bound(mu, dim)
 
 
@@ -744,8 +753,8 @@ class GridSpec:
     direction is uniform.  Nodes with radial weight below WEIGHT_FLOOR
     are dropped and the rest renormalized; at 24 nodes the floor discards
     under 2e-10 of the distribution while keeping the largest node at
-    t ~ 20.5, which both covers the required phase-space radius 4 sqrt(N)
-    and keeps the per-node Fock cutoffs inside the joint cap.  n_radial
+    t ~ 20.5, which covers the required phase-space radius 4 sqrt(N);
+    at N = 2 that node's Poisson tail needs 92 levels.  n_radial
     is at most MAX_RADIAL: from 187 nodes on numpy's Gauss-Laguerre
     weights overflow.
     """
@@ -827,7 +836,11 @@ class ChiReport:
     spread compares radii.  max_tail_bound is the larger of the
     environment tail and the worst Poisson tail the nodes' cutoffs
     reached; where dim_cap stopped a cutoff short of DEFAULT_TAIL_TOL it is
-    that degraded tail, reported rather than raised.  dim_env is the
+    that degraded tail, reported rather than raised.  binding_budget names
+    what set it: "dim_cap" when dim_cap stopped a cutoff (a cap one level
+    higher would have grown it), else "coherent_tail" when a radius's
+    Poisson tail is above the environment's, else "environment_tail".
+    The largest cutoff is member_dims.max().  dim_env is the
     environment's cutoff and transfer_bytes what the report's one packed
     transfer tensor holds.  transfer_seconds is the time the report spent
     fetching that tensor (its build, unless it was cached), and
@@ -842,6 +855,7 @@ class ChiReport:
     weights: np.ndarray
     member_dims: np.ndarray
     max_tail_bound: float
+    binding_budget: str
     dim_env: int
     transfer_bytes: int
     transfer_seconds: float
@@ -865,9 +879,11 @@ def gaussian_ensemble_report(
     Each grid node is a coherent signal pushed through the channel with a
     per-node Fock cutoff from `_coherent_cutoff`: Poisson tail at most
     DEFAULT_TAIL_TOL where dim_cap allows, and otherwise the tail reached
-    at dim_cap, reported in max_tail_bound.  BudgetError is raised when a
-    node needs more than dim_cap levels for 4|alpha|^2 (coherent_dim),
-    then by `_channel_transfer` at the largest cutoff when the environment
+    at dim_cap, reported in max_tail_bound and named in binding_budget.
+    The tail alone sizes each cutoff, which may hold fewer than
+    4|alpha|^2 levels, but BudgetError is raised when a node's 4|alpha|^2
+    exceeds dim_cap (coherent_dim), as for `coherent_state`, then by
+    `_channel_transfer` at the largest cutoff when the environment
     or the joint space exceeds DEFAULT_MAX_JOINT_DIM (thermal_dim,
     joint_dim).  Every radius is sized before the environment, so when
     both fail coherent_dim is the one raised, and the joint_dim error's
@@ -916,6 +932,14 @@ def gaussian_ensemble_report(
     start = time.perf_counter()
     chi_bits, average_entropy, _ = _holevo(average, float(radius_weights @ entropies))
     solves.append(time.perf_counter() - start)
+    # dim_cap binds where one level more would have let a cutoff grow.
+    if any(
+        dim == dim_cap and _coherent_cutoff(r * r, dim_cap + 1)[0] > dim_cap
+        for r, dim in zip(radii, dims)
+    ):
+        binding = "dim_cap"
+    else:
+        binding = "coherent_tail" if max(tails) > env_tail else "environment_tail"
     return ChiReport(
         chi_bits=chi_bits,
         average_entropy_nats=average_entropy,
@@ -924,6 +948,7 @@ def gaussian_ensemble_report(
         weights=weights,
         member_dims=np.repeat(dims, per_radius),
         max_tail_bound=max(*tails, env_tail),
+        binding_budget=binding,
         dim_env=dim_out - dim_in + 1,
         transfer_bytes=sum(group.nbytes for group in transfer),
         transfer_seconds=transfer_seconds,

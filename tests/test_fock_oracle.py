@@ -170,22 +170,34 @@ def test_truncation_budget_sizes_dimensions():
 @settings(derandomize=True, deadline=None)
 @given(mu=st.floats(0.0, 50.0), phase=st.floats(0.0, 2.0 * math.pi))
 def test_coherent_budget_is_the_smallest_cutoff_meeting_both_rules(mu, phase):
-    # dim >= 4|alpha|^2 (the coherent_state precondition) and a Poisson
-    # tail within DEFAULT_TAIL_TOL; one level fewer must break one of the two.
+    # The Poisson tail alone sizes the cutoff: the smallest dim with a tail
+    # within DEFAULT_TAIL_TOL.  That is never more levels than starting at
+    # 4|alpha|^2 (the coherent_state precondition) and growing to the tail.
     alpha = math.sqrt(mu) * cmath.exp(1j * phase)
     mu = abs(alpha) ** 2
 
     def meets(dim):
-        return (
-            dim >= max(_LEVELS_PER_PHOTON * mu, 1)
-            and poisson_tail_bound(mu, dim) <= DEFAULT_TAIL_TOL
-        )
+        return poisson_tail_bound(mu, dim) <= DEFAULT_TAIL_TOL
 
     dim, tail = _coherent_cutoff(mu, DEFAULT_MAX_JOINT_DIM)
     assert meets(dim)
     assert tail == poisson_tail_bound(mu, dim)
     assert dim == 1 or not meets(dim - 1)
-    coherent_state(alpha, dim)
+    grown = max(math.ceil(_LEVELS_PER_PHOTON * mu), 1)
+    while not meets(grown):
+        grown += 1
+    assert dim <= grown
+    # The oracle pushes the truncated vector, which may hold fewer than
+    # 4|alpha|^2 levels: it is the Poisson photon count renormalized, and
+    # what it drops is within the tail.
+    vec = fock_oracle._coherent_vector(alpha, dim)
+    poisson = np.array([
+        math.exp(n * math.log(mu) - mu - math.lgamma(n + 1.0)) if mu > 0.0 else float(n == 0)
+        for n in range(dim)
+    ])
+    kept = math.fsum(poisson)
+    assert 1.0 - kept <= tail + 1e-15
+    np.testing.assert_allclose(np.abs(vec) ** 2, poisson / kept, rtol=1e-9, atol=0.0)
 
 
 def test_coherent_state_examples():
@@ -410,8 +422,8 @@ def test_oracle_builds_one_transfer_tensor_per_report():
     info = fock_oracle._channel_transfer.cache_info()
     assert len(set(report.member_dims.tolist())) == 14
     assert (info.misses, info.hits) == (1, 0)
-    transfer, _ = fock_oracle._channel_transfer(params(0.6, 0.5), 164)
-    assert report.member_dims.max() == 164 and report.dim_env == 21
+    transfer, _ = fock_oracle._channel_transfer(params(0.6, 0.5), 92)
+    assert report.member_dims.max() == 92 and report.dim_env == 21
     assert report.transfer_bytes == sum(group.nbytes for group in transfer)
 
 
@@ -531,12 +543,50 @@ def test_oracle_checks_the_coherent_cutoff_before_the_environment():
 
 
 def test_oracle_joint_error_names_the_largest_cutoff():
-    # One tensor is built, at the largest cutoff (82 levels at N = 1),
-    # so the joint error carries 82 x the 1163-level environment.
+    # One tensor is built, at the largest cutoff (59 levels at N = 1),
+    # so the joint error carries 59 x the 1163-level environment.
     with pytest.raises(BudgetError) as excinfo:
         gaussian_ensemble_report(params(0.6, 50.0), 1.0)
     assert (excinfo.value.bound, excinfo.value.limit) == ("joint_dim", 4096)
-    assert excinfo.value.value == 82 * 1163
+    assert excinfo.value.value == 59 * 1163
+
+
+def test_oracle_sizes_a_hot_point_by_its_tail():
+    # At N_E 1 the environment takes 34 levels.  The largest radius at N = 2
+    # has 4|alpha|^2 = 164, which would put the joint space over its cap
+    # (5,576 > 4,096); its Poisson tail needs only 92 levels.
+    p = params(0.6, 1.0)
+    report = gaussian_ensemble_report(p, 2.0)
+    assert report.member_dims.max() * report.dim_env == 92 * 34
+    assert abs(report.chi_bits - holevo_lower(p, 2.0)) <= 1e-3
+    spread = float(np.abs(report.member_entropies_nats - gfunc.g(0.4)).max())
+    assert spread <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "n_env, n_signal, dim_cap, binding",
+    [
+        (0.5, 1.0, DEFAULT_CHI_DIM_CAP, "environment_tail"),
+        (0.0, 1.0, DEFAULT_CHI_DIM_CAP, "coherent_tail"),
+        (0.5, 0.02, 4, "dim_cap"),
+        # At N = 0.02 the largest radius needs exactly 11 levels: a cap of
+        # 11 does not bind, and one of 10 does.
+        (0.0, 0.02, 11, "coherent_tail"),
+        (0.0, 0.02, 10, "dim_cap"),
+    ],
+)
+def test_oracle_names_the_budget_that_sets_its_tail(n_env, n_signal, dim_cap, binding):
+    report = gaussian_ensemble_report(params(0.6, n_env), n_signal, dim_cap=dim_cap)
+    assert report.binding_budget == binding
+    env_tail = _thermal_cutoff(n_env)[1]
+    coherent = max(
+        poisson_tail_bound(abs(alpha) ** 2, int(dim))
+        for alpha, dim in zip(report.alphas, report.member_dims)
+    )
+    # |alpha|^2 from a node's phase differs from the radius squared by an ulp.
+    source = env_tail if binding == "environment_tail" else coherent
+    assert source == max(env_tail, coherent)
+    assert report.max_tail_bound == pytest.approx(source, rel=1e-12)
 
 
 def test_verify_decomposition_examples():
