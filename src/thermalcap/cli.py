@@ -6,6 +6,11 @@ or JSON, `verify` runs the library's invariant suites, `oracle`
 reproduces the closed-form lower bound in truncated Fock space, and
 `optimize` searches input ensembles for the best Holevo quantity.
 
+`sweep` checks every grid axis against the bounds' domain first, then
+writes each row as it is computed, so its memory does not depend on
+the number of rows, and a sweep that fails writes nothing.  Every
+`--out` (a path, or "-" for stdout) is opened by `_open_out`.
+
 Exit codes: 0 success / certified, 1 usage or domain error,
 2 certification failure, 3 verification failure, 4 optimizer stopped
 at the iteration cap.
@@ -14,6 +19,7 @@ at the iteration cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 from dataclasses import asdict, dataclass
 import json
 import math
@@ -35,6 +41,8 @@ from .gaussian_core import (
 from .bounds import (
     LN2,
     UNIVERSAL_GAP_BITS,
+    _check_signal,
+    _validate,
     additive_extension_upper,
     holevo_lower,
     pure_loss_capacity,
@@ -347,6 +355,22 @@ def _parse_range(text: str, name: str) -> list[float]:
     raise ValueError(f"{name}: spacing must be lin or log, got {scale!r}")
 
 
+def _check_grid(lams, n_envs, n_signals) -> None:
+    """Raise the domain error of any grid row before a row is computed.
+
+    Every check a row makes reads one axis: `ChannelParams` checks lambda
+    and N_E, `report` the signal range and the N_E ceiling.  Checking each
+    axis value once therefore checks every row, so a failed sweep writes
+    nothing.
+    """
+    for lam in lams:
+        ChannelParams(transmissivity=lam, environment_photons=0.0)
+    for n_env in n_envs:
+        _validate(ChannelParams(transmissivity=1.0, environment_photons=n_env), 0.0)
+    for n in n_signals:
+        _check_signal(n)
+
+
 def _sweep_rows(lams, n_envs, n_signals):
     for lam in lams:
         for n_env in n_envs:
@@ -365,32 +389,65 @@ def _sweep_rows(lams, n_envs, n_signals):
                 }
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write an `--out` target: the file at `path`, or stdout for "-"."""
+def _cells(row) -> list[str]:
+    """A row's values as text in `SWEEP_COLUMNS` order, for CSV and JSON alike.
+
+    Every value is a bool or a finite float, since the grid check admits
+    only finite parameters inside the bounds' domain, and `json` writes a
+    finite float as its `repr`.
+    """
+    cells = [repr(row[c]) for c in SWEEP_COLUMNS[:-1]]
+    cells.append("true" if row["certified"] else "false")
+    return cells
+
+
+def _csv_row(row) -> str:
+    return "\n" + ",".join(_cells(row))
+
+
+def _json_row(row) -> str:
+    # One element of `json.dumps(rows, indent=2)`.
+    fields = ",".join(
+        f'\n    "{name}": {cell}' for name, cell in zip(SWEEP_COLUMNS, _cells(row))
+    )
+    return "\n  {" + fields + "\n  }"
+
+
+# format -> (text before the rows, one row's text, text between rows,
+# text after the rows); the pieces join to the text of the whole grid.
+_SWEEP_FORMATS = {
+    "csv": (",".join(SWEEP_COLUMNS), _csv_row, "", "\n"),
+    "json": ("[", _json_row, ",", "\n]\n"),
+}
+
+
+@contextlib.contextmanager
+def _open_out(path: str):
+    """Open an `--out` target for writing: the file at `path`, or stdout for "-"."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="ascii") as handle:
-            handle.write(text)
+            yield handle
 
 
 def cmd_sweep(args) -> int:
     lams = _parse_range(args.lam, "--lambda")
     n_envs = _parse_range(args.ne, "--ne")
     n_signals = _parse_range(args.n, "--n")
-    rows = list(_sweep_rows(lams, n_envs, n_signals))
+    _check_grid(lams, n_envs, n_signals)
 
-    if args.format == "csv":
-        lines = [",".join(SWEEP_COLUMNS)]
-        for row in rows:
-            cells = [repr(row[c]) for c in SWEEP_COLUMNS[:-1]]
-            cells.append("true" if row["certified"] else "false")
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
-    _write_out(args.out, text)
-    return 0 if all(row["certified"] for row in rows) else 2
+    head, format_row, separator, tail = _SWEEP_FORMATS[args.format]
+    certified = True
+    with _open_out(args.out) as out:
+        out.write(head)
+        before = ""
+        for row in _sweep_rows(lams, n_envs, n_signals):
+            out.write(before + format_row(row))
+            before = separator
+            certified = certified and row["certified"]
+        out.write(tail)
+    return 0 if certified else 2
 
 
 def cmd_verify(args) -> int:
@@ -476,7 +533,8 @@ def cmd_optimize(args) -> int:
         "budget_audit": result.best_chi_bits > upper + 1e-6
         or max_member_photons > member_photon_limit,
     }
-    _write_out(args.out, json.dumps(payload, indent=2) + "\n")
+    with _open_out(args.out) as out:
+        out.write(json.dumps(payload, indent=2) + "\n")
     return 0 if result.converged else 4
 
 

@@ -536,13 +536,14 @@ def _push(
     diags is a C-contiguous real or complex (d, d) array, zero where
     k >= d - delta, and transfer a packed tensor from `_transfer_tensor`
     for at least d input levels: its lag blocks' leading slices are the
-    build at d.  The output has the dtype of diags.  Each lag group takes
-    one real matmul (for complex diags, real and imaginary parts side by
-    side), and the lower triangle of the output is filled by Hermiticity,
-    so the result is exactly Hermitian.  Raises
-    RuntimeError unless the output's trace lies in [1 - deficit, 1] up to
-    rounding, `deficit` being the input's own deficit plus the environment
-    tail; a NaN trace raises too.
+    build at d, bit for bit when BLAS runs on one thread and to rounding
+    otherwise (see `_transfer_tensor`).  The output has the dtype of
+    diags.  Each lag group takes one real matmul (for complex diags, real
+    and imaginary parts side by side), and the lower triangle of the
+    output is filled by Hermiticity, so the result is exactly Hermitian.
+    Raises RuntimeError unless the output's trace lies in [1 - deficit, 1]
+    up to rounding, `deficit` being the input's own deficit plus the
+    environment tail; a NaN trace raises too.
     """
     dim_in = len(diags)
     dim_out = dim_in + transfer[0].shape[1] - transfer[0].shape[2]
@@ -626,7 +627,8 @@ def _coherent_output(
     taken as |alpha|^2.  The seconds the eigensolve took are appended to
     eigensolve_seconds when it is given.  transfer may be built for more
     than dim levels; `_push` reads the leading slice of each lag block,
-    bit for bit the build at dim.
+    bit for bit the build at dim when BLAS runs on one thread, and to
+    rounding with more (see `_transfer_tensor`).
     """
     radius = abs(alpha)
     psi = _coherent_vector(radius, dim)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -116,6 +117,109 @@ def test_sweep_invalid_range_exit_one(capsys):
     assert main(["sweep", "--lambda", "0.5", "--n", "1:10:0"]) == 1
     assert main(["sweep", "--lambda", "0.5", "--n", "1:10:5:cubic"]) == 1
     capsys.readouterr()
+
+
+# lambda reaches 1 on a log axis, and N_E and N both start at 0.
+_EDGE_GRID = ("0.01:1:4:log", "0:2:3", "0:1000:4")
+
+
+def _unstreamed_output(axes, fmt):
+    """The sweep output as the whole-grid writers built it: every row, then the text."""
+    rows = list(thermalcap.cli._sweep_rows(*axes))
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    lines = [",".join(SWEEP_COLUMNS)]
+    for row in rows:
+        cells = [repr(row[c]) for c in SWEEP_COLUMNS[:-1]]
+        cells.append("true" if row["certified"] else "false")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_streams_the_bytes_of_the_whole_grid_writers(fmt, tmp_path, capsys):
+    lam, ne, n = _EDGE_GRID
+    axes = [
+        thermalcap.cli._parse_range(text, name)
+        for text, name in zip(_EDGE_GRID, ("--lambda", "--ne", "--n"))
+    ]
+    assert (axes[0][-1], axes[1][0], axes[2][0]) == (1.0, 0.0, 0.0)
+    expected = _unstreamed_output(axes, fmt)
+    argv = ["sweep", "--lambda", lam, "--ne", ne, "--n", n, "--format", fmt]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    out_path = tmp_path / f"rows.{fmt}"
+    assert main(argv + ["--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == expected.encode("ascii")
+
+
+def test_sweep_with_an_uncertified_row_writes_every_row_and_exits_two(tmp_path, monkeypatch):
+    real_report = thermalcap.cli.report
+
+    def uncertify_one(params, n):
+        rep = real_report(params, n)
+        if (params.transmissivity, params.environment_photons, n) == (0.5, 1.0, 2.0):
+            return dataclasses.replace(rep, certified=False)
+        return rep
+
+    monkeypatch.setattr(thermalcap.cli, "report", uncertify_one)
+    out_path = tmp_path / "rows.csv"
+    argv = ["sweep", "--lambda", "0.25:0.75:3", "--ne", "0:1:2", "--n", "1:3:3",
+            "--out", str(out_path)]
+    assert main(argv) == 2
+    rows = list(csv.DictReader(out_path.open()))
+    assert len(rows) == 3 * 2 * 3
+    assert [r["certified"] for r in rows].count("false") == 1
+    assert rows[-1]["lambda"] == "0.75"
+
+
+def test_failed_sweep_writes_nothing(tmp_path, capsys):
+    # The bad value is the last lambda: every earlier row is valid.
+    out_path = tmp_path / "rows.csv"
+    for extra in ([], ["--out", str(out_path)]):
+        assert main(["sweep", "--lambda", "0.5:1.5:3", "--n", "1", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: transmissivity must be in (0, 1], got 1.5\n"
+    assert not out_path.exists()
+
+
+def test_sweep_out_in_a_missing_directory_fails_before_any_row(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_report = thermalcap.cli.report
+
+    def counted(params, n):
+        calls.append(n)
+        return real_report(params, n)
+
+    monkeypatch.setattr(thermalcap.cli, "report", counted)
+    out_path = tmp_path / "missing" / "rows.csv"
+    assert main(["sweep", "--lambda", "0.5", "--n", "1:10:5", "--out", str(out_path)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_path.parent.exists()
+
+
+def _sweep_peak_bytes(ne_axis, out_path):
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--lambda", "0.1:0.9:8", "--ne", ne_axis,
+                     "--n", "1e-3:1e6:50:log", "--out", str(out_path)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_the_rows(tmp_path):
+    # Rows are written as they are computed, so ten times the rows must cost
+    # no more memory.
+    out_path = tmp_path / "rows.csv"
+    main(["sweep", "--lambda", "0.5", "--n", "1", "--out", str(out_path)])  # warm-up
+    small = _sweep_peak_bytes("1e-3:1e3:5:log", out_path)  # 2,000 rows
+    large = _sweep_peak_bytes("1e-3:1e3:50:log", out_path)  # 20,000 rows
+    assert len(out_path.read_text().splitlines()) == 20_001
+    assert large < 2_000_000
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_verify_quick_passes(capsys):

@@ -523,7 +523,10 @@ def test_oracle_raises_the_budget_it_cannot_meet(n_env, dim_cap, bound, limit):
         gaussian_ensemble_report(params(0.6, n_env), 1.0, dim_cap=dim_cap)
     assert (excinfo.value.bound, excinfo.value.limit) == (bound, limit)
     if bound == "coherent_dim":
-        assert excinfo.value.value == 14  # 4|alpha|^2 at the largest radius
+        # Radii are sized in ascending order, so the refusal names the first
+        # whose ceil(4|alpha|^2) exceeds the cap of 12: 14, not the largest
+        # radius's 82.
+        assert excinfo.value.value == 14
 
 
 def test_oracle_reports_the_tail_a_capped_cutoff_reaches():

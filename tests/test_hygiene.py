@@ -1,8 +1,9 @@
 """Source hygiene: correctness checks must survive `python -O`, caches are
 bounded, each step of the Holevo quantity has one home, each truncation
 constant is read only by its rules, transfer tensors are fetched once per
-caller, every exported name and every name the bench tracer patches must
-exist, and a bench worker call still runs against the package."""
+caller, sweep rows are streamed and every `--out` has one opener, every
+exported name and every name the bench tracer patches must exist, and a
+bench worker call still runs against the package."""
 
 import ast
 import importlib
@@ -286,6 +287,100 @@ def test_transfer_tensor_is_fetched_once_per_caller():
     ]
     assert not found, f"transfer tensors fetched outside their callers: {'; '.join(found)}"
     assert in_run_init, "an optimizer run fetches no transfer tensor"
+
+
+def _unstreamed_sweeps(tree):
+    """Lines that read `_sweep_rows` other than as `for ... in _sweep_rows(...)`.
+
+    A `list`, `tuple`, `json.dumps` or comprehension over the generator
+    would hold the whole grid in memory, and so would handing the
+    generator itself to anything else.
+    """
+    looped = {
+        id(node.iter.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             and node.id == "_sweep_rows")
+            or (isinstance(node, ast.Attribute) and node.attr == "_sweep_rows")
+        )
+        and id(node) not in looped
+    )
+
+
+def test_sweep_rows_are_streamed():
+    found = [
+        f"{module}:{line}"
+        for module, tree in _package_trees()
+        for line in _unstreamed_sweeps(tree)
+    ]
+    assert not found, f"sweep rows gathered instead of streamed: {', '.join(found)}"
+
+
+def test_unstreamed_sweep_check_flags_each_form():
+    source = """
+for row in _sweep_rows(a, b, c):
+    pass
+rows = list(_sweep_rows(a, b, c))
+text = json.dumps(tuple(cli._sweep_rows(a, b, c)))
+cells = [row for row in _sweep_rows(a, b, c)]
+for index, row in enumerate(_sweep_rows(a, b, c)):
+    pass
+rows = _sweep_rows
+"""
+    assert _unstreamed_sweeps(ast.parse(source)) == [4, 5, 6, 7, 9]
+
+
+def _out_openers(tree):
+    """(function, line) of each `open`, stdout or `.out` read outside `_open_out`.
+
+    A `.out` read passed straight to `_open_out` is the one allowed use
+    of an `--out` value elsewhere.
+    """
+    found = [
+        (function, line)
+        for function, _, line in _uses(tree, {"open", "stdout"})
+        if function != "_open_out"
+    ]
+    passed = {
+        id(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_open_out" and len(node.args) == 1
+    }
+    found += [
+        (None, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "out" and id(node) not in passed
+    ]
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_every_out_target_has_one_opener():
+    tree = dict(_package_trees())["cli.py"]
+    found = _out_openers(tree)
+    assert not found, f"outputs opened outside `_open_out`: {found}"
+    assert _uses(tree, {"_open_out"}), "no command opens its output with `_open_out`"
+
+
+def test_out_opener_check_flags_each_form():
+    source = """
+def _open_out(path):
+    return open(path) if path != "-" else sys.stdout
+def cmd(args):
+    with _open_out(args.out) as out:
+        out.write("x")
+    sys.stdout.write(args.out)
+    Path(args.out).open("w")
+"""
+    assert _out_openers(ast.parse(source)) == [
+        ("cmd", 7), (None, 7), ("cmd", 8), (None, 8),
+    ]
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
