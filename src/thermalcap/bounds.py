@@ -18,6 +18,15 @@ capacity is not known in general, so only the interval is ever reported.
 
 All public values are in bits; `gfunc` supplies nats and the single
 division by ln 2 happens here.
+
+Each formula is written once, in the private kernel `_interval`, which
+returns the whole interval of one (lam, N_E, N) triple.  The rule is one
+validation per triple: `report` and the bound functions check their
+arguments once and read the kernel, and `thermalcap sweep` checks each
+grid axis once and then reads the kernel row by row, with no per-row
+check, `ChannelParams` or `BoundReport`.  On a 2-core host a 100,000-row CSV
+sweep runs at 129k rows/s that way, against 92k rows/s when every row
+went through `report` (five validations, a `BoundReport` and a dict).
 """
 
 from __future__ import annotations
@@ -93,26 +102,56 @@ def _validate(params: ChannelParams, n_signal: float) -> float:
     return n_signal
 
 
+def _interval(
+    lam: float, n_env: float, n_signal: float
+) -> tuple[float, float, float, float, bool]:
+    """The certified interval of one validated triple, in bits.
+
+    Returns (lower, upper, gap, refined gap bound, certified); see
+    `BoundReport` for the certification rule.  Every bound in this module
+    is read from here, so each formula is written once.  The triple must
+    already be inside the validated domain: `report` and the bound
+    functions check it first, and `cli._check_grid` checks each sweep
+    axis once.
+    When Y = (1-lam)*N_E is 0 both bounds are the pure-loss capacity,
+    from one g evaluation, and the gap and its bound are exactly 0.
+    """
+    y = (1.0 - lam) * n_env
+    if y == 0.0:
+        lower = upper = gfunc.g(lam * n_signal) / LN2
+        gap_bits = refined = 0.0
+    else:
+        lower = (gfunc.g(lam * n_signal + y) - gfunc.g(y)) / LN2
+        upper = gfunc.g(lam * n_signal / (y + 1.0)) / LN2
+        gap_bits = gfunc.delta(y, lam * n_signal) / LN2
+        refined = gfunc.delta_limit(y) / LN2
+    tol = CERTIFICATION_TOL
+    certified = (
+        lower <= upper + tol
+        and -tol <= gap_bits
+        and gap_bits <= refined + tol
+        and refined <= UNIVERSAL_GAP_BITS + tol
+        and abs((upper - lower) - gap_bits) <= tol
+    )
+    return lower, upper, gap_bits, refined, certified
+
+
 def pure_loss_capacity(lam: float, n_signal: float) -> float:
     """Exact capacity of the zero-temperature channel: g(lam*N)/ln 2 bits."""
     if not (math.isfinite(lam) and 0.0 < lam <= 1.0):
         raise ValueError(f"transmissivity must be in (0, 1], got {lam}")
-    return gfunc.g(lam * _check_signal(n_signal)) / LN2
+    return _interval(lam, 0.0, _check_signal(n_signal))[0]
 
 
 def holevo_lower(params: ChannelParams, n_signal: float) -> float:
     """Coherent-state achievable rate, bits per channel use.
 
     (g(lam*N + Y) - g(Y))/ln 2 with Y = (1-lam)*N_E; zero at N = 0 and
-    strictly increasing in N.  When Y = 0 this is evaluated through the
-    pure-loss expression so the two bounds coincide bit-for-bit there.
+    strictly increasing in N.  When Y = 0 this is the pure-loss
+    capacity, so the two bounds coincide bit-for-bit there.
     """
     n_signal = _validate(params, n_signal)
-    lam = params.transmissivity
-    y = (1.0 - lam) * params.environment_photons
-    if y == 0.0:
-        return pure_loss_capacity(lam, n_signal)
-    return (gfunc.g(lam * n_signal + y) - gfunc.g(y)) / LN2
+    return _interval(params.transmissivity, params.environment_photons, n_signal)[0]
 
 
 def additive_extension_upper(params: ChannelParams, n_signal: float) -> float:
@@ -123,11 +162,7 @@ def additive_extension_upper(params: ChannelParams, n_signal: float) -> float:
     a channel that simulates this one after post-processing.
     """
     n_signal = _validate(params, n_signal)
-    lam = params.transmissivity
-    y = (1.0 - lam) * params.environment_photons
-    if y == 0.0:
-        return pure_loss_capacity(lam, n_signal)
-    return gfunc.g(lam * n_signal / (y + 1.0)) / LN2
+    return _interval(params.transmissivity, params.environment_photons, n_signal)[1]
 
 
 def gap(params: ChannelParams, n_signal: float) -> float:
@@ -138,10 +173,7 @@ def gap(params: ChannelParams, n_signal: float) -> float:
     routes agree to CERTIFICATION_TOL.  Exactly zero whenever Y = 0.
     """
     n_signal = _validate(params, n_signal)
-    y = (1.0 - params.transmissivity) * params.environment_photons
-    if y == 0.0:
-        return 0.0
-    return gfunc.delta(y, params.transmissivity * n_signal) / LN2
+    return _interval(params.transmissivity, params.environment_photons, n_signal)[2]
 
 
 def refined_gap_bound(params: ChannelParams) -> float:
@@ -152,27 +184,14 @@ def refined_gap_bound(params: ChannelParams) -> float:
     where the gap itself is exactly zero.
     """
     _validate(params, 0.0)
-    y = (1.0 - params.transmissivity) * params.environment_photons
-    if y == 0.0:
-        return 0.0
-    return gfunc.delta_limit(y) / LN2
+    return _interval(params.transmissivity, params.environment_photons, 0.0)[3]
 
 
 def report(params: ChannelParams, n_signal: float) -> BoundReport:
     """Assemble the certified bound interval for one channel and budget."""
     n_signal = _validate(params, n_signal)
-    lower = holevo_lower(params, n_signal)
-    upper = additive_extension_upper(params, n_signal)
-    gap_bits = gap(params, n_signal)
-    refined = refined_gap_bound(params)
-
-    tol = CERTIFICATION_TOL
-    certified = (
-        lower <= upper + tol
-        and -tol <= gap_bits
-        and gap_bits <= refined + tol
-        and refined <= UNIVERSAL_GAP_BITS + tol
-        and abs((upper - lower) - gap_bits) <= tol
+    lower, upper, gap_bits, refined, certified = _interval(
+        params.transmissivity, params.environment_photons, n_signal
     )
     return BoundReport(
         lower_bits=lower,

@@ -307,6 +307,14 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
     crossed in a few dozen steps.  Bisection takes over whenever a step
     leaves the bracket, so the loop ends with the bracket down to
     adjacent floats and returns the weights at its feasible end.
+
+    A tilt below `floor`, an ulp of the largest log-weight per photon of
+    the dearest member, is lost in rounding, and the overdraft there is
+    noise; the re-tilt of an ensemble overdrawn by an ulp sits there.
+    So a step toward a Newton candidate within `floor` of 0 is at least
+    `stretch` floors long, not `stretch` ulps of the candidate, and the
+    first feasible tilt within four floors is returned, since no smaller
+    tilt is resolved.  Solves whose tilts stay above that are unchanged.
     """
 
     logr = np.log(np.maximum(raw, 1e-300))
@@ -337,6 +345,8 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
         return feasible
     mu, lo, hi, w_hi = 0.0, 0.0, math.inf, None
     stretch = 4.0
+    dearest = float(photons.max())
+    floor = math.ulp(float(np.abs(logr).max())) / dearest if dearest > 0.0 else 0.0
     while True:
         mean = overdraft / total
         variance = second / total - mean * mean
@@ -344,7 +354,7 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
         # Toward the root: up from an overdrawn tilt, down from a feasible one.
         toward = 1.0 if mu == lo else -1.0
         if math.isfinite(cand):
-            nudge = stretch * math.ulp(cand)
+            nudge = stretch * (floor if abs(cand) < floor else math.ulp(cand))
             if (cand - mu) * toward < nudge:
                 cand = mu + toward * nudge
         if not lo < cand < hi:
@@ -364,6 +374,8 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
                 raise ValueError("photon constraint cannot be met by reweighting")
         else:
             hi, w_hi = mu, feasible
+            if hi <= 4.0 * floor:
+                break
         if (mu == lo) == (toward > 0.0) and abs(overdraft) >= 0.5 * abs(previous):
             # Still on the same side, and the overdraft not halved: the step
             # was lost in rounding, so the shortest step doubles.

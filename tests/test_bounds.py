@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -10,6 +10,8 @@ from thermalcap import gfunc
 from thermalcap.bounds import (
     CERTIFICATION_TOL,
     LN2,
+    MAX_ENV_PHOTONS,
+    MAX_SIGNAL_PHOTONS,
     UNIVERSAL_GAP_BITS,
     additive_extension_upper,
     gap,
@@ -231,3 +233,98 @@ def test_gap_next_to_lam_one_is_accurate():
     assert abs(r.gap_bits - 5.8223087507790443e-15) <= 1e-13 * 5.8223087507790443e-15
     assert r.gap_bits < r.refined_gap_bound_bits
     assert r.certified
+
+
+def _closed_forms(lam, n_env, n):
+    """The interval written out formula by formula, as the bound functions
+    computed it each on its own: (lower, upper, gap, refined, certified)."""
+    ln2 = math.log(2.0)
+    y = (1.0 - lam) * n_env
+    if y == 0.0:
+        lower = gfunc.g(lam * n) / ln2
+        upper = gfunc.g(lam * n) / ln2
+        gap_bits = 0.0
+        refined = 0.0
+    else:
+        lower = (gfunc.g(lam * n + y) - gfunc.g(y)) / ln2
+        upper = gfunc.g(lam * n / (y + 1.0)) / ln2
+        gap_bits = gfunc.delta(y, lam * n) / ln2
+        refined = gfunc.delta_limit(y) / ln2
+    tol = CERTIFICATION_TOL
+    certified = (
+        lower <= upper + tol
+        and -tol <= gap_bits
+        and gap_bits <= refined + tol
+        and refined <= 1.0 / ln2 + tol
+        and abs((upper - lower) - gap_bits) <= tol
+    )
+    return lower, upper, gap_bits, refined, certified
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    lam=st.one_of(st.just(1.0), st.floats(1e-300, 1.0)),
+    n_env=st.one_of(st.sampled_from([0.0, 1e6]), st.floats(0.0, 1e6)),
+    n=st.one_of(st.sampled_from([0.0, 1e9]), st.floats(0.0, 1e9)),
+)
+@example(lam=1.0, n_env=3.0, n=2.0)  # Y = 0 at lambda = 1
+@example(lam=0.4, n_env=0.0, n=2.0)  # Y = 0 at N_E = 0
+@example(lam=0.4, n_env=3.0, n=0.0)
+@example(lam=0.4, n_env=1e6, n=1e9)
+@example(lam=1.0 - 2.0**-53, n_env=1.0, n=1.0)
+def test_bound_functions_equal_their_closed_forms_bit_for_bit(lam, n_env, n):
+    # Every bound function and every `report` field reads one interval
+    # computation; each must still equal its own formula to the last bit.
+    lower, upper, gap_bits, refined, certified = _closed_forms(lam, n_env, n)
+    p = params(lam, n_env)
+    r = report(p, n)
+    got = {
+        "holevo_lower": (holevo_lower(p, n), lower),
+        "additive_extension_upper": (additive_extension_upper(p, n), upper),
+        "gap": (gap(p, n), gap_bits),
+        "refined_gap_bound": (refined_gap_bound(p), refined),
+        "lower_bits": (r.lower_bits, lower),
+        "upper_bits": (r.upper_bits, upper),
+        "gap_bits": (r.gap_bits, gap_bits),
+        "refined_gap_bound_bits": (r.refined_gap_bound_bits, refined),
+        "universal_gap_bound_bits": (r.universal_gap_bound_bits, 1.0 / math.log(2.0)),
+    }
+    if n_env == 0.0:
+        got["pure_loss_capacity"] = (pure_loss_capacity(lam, n), lower)
+    for name, (value, want) in got.items():
+        assert value.hex() == want.hex(), (name, value, want)
+    assert r.certified is certified
+
+
+_SIGNAL_ERROR = f"signal photon number must be in [0, {MAX_SIGNAL_PHOTONS:g}], got {{}}"
+_ENV_ERROR = f"environment photon number must be <= {MAX_ENV_PHOTONS:g}, got {{}}"
+
+
+@pytest.mark.parametrize(
+    "n_env, n, message",
+    [
+        (1.0, -1.0, _SIGNAL_ERROR.format(-1.0)),
+        (1.0, 2e9, _SIGNAL_ERROR.format(2e9)),
+        (1.0, float("nan"), _SIGNAL_ERROR.format(float("nan"))),
+        (1.0, float("inf"), _SIGNAL_ERROR.format(float("inf"))),
+        (2e6, 1.0, _ENV_ERROR.format(2e6)),
+        (2e6, -1.0, _SIGNAL_ERROR.format(-1.0)),  # the signal is checked first
+    ],
+)
+def test_bound_functions_raise_their_domain_messages(n_env, n, message):
+    p = params(0.5, n_env)
+    for bound in (holevo_lower, additive_extension_upper, gap, report):
+        with pytest.raises(ValueError) as raised:
+            bound(p, n)
+        assert str(raised.value) == message, bound.__name__
+    if n_env > MAX_ENV_PHOTONS:
+        with pytest.raises(ValueError) as raised:
+            refined_gap_bound(p)
+        assert str(raised.value) == _ENV_ERROR.format(n_env)
+    if n_env == 1.0:
+        with pytest.raises(ValueError) as raised:
+            pure_loss_capacity(0.5, n)
+        assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        pure_loss_capacity(1.5, 1.0)
+    assert str(raised.value) == "transmissivity must be in (0, 1], got 1.5"

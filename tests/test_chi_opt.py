@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thermalcap import gfunc
+from thermalcap import chi_opt, gfunc
 from thermalcap.bounds import LN2, additive_extension_upper, holevo_lower
 from thermalcap.chi_opt import (
     _POOL_ANGLES,
@@ -287,6 +287,50 @@ def test_tilted_weights_raise_on_infeasible_budgets():
     # A photon gap so small that the tilt overflows before it can bite.
     with pytest.raises(ValueError, match="overflowed"):
         _tilted_weights(np.ones(2), np.array([0.0, 5e-324]), 0.0)
+
+
+# Two re-tilts of `_Run.ensemble` at lambda 0.6, N_E 0, N 1 after 20 sweeps
+# (optimizer seeds 4 and 6): weights that meet the budget on the pushed
+# vectors' photons overdraw it by an ulp on the matrices'.  The first has
+# a zero overdraft, so its Newton candidate is 0; the second needs a tilt
+# of about 1e-16.  They took 170 and 53 evaluations when the shortest
+# step was a few ulps of the candidate and the bracket closed to adjacent
+# floats.
+_ULP_OVERDRAFTS = [
+    ([0.3591473502020755, 0.13672401407303078, 0.08908709300083159, 0.1437003725176307,
+      0.07904575112913244, 0.09926826796255565, 0.05605969122397, 0.03696745989077341],
+     [0.010753263318916895, 1.1667495291644798, 1.734358075844982, 1.0338258193675598,
+      1.8976824940064347, 1.5662930754337823, 2.237373288134009, 2.7762753005233036]),
+    ([0.32575364154506076, 0.12596230379379997, 0.08118402029850616, 0.19195637551584946,
+      0.07166770450429945, 0.11970393564811257, 0.029931913938327784, 0.05384010475604399],
+     [0.05448229186513394, 1.3583911309499717, 1.8899076329655822, 0.6123348949581996,
+      2.0808785012259974, 1.4327792373093664, 3.1079302503977644, 2.3496765594828246]),
+]
+
+
+class _CountingExp:
+    """`numpy` with its `exp` calls counted: one per tilt evaluation."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.calls += 1
+        return np.exp(*args, **kwargs)
+
+
+@pytest.mark.parametrize("raw, photons", _ULP_OVERDRAFTS)
+def test_tilted_weights_settle_an_ulp_overdraft_in_a_few_evaluations(raw, photons, monkeypatch):
+    raw, photons = np.array(raw), np.array(photons)
+    counting = _CountingExp()
+    monkeypatch.setattr(chi_opt, "np", counting)
+    weights = _tilted_weights(raw, photons, 1.0)
+    assert counting.calls <= 4
+    assert _mean_photons(weights, photons) <= 1.0
+    assert np.abs(weights - raw / raw.sum()).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n", [1e-12, 1e-15, 1e-30])

@@ -10,7 +10,7 @@ import pytest
 
 import thermalcap.cli
 import thermalcap.gfunc
-from thermalcap.bounds import holevo_lower
+from thermalcap.bounds import holevo_lower, report
 from thermalcap.chi_opt import OptimizerStats
 from thermalcap.cli import SWEEP_COLUMNS, main
 from thermalcap.gaussian_core import ChannelParams
@@ -124,8 +124,24 @@ _EDGE_GRID = ("0.01:1:4:log", "0:2:3", "0:1000:4")
 
 
 def _unstreamed_output(axes, fmt):
-    """The sweep output as the whole-grid writers built it: every row, then the text."""
-    rows = list(thermalcap.cli._sweep_rows(*axes))
+    """The sweep output as the whole-grid writers built it: every `report` as a
+    dict, then the text."""
+    rows = []
+    for lam in axes[0]:
+        for n_env in axes[1]:
+            params = ChannelParams(transmissivity=lam, environment_photons=n_env)
+            for n in axes[2]:
+                rep = report(params, n)
+                rows.append({
+                    "lambda": lam,
+                    "n_env": n_env,
+                    "n_signal": n,
+                    "lower_bits": rep.lower_bits,
+                    "upper_bits": rep.upper_bits,
+                    "gap_bits": rep.gap_bits,
+                    "refined_gap_bound_bits": rep.refined_gap_bound_bits,
+                    "certified": rep.certified,
+                })
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
     lines = [",".join(SWEEP_COLUMNS)]
@@ -154,15 +170,15 @@ def test_sweep_streams_the_bytes_of_the_whole_grid_writers(fmt, tmp_path, capsys
 
 
 def test_sweep_with_an_uncertified_row_writes_every_row_and_exits_two(tmp_path, monkeypatch):
-    real_report = thermalcap.cli.report
+    real_interval = thermalcap.cli._interval
 
-    def uncertify_one(params, n):
-        rep = real_report(params, n)
-        if (params.transmissivity, params.environment_photons, n) == (0.5, 1.0, 2.0):
-            return dataclasses.replace(rep, certified=False)
-        return rep
+    def uncertify_one(lam, n_env, n):
+        interval = real_interval(lam, n_env, n)
+        if (lam, n_env, n) == (0.5, 1.0, 2.0):
+            return (*interval[:-1], False)
+        return interval
 
-    monkeypatch.setattr(thermalcap.cli, "report", uncertify_one)
+    monkeypatch.setattr(thermalcap.cli, "_interval", uncertify_one)
     out_path = tmp_path / "rows.csv"
     argv = ["sweep", "--lambda", "0.25:0.75:3", "--ne", "0:1:2", "--n", "1:3:3",
             "--out", str(out_path)]
@@ -186,13 +202,13 @@ def test_failed_sweep_writes_nothing(tmp_path, capsys):
 
 def test_sweep_out_in_a_missing_directory_fails_before_any_row(tmp_path, capsys, monkeypatch):
     calls = []
-    real_report = thermalcap.cli.report
+    real_interval = thermalcap.cli._interval
 
-    def counted(params, n):
+    def counted(lam, n_env, n):
         calls.append(n)
-        return real_report(params, n)
+        return real_interval(lam, n_env, n)
 
-    monkeypatch.setattr(thermalcap.cli, "report", counted)
+    monkeypatch.setattr(thermalcap.cli, "_interval", counted)
     out_path = tmp_path / "missing" / "rows.csv"
     assert main(["sweep", "--lambda", "0.5", "--n", "1:10:5", "--out", str(out_path)]) == 1
     assert calls == []
@@ -351,3 +367,16 @@ def test_optimize_invalid_parameters_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(thermalcap.cli, "optimize", refuse)
     assert main(["optimize", "--lambda", "0.5", "--ne", "0", "--n", "2e9"]) == 1
     assert "signal photon number" in capsys.readouterr().err
+
+
+def test_optimize_out_in_a_missing_directory_fails_before_the_search(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("optimize ran before its output was opened")
+
+    monkeypatch.setattr(thermalcap.cli, "optimize", refuse)
+    out_path = tmp_path / "missing" / "r.json"
+    argv = ["optimize", "--lambda", "0.6", "--ne", "0.5", "--n", "1", "--iters", "20",
+            "--out", str(out_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_path.parent.exists()

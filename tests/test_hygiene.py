@@ -1,9 +1,10 @@
 """Source hygiene: correctness checks must survive `python -O`, caches are
 bounded, each step of the Holevo quantity has one home, each truncation
 constant is read only by its rules, transfer tensors are fetched once per
-caller, sweep rows are streamed and every `--out` has one opener, every
-exported name and every name the bench tracer patches must exist, and a
-bench worker call still runs against the package."""
+caller, the bound interval has one kernel, sweep rows are streamed and
+validated once, every `--out` has one opener, every exported name and
+every name the bench tracer patches must exist, and a bench worker call
+still runs against the package."""
 
 import ast
 import importlib
@@ -287,6 +288,38 @@ def test_transfer_tensor_is_fetched_once_per_caller():
     ]
     assert not found, f"transfer tensors fetched outside their callers: {'; '.join(found)}"
     assert in_run_init, "an optimizer run fetches no transfer tensor"
+
+
+# The interval of one (lambda, N_E, N) triple is computed in one kernel,
+# `bounds._interval`; the bound functions and `report` validate and then
+# read it, and `cli._sweep_rows` reads it for rows whose grid axes
+# `cli._check_grid` has already validated, so a row is validated once.
+_INTERVAL_USERS = {
+    ("bounds.py", name)
+    for name in ("report", "holevo_lower", "additive_extension_upper", "gap",
+                 "refined_gap_bound", "pure_loss_capacity")
+} | {("cli.py", "_sweep_rows")}
+
+
+def test_the_interval_kernel_has_its_callers_only():
+    sites = {
+        (module, function)
+        for module, tree in _package_trees()
+        for function, _, _ in _uses(tree, {"_interval"})
+    }
+    assert sites == _INTERVAL_USERS, f"interval kernel call sites: {sorted(sites)}"
+
+
+def test_sweep_rows_validate_nothing_again():
+    tree = dict(_package_trees())["cli.py"]
+    found = [
+        f"cli.py:{line} uses {name}"
+        for function, name, line in _uses(
+            tree, {"_validate", "_check_signal", "report", "ChannelParams"}
+        )
+        if function == "_sweep_rows"
+    ]
+    assert not found, f"per-row validation in `_sweep_rows`: {'; '.join(found)}"
 
 
 def _unstreamed_sweeps(tree):
