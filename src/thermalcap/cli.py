@@ -451,6 +451,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     suites = [_suite_gfunc, _suite_gaussian, _suite_bounds]
     if args.level == "full":
         suites.append(_suite_fock)
@@ -586,7 +588,8 @@ def _build_parser() -> _Parser:
     )
     _add_channel_flags(p_oracle)
     p_oracle.add_argument("--dim-cap", type=int, default=DEFAULT_CHI_DIM_CAP,
-                          help="per-member Fock cutoff cap")
+                          help="Fock cutoff cap (default 192); a point whose radii "
+                               "need more levels for their Poisson tails is refused")
     p_oracle.add_argument("--tol", type=float, default=1e-3,
                           help="chi agreement tolerance in bits (default 1e-3)")
     p_oracle.set_defaults(func=cmd_oracle)

@@ -13,14 +13,9 @@ naming the violated bound.  Each cutoff is decided in one place, at the
 one tail tolerance DEFAULT_TAIL_TOL: `_thermal_cutoff` sizes a thermal
 environment from its geometric tail, for `_channel_transfer` and so for
 every channel push, and `_coherent_cutoff` sizes each oracle radius by
-its Chernoff-Poisson tail alone, for `gaussian_ensemble_report`.  It
-refuses a radius whose 4|alpha|^2 levels (`_LEVELS_PER_PHOTON`, the
-precondition of `coherent_state`, which the optimizer's ring radius
-respects too) exceed the cap, but the cutoff it returns may be smaller:
-92 levels for the largest radius at N = 2, where 4|alpha|^2 is 164.
-The one degraded answer is the oracle's: a coherent cutoff stopped by
-dim_cap reports the tail it reached in `ChiReport.max_tail_bound`, and
-`ChiReport.binding_budget` says which budget set that tail.
+its Chernoff-Poisson tail alone, for `gaussian_ensemble_report`, and
+refuses one whose cutoff exceeds dim_cap: no answer is degraded, and
+`ChiReport.binding_budget` says which tail set its `max_tail_bound`.
 
 The beamsplitter unitary conserves total photon number, so it is built
 block by block: within the span of |n, M-n> the unitary is a finite
@@ -43,14 +38,14 @@ optimizer run fetches one and slices it for each smaller state, and a
 tensor build streams the block columns it reads and keeps none.
 
 Each step of a Holevo quantity is written once, for the oracle and
-`chi_opt` alike: `_diagonals` feeds the kernel `_push`, which runs only
-under `apply_channel` and `_coherent_output` (a coherent amplitude's
-output, its entropy and its photons, for each oracle radius and each
-optimizer member), and `_holevo` turns an average output into chi.
-A coherent push is real: `_coherent_output` pushes the real vector at
-|alpha|, so its diagonals, the kernel's matmuls, the output and the
-entropy's eigensolve are all real, and `_phase_rotated` turns the
-output into that of a complex amplitude by phase covariance.  The
+`chi_opt` alike: the kernel `_push` runs only under `apply_channel`,
+on the diagonals `_diagonals` reads, and `_coherent_output` (a coherent
+amplitude's output, its entropy and its photons, for each oracle radius
+and each optimizer member), on diagonals read from the vector, and
+`_holevo` turns an average output into chi.  A coherent push is real:
+the vector at |alpha|, its diagonals, the kernel's matmuls, the output
+and the entropy's eigensolve are all real, and `_phase_rotated` turns
+the output into that of a complex amplitude by phase covariance.  The
 oracle's radii are real, so its average and every one of its
 eigensolves are real too; `apply_channel` keeps the complex path for
 arbitrary states.
@@ -207,25 +202,23 @@ def _thermal_cutoff(n_mean: float) -> tuple[int, float]:
 
 
 def _coherent_cutoff(mu: float, max_dim: int) -> tuple[int, float]:
-    """The coherent-cutoff rule: (dim, Poisson tail reached) for |alpha|^2 = mu.
+    """The coherent-cutoff rule: (dim, Poisson tail) for |alpha|^2 = mu.
 
     dim is the smallest cutoff whose `poisson_tail_bound` is at most
-    DEFAULT_TAIL_TOL, or max_dim when even that tail is larger.  The
-    bound is 1 up to mu and falls strictly after it, so a bisection over
-    1..max_dim finds dim exactly, in about log2(max_dim) evaluations.
-    BudgetError (coherent_dim) when max(ceil(4 mu), 1), the precondition
-    of `coherent_state`, exceeds max_dim, although dim itself may be
-    smaller than 4 mu: the tail alone sizes the cutoff.
+    DEFAULT_TAIL_TOL; BudgetError (coherent_dim, value dim) when it
+    exceeds max_dim.  The bound is 1 up to mu, falls strictly after it
+    and is at most e^-dim from ceil(e^2 mu + ln(1 / DEFAULT_TAIL_TOL))
+    levels on, so a bisection below that finds dim exactly.
     """
-    need = max(math.ceil(_LEVELS_PER_PHOTON * mu), 1)
-    if need > max_dim:
-        raise BudgetError(
-            f"|alpha|^2 = {mu:g} needs cutoff {need} > limit {max_dim}",
-            bound="coherent_dim", value=need, limit=max_dim,
-        )
+    top = math.ceil(math.e**2 * mu - math.log(DEFAULT_TAIL_TOL))
     dim = 1 + bisect.bisect_left(
-        range(1, max_dim), True, key=lambda d: poisson_tail_bound(mu, d) <= DEFAULT_TAIL_TOL
+        range(1, top), True, key=lambda d: poisson_tail_bound(mu, d) <= DEFAULT_TAIL_TOL
     )
+    if dim > max_dim:
+        raise BudgetError(
+            f"|alpha|^2 = {mu:g} needs cutoff {dim} > limit {max_dim}",
+            bound="coherent_dim", value=dim, limit=max_dim,
+        )
     return dim, poisson_tail_bound(mu, dim)
 
 
@@ -312,13 +305,24 @@ def thermal_state(n_mean: float, dim: int) -> FockDensityMatrix:
 
 
 def _coherent_vector(alpha: complex, dim: int) -> np.ndarray:
-    """Renormalized truncated Fock expansion of |alpha>; real for a float alpha."""
+    """Renormalized truncated Fock expansion of |alpha>; real for a float alpha.
+
+    BudgetError (coherent_dim, value |alpha|^2, limit dim) when its norm
+    is not finite and positive, as from |alpha| ~ 30 on, where it underflows.
+    """
     amps = np.empty(dim, dtype=complex if isinstance(alpha, complex) else float)
     amps[0] = 1.0
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    amps *= math.exp(-abs(alpha) ** 2 / 2.0)
-    return amps / np.linalg.norm(amps)
+    mu = abs(alpha) ** 2
+    amps *= math.exp(-mu / 2.0)
+    norm = np.linalg.norm(amps)
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise BudgetError(
+            f"|alpha|^2 = {mu:g} has no normalizable expansion on {dim} levels",
+            bound="coherent_dim", value=mu, limit=dim,
+        )
+    return amps / norm
 
 
 def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
@@ -616,9 +620,10 @@ def _coherent_output(
 ) -> tuple[np.ndarray, float, float]:
     """Output of the coherent vector at alpha on dim levels, its entropy, its photons.
 
-    The vector is pushed at the real amplitude |alpha|, where it, its
-    diagonals, the transfer tensor and the output are all real, so each
-    lag group takes one real matmul and the entropy a real eigensolve.
+    The vector psi is pushed at the real amplitude |alpha|, where it, its
+    diagonals psi[k + delta] psi[k], the transfer tensor and the output
+    are all real, so each lag group takes one real matmul and the entropy
+    a real eigensolve.
     For alpha = |alpha| e^{i phi} off the positive axis the output is then
     rotated by e^{i (m - n) phi} (`_phase_rotated`), exact by phase
     covariance, and comes out complex; a real alpha >= 0 gives a real
@@ -632,7 +637,9 @@ def _coherent_output(
     """
     radius = abs(alpha)
     psi = _coherent_vector(radius, dim)
-    out = _push(transfer, _diagonals(np.outer(psi, psi)), env_tail)
+    # diags[delta, k] = psi[k + delta] psi[k]: a strided view of [psi | 0] times psi.
+    padded = np.concatenate([psi, np.zeros(dim)])
+    out = _push(transfer, _strided(padded, 0, (dim, dim), (1, 1)) * psi, env_tail)
     start = time.perf_counter()
     entropy = _eigenvalue_entropy(np.linalg.eigvalsh(out))
     if eigensolve_seconds is not None:
@@ -836,12 +843,10 @@ class ChiReport:
     hold one entry per grid node, in node order.  Member entropies are
     computed once per radius and repeated over its phases, so their
     spread compares radii.  max_tail_bound is the larger of the
-    environment tail and the worst Poisson tail the nodes' cutoffs
-    reached; where dim_cap stopped a cutoff short of DEFAULT_TAIL_TOL it is
-    that degraded tail, reported rather than raised.  binding_budget names
-    what set it: "dim_cap" when dim_cap stopped a cutoff (a cap one level
-    higher would have grown it), else "coherent_tail" when a radius's
-    Poisson tail is above the environment's, else "environment_tail".
+    environment tail and the worst Poisson tail of the nodes' cutoffs,
+    so it is at most DEFAULT_TAIL_TOL.  binding_budget names which set
+    it: "coherent_tail" when a radius's Poisson tail is above the
+    environment's, else "environment_tail".
     The largest cutoff is member_dims.max().  dim_env is the
     environment's cutoff and transfer_bytes what the report's one packed
     transfer tensor holds.  transfer_seconds is the time the report spent
@@ -879,17 +884,15 @@ def gaussian_ensemble_report(
     """Holevo quantity of the discretized isotropic Gaussian coherent ensemble.
 
     Each grid node is a coherent signal pushed through the channel with a
-    per-node Fock cutoff from `_coherent_cutoff`: Poisson tail at most
-    DEFAULT_TAIL_TOL where dim_cap allows, and otherwise the tail reached
-    at dim_cap, reported in max_tail_bound and named in binding_budget.
-    The tail alone sizes each cutoff, which may hold fewer than
-    4|alpha|^2 levels, but BudgetError is raised when a node's 4|alpha|^2
-    exceeds dim_cap (coherent_dim), as for `coherent_state`, then by
-    `_channel_transfer` at the largest cutoff when the environment
-    or the joint space exceeds DEFAULT_MAX_JOINT_DIM (thermal_dim,
-    joint_dim).  Every radius is sized before the environment, so when
-    both fail coherent_dim is the one raised, and the joint_dim error's
-    value is the largest cutoff times the environment dimension.
+    per-node Fock cutoff from `_coherent_cutoff`, the smallest with a
+    Poisson tail at most DEFAULT_TAIL_TOL.  BudgetError is raised when a
+    node's cutoff exceeds dim_cap (coherent_dim, the first such radius
+    in ascending order), then by `_channel_transfer` at the largest
+    cutoff when the environment or the joint space exceeds
+    DEFAULT_MAX_JOINT_DIM (thermal_dim, joint_dim).  Every radius is
+    sized before the environment, so when both fail coherent_dim is the
+    one raised, and the joint_dim error's value is the largest cutoff
+    times the environment dimension.
 
     The channel is phase-covariant: with U(phi) = diag(e^{i n phi}),
     the input U |alpha> gives the output U rho_out U^dag.  So the nodes
@@ -934,14 +937,6 @@ def gaussian_ensemble_report(
     start = time.perf_counter()
     chi_bits, average_entropy, _ = _holevo(average, float(radius_weights @ entropies))
     solves.append(time.perf_counter() - start)
-    # dim_cap binds where one level more would have let a cutoff grow.
-    if any(
-        dim == dim_cap and _coherent_cutoff(r * r, dim_cap + 1)[0] > dim_cap
-        for r, dim in zip(radii, dims)
-    ):
-        binding = "dim_cap"
-    else:
-        binding = "coherent_tail" if max(tails) > env_tail else "environment_tail"
     return ChiReport(
         chi_bits=chi_bits,
         average_entropy_nats=average_entropy,
@@ -950,7 +945,7 @@ def gaussian_ensemble_report(
         weights=weights,
         member_dims=np.repeat(dims, per_radius),
         max_tail_bound=max(*tails, env_tail),
-        binding_budget=binding,
+        binding_budget="coherent_tail" if max(tails) > env_tail else "environment_tail",
         dim_env=dim_out - dim_in + 1,
         transfer_bytes=sum(group.nbytes for group in transfer),
         transfer_seconds=transfer_seconds,

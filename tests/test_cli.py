@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -261,6 +262,13 @@ def test_verify_seed_changes_nothing_material(capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_a_negative_seed_before_any_suite(capsys):
+    assert main(["verify", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be a nonnegative integer" in captured.err
+
+
 def test_oracle_agreement(capsys):
     code = main(
         ["oracle", "--lambda", "0.6", "--ne", "0.5", "--n", "1", "--dim-cap", "96"]
@@ -297,6 +305,16 @@ def test_oracle_rejects_a_tolerance_that_is_not_finite_and_nonnegative(capsys, t
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol must be finite and >= 0" in captured.err
+
+
+def test_oracle_refuses_a_cap_its_tails_do_not_fit(capsys):
+    # At N = 0.02 the radii need up to 11 levels for their Poisson tails;
+    # a cap of 4 is a budget error (exit 1), not a failed agreement (exit 3).
+    argv = ["oracle", "--lambda", "0.6", "--ne", "0.5", "--n", "0.02", "--dim-cap", "4"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "limit 4" in captured.err
 
 
 def test_optimize_zero_signal_json(capsys):
@@ -367,6 +385,19 @@ def test_optimize_invalid_parameters_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(thermalcap.cli, "optimize", refuse)
     assert main(["optimize", "--lambda", "0.5", "--ne", "0", "--n", "2e9"]) == 1
     assert "signal photon number" in capsys.readouterr().err
+
+
+def test_optimize_refuses_a_member_its_cutoff_cannot_hold(capsys):
+    # A first-sweep move puts a member at |alpha|^2 = 1000 on 24 levels,
+    # where the scaled amplitudes' squares underflow: a budget error, with
+    # no NaN, warning or traceback on the way.
+    argv = ["optimize", "--lambda", "0.6", "--ne", "0.5", "--n", "1000", "--iters", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "on 24 levels" in captured.err
 
 
 def test_optimize_out_in_a_missing_directory_fails_before_the_search(tmp_path, capsys, monkeypatch):

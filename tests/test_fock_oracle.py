@@ -5,7 +5,7 @@ import math
 import tracemalloc
 import warnings
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -524,17 +524,27 @@ def test_oracle_raises_the_budget_it_cannot_meet(n_env, dim_cap, bound, limit):
     assert (excinfo.value.bound, excinfo.value.limit) == (bound, limit)
     if bound == "coherent_dim":
         # Radii are sized in ascending order, so the refusal names the first
-        # whose ceil(4|alpha|^2) exceeds the cap of 12: 14, not the largest
-        # radius's 82.
-        assert excinfo.value.value == 14
+        # whose tail-sized cutoff exceeds the cap of 12: 13 levels, not the
+        # largest radius's 59.
+        assert excinfo.value.value == 13
 
 
-def test_oracle_reports_the_tail_a_capped_cutoff_reaches():
-    # At dim_cap 4 the Poisson tail cannot reach DEFAULT_TAIL_TOL; the report
-    # carries the tail it reached instead of raising.
-    report = gaussian_ensemble_report(params(0.6, 0.5), 0.02, dim_cap=4)
-    assert report.member_dims.max() == 4
-    assert report.max_tail_bound == pytest.approx(3.9936e-3, rel=1e-4)
+@pytest.mark.parametrize(
+    "n_env, n_signal, dim_cap, need",
+    [
+        # At N = 0.02 the radii need 4 to 11 levels for their Poisson tails:
+        # a cap of 4 refuses the second radius, one of 10 the largest.
+        (0.5, 0.02, 4, 5),
+        (0.0, 0.02, 10, 11),
+    ],
+)
+def test_oracle_refuses_a_cap_below_a_tail_sized_cutoff(n_env, n_signal, dim_cap, need):
+    # No report is degraded: where the cap stops a cutoff short of
+    # DEFAULT_TAIL_TOL, the report is refused and names the cutoff it needs.
+    with pytest.raises(BudgetError) as excinfo:
+        gaussian_ensemble_report(params(0.6, n_env), n_signal, dim_cap=dim_cap)
+    error = excinfo.value
+    assert (error.bound, error.value, error.limit) == ("coherent_dim", need, dim_cap)
 
 
 def test_oracle_checks_the_coherent_cutoff_before_the_environment():
@@ -571,11 +581,9 @@ def test_oracle_sizes_a_hot_point_by_its_tail():
     [
         (0.5, 1.0, DEFAULT_CHI_DIM_CAP, "environment_tail"),
         (0.0, 1.0, DEFAULT_CHI_DIM_CAP, "coherent_tail"),
-        (0.5, 0.02, 4, "dim_cap"),
-        # At N = 0.02 the largest radius needs exactly 11 levels: a cap of
-        # 11 does not bind, and one of 10 does.
+        # At N = 0.02 the largest radius needs exactly 11 levels, so a cap
+        # of 11 runs; one of 10 is refused (above).
         (0.0, 0.02, 11, "coherent_tail"),
-        (0.0, 0.02, 10, "dim_cap"),
     ],
 )
 def test_oracle_names_the_budget_that_sets_its_tail(n_env, n_signal, dim_cap, binding):
@@ -590,6 +598,45 @@ def test_oracle_names_the_budget_that_sets_its_tail(n_env, n_signal, dim_cap, bi
     source = env_tail if binding == "environment_tail" else coherent
     assert source == max(env_tail, coherent)
     assert report.max_tail_bound == pytest.approx(source, rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n_env=st.floats(0.0, 1.0),
+    n_signal=st.floats(0.0, 2.4),
+    dim_cap=st.integers(1, DEFAULT_CHI_DIM_CAP),
+)
+@example(n_env=0.5, n_signal=0.02, dim_cap=4)  # within 4|alpha|^2, short of the tail
+@example(n_env=0.0, n_signal=0.02, dim_cap=10)
+def test_oracle_meets_the_tail_tolerance_or_refuses(n_env, n_signal, dim_cap):
+    # Every cutoff meets DEFAULT_TAIL_TOL or the point is refused; no
+    # report carries a tail above it.
+    try:
+        report = gaussian_ensemble_report(params(0.6, n_env), n_signal, dim_cap=dim_cap)
+    except BudgetError as error:
+        assert error.bound == "coherent_dim"
+        assert error.value > error.limit == dim_cap
+        return
+    assert report.max_tail_bound <= DEFAULT_TAIL_TOL
+    assert report.member_dims.max() <= dim_cap
+    assert report.binding_budget in {"environment_tail", "coherent_tail"}
+
+
+@pytest.mark.parametrize(
+    "n_signal, dim_cap, levels",
+    [
+        # The largest radius's Poisson tail sizes the cutoff, not the
+        # 4|alpha|^2 of `coherent_state` (98 at N = 2, 197 at N = 2.4).
+        (2.0, 96, 92),
+        (2.4, DEFAULT_CHI_DIM_CAP, 104),
+    ],
+)
+def test_oracle_runs_where_the_tail_fits_the_cap(n_signal, dim_cap, levels):
+    p = params(0.6, 0.5)
+    report = gaussian_ensemble_report(p, n_signal, dim_cap=dim_cap)
+    assert report.member_dims.max() == levels
+    assert report.max_tail_bound <= DEFAULT_TAIL_TOL
+    assert abs(report.chi_bits - holevo_lower(p, n_signal)) <= 1e-3
 
 
 def test_verify_decomposition_examples():

@@ -125,7 +125,7 @@ def f(x): return x
 # one of these steps in the making.
 _ALLOWED_USERS = {  # name -> the `fock_oracle` functions that may use it
     "_push": {"apply_channel", "_coherent_output"},
-    "_diagonals": {"apply_channel", "_coherent_output"},
+    "_diagonals": {"apply_channel"},
     "_eigenvalue_entropy": {"von_neumann_entropy", "_coherent_output", "_holevo"},
     "_transfer_tensor": {"_channel_transfer"},
 }
@@ -435,7 +435,9 @@ def test_bench_tracer_targets_exist():
     assert not missing, f"names the bench tracer patches are gone: {', '.join(missing)}"
 
 
-@pytest.mark.parametrize("workload", ["oracle", "optimize_pure_loss"])
+@pytest.mark.parametrize(
+    "workload", ["sweep", "oracle", "optimize_pure_loss", "optimize_thermal"]
+)
 def test_bench_worker_call_succeeds(workload, tmp_path):
     # The bench worker builds configurations and reads result fields of
     # its own (`OptimizerConfig(seed=, max_iterations=)`, `result.history`,
