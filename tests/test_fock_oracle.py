@@ -529,22 +529,19 @@ def test_oracle_raises_the_budget_it_cannot_meet(n_env, dim_cap, bound, limit):
         assert excinfo.value.value == 13
 
 
-@pytest.mark.parametrize(
-    "n_env, n_signal, dim_cap, need",
-    [
-        # At N = 0.02 the radii need 4 to 11 levels for their Poisson tails:
-        # a cap of 4 refuses the second radius, one of 10 the largest.
-        (0.5, 0.02, 4, 5),
-        (0.0, 0.02, 10, 11),
-    ],
-)
-def test_oracle_refuses_a_cap_below_a_tail_sized_cutoff(n_env, n_signal, dim_cap, need):
-    # No report is degraded: where the cap stops a cutoff short of
-    # DEFAULT_TAIL_TOL, the report is refused and names the cutoff it needs.
+def test_oracle_reports_the_tail_a_capped_cutoff_reaches():
+    # At dim_cap 4 the largest radius's Poisson tail reaches only 3.9936e-3,
+    # far above DEFAULT_TAIL_TOL.  No report carries that tail: the point is
+    # refused at the first radius needing more than 4 levels, which needs 5.
     with pytest.raises(BudgetError) as excinfo:
-        gaussian_ensemble_report(params(0.6, n_env), n_signal, dim_cap=dim_cap)
+        gaussian_ensemble_report(params(0.6, 0.5), 0.02, dim_cap=4)
     error = excinfo.value
-    assert (error.bound, error.value, error.limit) == ("coherent_dim", need, dim_cap)
+    assert (error.bound, error.value, error.limit) == ("coherent_dim", 5, 4)
+    grid = GridSpec()
+    radii = grid.nodes(0.02)[0][:: grid.n_angular].real
+    reached = max(poisson_tail_bound(r * r, 4) for r in radii)
+    assert reached == pytest.approx(3.9936e-3, rel=1e-4)
+    assert reached > DEFAULT_TAIL_TOL
 
 
 def test_oracle_checks_the_coherent_cutoff_before_the_environment():
@@ -581,12 +578,24 @@ def test_oracle_sizes_a_hot_point_by_its_tail():
     [
         (0.5, 1.0, DEFAULT_CHI_DIM_CAP, "environment_tail"),
         (0.0, 1.0, DEFAULT_CHI_DIM_CAP, "coherent_tail"),
-        # At N = 0.02 the largest radius needs exactly 11 levels, so a cap
-        # of 11 runs; one of 10 is refused (above).
+        # At N = 0.02 the radii need 4 to 11 levels for their Poisson tails:
+        # a cap of 4 refuses the second radius (5 levels), and a cap of 11
+        # runs while one of 10 refuses the largest.
+        (0.5, 0.02, 4, "dim_cap"),
         (0.0, 0.02, 11, "coherent_tail"),
+        (0.0, 0.02, 10, "dim_cap"),
     ],
 )
 def test_oracle_names_the_budget_that_sets_its_tail(n_env, n_signal, dim_cap, binding):
+    if binding == "dim_cap":
+        # Where the cap stops a cutoff short of DEFAULT_TAIL_TOL, the cap is
+        # named by a refusal, with the cutoff the tail needs; no degraded
+        # report is returned.
+        with pytest.raises(BudgetError) as excinfo:
+            gaussian_ensemble_report(params(0.6, n_env), n_signal, dim_cap=dim_cap)
+        error = excinfo.value
+        assert (error.bound, error.value, error.limit) == ("coherent_dim", dim_cap + 1, dim_cap)
+        return
     report = gaussian_ensemble_report(params(0.6, n_env), n_signal, dim_cap=dim_cap)
     assert report.binding_budget == binding
     env_tail = _thermal_cutoff(n_env)[1]
