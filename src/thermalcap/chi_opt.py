@@ -18,11 +18,18 @@ states, so nothing needs splitting.
 The search alternates two kinds of steps.  The weight step is a
 Blahut-Arimoto style exponentiated reweighting toward members with a
 larger relative-entropy contribution, with a Lagrange multiplier (the
-photon tilt, found by a bracketed Newton solve) holding the photon
-budget; on fixed states this is the classical capacity iteration and is
-monotone, but we still guard every step by re-evaluating chi and
-rejecting regressions.  The state step displaces individual members and
-keeps only improvements.  The channel is displacement-covariant,
+photon tilt, found by a bracketed Newton-type solve that stops within
+rounding noise of its root) holding the photon budget; on fixed states
+this is the classical capacity iteration and is monotone, but we still
+guard every step by re-evaluating chi and rejecting regressions.  The
+state step displaces individual members and keeps only improvements,
+judged at the moved weights and at one reweighting step from them.  The
+scores that step is built from also bound chi at its end, by the
+Blahut-Arimoto auxiliary bound (Arimoto, IEEE T-IT 18, 14, 1972;
+Blahut, IEEE T-IT 18, 460, 1972; see `_chi_ceiling`), so a move whose
+bound falls short of chi before it is rejected without the step's
+eigensolve, as that eigensolve would have rejected it.  The channel is
+displacement-covariant,
 E(D(d) rho D(d)^dag) = D(sqrt(lam) d) E(rho) D(sqrt(lam) d)^dag, so a
 member's chi gradient comes from C = ln of the average output alone:
 with A = a^dag - a and B = i (a^dag + a) on the output levels, member k
@@ -69,8 +76,11 @@ import numpy as np
 
 from .gaussian_core import ChannelParams
 from .fock_oracle import (
+    EIGENVALUE_TOL,
     FockDensityMatrix,
     _LEVELS_PER_PHOTON,
+    _LN2,
+    _LOG_FLOOR,
     _channel_transfer,
     _coherent_output,
     _coherent_vector,
@@ -79,6 +89,7 @@ from .fock_oracle import (
     apply_channel,
     coherent_state,
     mean_photon_number,
+    poisson_tail_bound,
     von_neumann_entropy,
 )
 
@@ -113,6 +124,9 @@ _STEP_FLOOR = 1e-4
 # not, then one complex Gaussian probe of this rms size in units of axis.
 _RETRY_FRACTION = 0.25
 _PROBE_SCALE = 0.35
+
+# Rounding allowance of `_chi_ceiling`, in nats.
+_CEILING_ROUNDING = 1e-12
 
 # Insertion candidates: rings x points per ring (see `_Pool`).
 _POOL_RADII = 16
@@ -209,6 +223,10 @@ class OptimizerStats:
     pushes cover the whole run, the insertion pool included.
     Eigensolves count the spectra of channel outputs: one per push, for
     its entropy, and one per chi evaluation, for the average output.
+    Moves decided by the bound are rejected moves whose reweighted
+    candidate `_chi_ceiling` ruled out, so its chi took no eigensolve.
+    Tilt evaluations count the tilted weights `_tilted_weights` computed
+    over every re-tilt of the run, its starting weights' aside.
     The one-off build of the run's transfer tensor is not counted.
     """
 
@@ -219,9 +237,11 @@ class OptimizerStats:
     probes_proposed: int = 0
     probes_accepted: int = 0
     weight_steps_rejected: int = 0
+    moves_decided_by_bound: int = 0
     insertions: int = 0
     channel_pushes: int = 0
     eigensolves: int = 0
+    tilt_evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -236,6 +256,11 @@ class OptimizationResult:
     ensemble was at MAX_MEMBERS, or no candidate raised chi).
     `ensemble` may hold more members than `OptimizerConfig.ensemble_size`,
     and every member is a pure state.
+    The run's truncation: `environment_tail` is the thermal environment's
+    tail, which every output lost, and `max_member_tail` the largest
+    `poisson_tail_bound` of a returned member's |alpha|^2 on the
+    `OptimizerConfig.dim` levels it lives on.  Both are 0 when nothing
+    was pushed (N = 0).
     """
 
     best_chi_bits: float
@@ -244,6 +269,8 @@ class OptimizationResult:
     converged: bool
     history: tuple[tuple[int, float], ...] = field(repr=False)
     stats: OptimizerStats = field(default_factory=OptimizerStats)
+    environment_tail: float = 0.0
+    max_member_tail: float = 0.0
 
 
 def chi(params: ChannelParams, ensemble: Ensemble) -> float:
@@ -284,73 +311,125 @@ def _average(outs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return average.reshape(dim, dim)
 
 
-def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.ndarray:
+def _tilted_weights(
+    raw: np.ndarray,
+    photons: np.ndarray,
+    budget: float,
+    counts: Counter[str] | None = None,
+) -> np.ndarray:
     """Renormalize exp-weights, tilting by the photon cost when needed.
 
     Returns weights proportional to raw * exp(-mu * photons), normalized,
-    with the smallest mu >= 0 whose ensemble mean is within the budget,
-    to float resolution.  Within means two things: the unnormalized
-    weights' overdraft, which the Newton steps follow, is not positive,
-    and `_mean_photons` of the returned weights, the mean
-    `Ensemble.mean_photons` reports, is at most the budget.  Raises
-    ValueError if min(photons) > budget (never while the current
-    ensemble is feasible) or if the tilt overflows first.
+    with mu = 0 if that meets the budget, else a feasible mu within
+    rounding noise of the root.  Feasible means two things: the
+    unnormalized weights' overdraft, which the steps follow, is not
+    positive, and `_mean_photons` of the returned weights, the mean
+    `Ensemble.mean_photons` reports, is at most the budget.  Within
+    rounding noise means the tilted mean excess is at most `noise` below
+    zero: one ulp per member of the mean absolute excess, what the
+    overdraft's sum may round by, plus four ulps of the budget, what the
+    reported mean may.  Raises ValueError if min(photons) > budget (never
+    while the current ensemble is feasible) or if the tilt overflows
+    first.  Each evaluation of the tilted weights adds one to
+    counts["tilt_evaluations"] when counts is given.
 
-    The tilted mean photon number falls monotonically in mu, with slope
-    minus the tilted photon variance, so Newton steps from mu = 0 kept
-    inside the bracket [overdrawn, feasible] converge quadratically.  A
-    step shorter than the stretch (a few ulps), or one away from the
-    root (where the two tests of "within" disagree), is replaced by a
-    stretch toward it.  The stretch doubles after each step that stays
-    on its side without halving the overdraft, so a root blurred by
-    rounding, where the overdraft is noise and Newton steps creep, is
-    crossed in a few dozen steps.  Bisection takes over whenever a step
-    leaves the bracket, so the loop ends with the bracket down to
-    adjacent floats and returns the weights at its feasible end.
+    The tilted mean excess falls monotonically in mu, with slope minus
+    the tilted photon variance and curvature the third central moment.
+    Each step fits c + a exp(-rate mu) to the three and solves it for a
+    target half the noise band past the root, so a converged step lands
+    in the band and ends the solve.  The fit is exact where one dear
+    member's weight decays against members the tilt barely moves, as at
+    tiny budgets, where Newton on the mean itself creeps: a 5.76-photon
+    member's weight falls by e per 1/5.76 of tilt, one step each.  Near
+    the root it is Newton's step with a curvature correction.  Where the
+    fit levels off above the target, the step decays its exponential
+    part to the target's size, or is the plain Newton step if that is
+    longer.  A step shorter than the stretch (a few ulps), or one away
+    from the root (where the two tests of feasible disagree), is
+    replaced by a stretch toward it.  The stretch doubles after each step
+    that stays on its side without halving the overdraft, so a root
+    blurred by rounding is crossed in a few steps.  Bisection takes over
+    whenever a step leaves the bracket [overdrawn, feasible], and the
+    solve also ends when the bracket closes to adjacent floats.
 
     A tilt below `floor`, an ulp of the largest log-weight per photon of
     the dearest member, is lost in rounding, and the overdraft there is
     noise; the re-tilt of an ensemble overdrawn by an ulp sits there.
-    So a step toward a Newton candidate within `floor` of 0 is at least
+    So a step toward a candidate within `floor` of 0 is at least
     `stretch` floors long, not `stretch` ulps of the candidate, and the
     first feasible tilt within four floors is returned, since no smaller
-    tilt is resolved.  Solves whose tilts stay above that are unchanged.
+    tilt is resolved.  The sums run over Python floats: at 8 to 16
+    members that is quicker than numpy's temporaries.
     """
+    if counts is None:
+        counts = Counter()
+    cost = photons.tolist()
+    if min(cost) > budget:
+        raise ValueError("photon constraint cannot be met by reweighting")
+    logr = [math.log(max(r, 1e-300)) for r in raw.tolist()]
+    excess = [p - budget for p in cost]
+    eps = math.ulp(1.0)
+    size = len(cost)
 
-    logr = np.log(np.maximum(raw, 1e-300))
-    excess = photons - budget
-    # Weighted by the tilted weights, these rows sum to the weights' total,
-    # their overdraft (positive: overdrawn), the second moment of the
-    # excess, and the weight on members dearer than the cheapest.
-    rows = np.stack(
-        [np.ones_like(excess), excess, excess * excess, photons > photons.min()]
-    )
+    def tilted(mu: float) -> tuple[list[float], float, float, float, float, float]:
+        # Unnormalized weights at tilt mu, their total, their overdraft
+        # (positive: overdrawn), the second and third moments of the
+        # excess, and the rounding noise of the overdraft per unit total.
+        counts["tilt_evaluations"] += 1
+        logw = [lr - mu * p for lr, p in zip(logr, cost)]
+        top = max(logw)
+        w = [math.exp(x - top) for x in logw]
+        total = overdraft = second = third = spread = 0.0
+        for wk, e in zip(w, excess):
+            we = wk * e
+            total += wk
+            overdraft += we
+            second += we * e
+            third += we * e * e
+            spread += abs(we)
+        noise = eps * (size * spread / total + 4.0 * budget)
+        return w, total, overdraft, second, third, noise
 
-    def tilted(mu: float) -> tuple[np.ndarray, float, float, float, float]:
-        # Unnormalized weights at tilt mu, and their four sums in one matvec.
-        logw = logr - mu * photons
-        w = np.exp(logw - logw.max())
-        return (w, *(rows @ w).tolist())
-
-    def within(w: np.ndarray, total: float, overdraft: float) -> np.ndarray | None:
+    def within(w: list[float], total: float, overdraft: float) -> np.ndarray | None:
         # The normalized weights if they meet the budget, else None.
         if overdraft > 0.0:
             return None
-        normalized = w / total
+        normalized = np.array(w) / total
         return normalized if _mean_photons(normalized, photons) <= budget else None
 
-    w, total, overdraft, second, _ = tilted(0.0)
+    w, total, overdraft, second, third, noise = tilted(0.0)
     feasible = within(w, total, overdraft)
     if feasible is not None:
         return feasible
     mu, lo, hi, w_hi = 0.0, 0.0, math.inf, None
     stretch = 4.0
-    dearest = float(photons.max())
-    floor = math.ulp(float(np.abs(logr).max())) / dearest if dearest > 0.0 else 0.0
+    dearest = max(cost)
+    floor = math.ulp(max(map(abs, logr))) / dearest if dearest > 0.0 else 0.0
     while True:
         mean = overdraft / total
         variance = second / total - mean * mean
-        cand = mu + mean / variance if variance > 0.0 else math.inf
+        skew = third / total - mean * (3.0 * second / total - 2.0 * mean * mean)
+        # The tilted mean excess to aim at: half the noise band past the
+        # root, where the band is at most (2 size + 4) ulps of the budget.
+        target = -0.5 * min(noise, (2 * size + 4) * eps * budget)
+        gap = mean - target
+        cand = math.inf
+        if variance > 0.0:
+            # The fit c + a exp(-rate mu) meets the target a step of
+            # -ln(1 - x) / rate on, x = gap * rate / variance: Newton's
+            # step gap / variance times -ln(1 - x) / x.
+            rate = skew / variance
+            x = gap * rate / variance
+            if x < 1.0:
+                cand = mu + gap / variance * (-math.log1p(-x) / x if x else 1.0)
+            elif gap > 0.0:
+                # The fit levels off above the target.  Its exponential
+                # part a exp(-rate mu) = variance / rate decays to the
+                # target's size, unless the plain Newton step is longer,
+                # as when the dear member that sets the fit weighs too
+                # little to matter.
+                decay = math.log(variance / (rate * -target)) / rate if target < 0.0 else math.inf
+                cand = mu + max(gap / variance, decay)
         # Toward the root: up from an overdrawn tilt, down from a feasible one.
         toward = 1.0 if mu == lo else -1.0
         if math.isfinite(cand):
@@ -365,16 +444,13 @@ def _tilted_weights(raw: np.ndarray, photons: np.ndarray, budget: float) -> np.n
                     raise ValueError("photon tilt overflowed before meeting the budget")
                 break
         mu, previous = cand, overdraft
-        w, total, overdraft, second, dearer = tilted(mu)
+        w, total, overdraft, second, third, noise = tilted(mu)
         feasible = within(w, total, overdraft)
         if feasible is None:
             lo = mu
-            # Still overdrawn with all weight on the cheapest members: no tilt helps.
-            if hi == math.inf and dearer == 0.0:
-                raise ValueError("photon constraint cannot be met by reweighting")
         else:
             hi, w_hi = mu, feasible
-            if hi <= 4.0 * floor:
+            if overdraft >= -noise * total or hi <= 4.0 * floor:
                 break
         if (mu == lo) == (toward > 0.0) and abs(overdraft) >= 0.5 * abs(previous):
             # Still on the same side, and the overdraft not halved: the step
@@ -392,6 +468,33 @@ def _scores(outs: np.ndarray, entropies: np.ndarray, ln_avg: np.ndarray) -> np.n
     members, dim = outs.shape[:2]
     log_avg = np.ascontiguousarray(ln_avg[:dim, :dim]).view(float).reshape(-1)
     return -entropies - outs.view(float).reshape(members, -1) @ log_avg
+
+
+def _chi_ceiling(
+    outs: np.ndarray, scores: np.ndarray, weights: np.ndarray, candidate: np.ndarray
+) -> float:
+    """An upper bound, in bits, on chi at `candidate`, without its eigensolve.
+
+    scores are the members' D(rho_k || sigma) in nats (`_scores`) against
+    sigma, the average output at `weights` with its eigenvalues floored
+    at _LOG_FLOOR, as `_holevo` takes its logarithm.  With avg the average
+    at `candidate`, in nats
+
+        chi(candidate) = sum_k candidate_k scores_k - D(avg || sigma),
+
+    and Klein's inequality D(avg || sigma) >= tr avg - tr sigma turns this
+    into the Blahut-Arimoto auxiliary bound chi <= candidate @ scores +
+    tr sigma - tr avg.  tr sigma - tr avg is (weights - candidate) @ the
+    member traces plus the floor's excess.  That excess is at most
+    _LOG_FLOOR + EIGENVALUE_TOL per output level, since `_holevo` refuses
+    an average with an eigenvalue below -EIGENVALUE_TOL; _CEILING_ROUNDING
+    nats more cover the rounding of the two entropies.
+    """
+    members, dim = outs.shape[:2]
+    traces = outs.reshape(members, -1)[:, :: dim + 1].real.sum(axis=1)
+    excess = dim * (_LOG_FLOOR + EIGENVALUE_TOL) + _CEILING_ROUNDING
+    slack = float((weights - candidate) @ traces) + excess
+    return (float(candidate @ scores) + slack) / _LN2
 
 
 class _Run:
@@ -452,18 +555,26 @@ class _Run:
         )
         return value, ln_avg
 
-    def _reweight(self, weights: np.ndarray) -> tuple[float, np.ndarray, float]:
+    def _reweight(
+        self, weights: np.ndarray, to_beat: float = -math.inf
+    ) -> tuple[float, np.ndarray, float]:
         """Chi at `weights`, one reweighting step from them, and chi there.
 
         The step scales each weight by exp of the member's relative-entropy
         score against the average output at `weights`; the photon tilt
         then restores the budget.  Fixed points of this map with a nonzero
         tilt saturate the constraint at stationary weights.
+        When chi at `weights` is at most `to_beat` and `_chi_ceiling`
+        shows chi at the step below it too, the step's eigensolve is
+        skipped and its chi reads -inf: neither can beat `to_beat`.
         """
         value, ln_avg = self._chi(weights, with_log=True)
         scores = _scores(self.outs, self.entropies, ln_avg)
         raw = weights * np.exp(scores - scores.max())
-        candidate = _tilted_weights(raw, self.photons, self.budget)
+        candidate = _tilted_weights(raw, self.photons, self.budget, self.counts)
+        if value <= to_beat and _chi_ceiling(self.outs, scores, weights, candidate) < to_beat:
+            self.counts["moves_decided_by_bound"] += 1
+            return value, candidate, -math.inf
         return value, candidate, self._chi(candidate)[0]
 
     def weight_step(self) -> None:
@@ -524,7 +635,11 @@ class _Run:
         feasibility, and a reweighting step is evaluated alongside the
         unchanged weights, so moves that only pay off after the weights
         adapt stay reachable even when the constraint is active.  The new
-        output takes the old one's place in the stack.
+        output takes the old one's place in the stack.  The reweighting
+        step's chi takes a second eigensolve only when `_chi_ceiling`
+        cannot show it below chi before the move (see `_reweight`), so a
+        move the bound settles is rejected exactly as that eigensolve
+        would have it; about 92% of rejected moves are settled so.
         """
         self.counts["displacements_proposed"] += 1
         self.counts[f"{kind}_proposed"] += 1
@@ -538,8 +653,8 @@ class _Run:
                 # No reweighting can restore feasibility; reject outright.
                 self.outs[k], self.entropies[k], self.photons[k] = old
                 return False
-            weights = _tilted_weights(weights, self.photons, self.budget)
-        best, reweighted, chi_reweighted = self._reweight(weights)
+            weights = _tilted_weights(weights, self.photons, self.budget, self.counts)
+        best, reweighted, chi_reweighted = self._reweight(weights, before)
         best_weights = weights
         if chi_reweighted > best:
             best_weights, best = reweighted, chi_reweighted
@@ -596,7 +711,7 @@ class _Run:
         for _ in range(12):
             weights = np.append((1.0 - share) * w, share)
             if _mean_photons(weights, self.photons) > self.budget:
-                weights = _tilted_weights(weights, self.photons, self.budget)
+                weights = _tilted_weights(weights, self.photons, self.budget, self.counts)
             value = self._chi(weights)[0]
             if value > best:
                 best, best_weights = value, weights
@@ -624,7 +739,7 @@ class _Run:
         photons = np.array([mean_photon_number(state) for state in states])
         weights = self.weights / self.weights.sum()
         if _mean_photons(weights, photons) > self.budget:
-            weights = _tilted_weights(weights, photons, self.budget)
+            weights = _tilted_weights(weights, photons, self.budget, self.counts)
         return Ensemble(tuple(zip(states, weights)))
 
 
@@ -826,4 +941,6 @@ def optimize(
         converged=converged,
         history=tuple(history),
         stats=OptimizerStats(**run.counts),
+        environment_tail=run.env_tail,
+        max_member_tail=max(poisson_tail_bound(abs(a) ** 2, run.dim) for a in run.alphas),
     )

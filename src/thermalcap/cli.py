@@ -531,6 +531,8 @@ def cmd_optimize(args) -> int:
             "mean_photons": result.ensemble.mean_photons,
             "seed": args.seed,
             "stats": asdict(result.stats),
+            "environment_tail": result.environment_tail,
+            "max_member_tail": result.max_member_tail,
             "max_member_photons": max_member_photons,
             "member_photon_limit": member_photon_limit,
             # A best value above the certified upper bound, or a member past

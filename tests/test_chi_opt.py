@@ -1,5 +1,7 @@
 """Tests for the constrained ensemble ascent on the Holevo quantity."""
 
+from collections import Counter
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -18,6 +20,7 @@ from thermalcap.chi_opt import (
     _mean_photons,
     _Pool,
     _Run,
+    _chi_ceiling,
     _scores,
     _tilted_weights,
     chi,
@@ -36,6 +39,7 @@ from thermalcap.fock_oracle import (
     coherent_state,
     gaussian_ensemble_report,
     mean_photon_number,
+    poisson_tail_bound,
     von_neumann_entropy,
 )
 from thermalcap.gaussian_core import ChannelParams
@@ -308,27 +312,12 @@ _ULP_OVERDRAFTS = [
 ]
 
 
-class _CountingExp:
-    """`numpy` with its `exp` calls counted: one per tilt evaluation."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def exp(self, *args, **kwargs):
-        self.calls += 1
-        return np.exp(*args, **kwargs)
-
-
 @pytest.mark.parametrize("raw, photons", _ULP_OVERDRAFTS)
-def test_tilted_weights_settle_an_ulp_overdraft_in_a_few_evaluations(raw, photons, monkeypatch):
+def test_tilted_weights_settle_an_ulp_overdraft_in_a_few_evaluations(raw, photons):
     raw, photons = np.array(raw), np.array(photons)
-    counting = _CountingExp()
-    monkeypatch.setattr(chi_opt, "np", counting)
-    weights = _tilted_weights(raw, photons, 1.0)
-    assert counting.calls <= 4
+    counts = Counter()
+    weights = _tilted_weights(raw, photons, 1.0, counts)
+    assert 2 <= counts["tilt_evaluations"] <= 4  # the untilted weights overdraw
     assert _mean_photons(weights, photons) <= 1.0
     assert np.abs(weights - raw / raw.sum()).max() <= 1e-15
 
@@ -341,6 +330,29 @@ def test_optimize_completes_at_tiny_photon_budgets(n):
     assert result.iterations == 3
     assert result.ensemble.mean_photons <= n
     assert 0.0 <= result.best_chi_bits <= additive_extension_upper(p, n) + 1e-12
+
+
+def test_tilt_solves_at_tiny_photon_budgets_take_few_evaluations(monkeypatch):
+    # The runs of `test_optimize_completes_at_tiny_photon_budgets`.  An
+    # inserted 5.76-photon member's weight must fall to the budget's
+    # scale; Newton steps on the tilted mean crept there by 1/5.76 of tilt
+    # per evaluation, up to 185 evaluations in one solve at N = 1e-30.
+    solve = chi_opt._tilted_weights
+    per_solve = []
+
+    def counted(raw, photons, budget, counts=None):
+        own = Counter()
+        weights = solve(raw, photons, budget, own)
+        per_solve.append(own["tilt_evaluations"])
+        if counts is not None:
+            counts.update(own)
+        return weights
+
+    monkeypatch.setattr(chi_opt, "_tilted_weights", counted)
+    for n in (1e-12, 1e-15, 1e-30):
+        optimize(params(0.6, 0.5), n, OptimizerConfig(max_iterations=3))
+    assert len(per_solve) > 100
+    assert max(per_solve) <= 9
 
 
 @pytest.mark.parametrize(
@@ -588,3 +600,82 @@ def test_ring_pool_matches_direct_pushes(n_env):
         candidate, out = pool.candidate(j)
         assert candidate == alpha
         assert np.abs(out - outs[j]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_env", [0.0, 0.5])
+def test_chi_ceiling_bounds_chi_at_other_weights(n_env):
+    # The Blahut-Arimoto auxiliary bound: chi at feasible weights u is at
+    # most `_chi_ceiling`, from the scores against the floored average at
+    # weights w.  At u = w, where Klein's inequality is an equality, the
+    # bound is as tight as its slack, and u within 1e-9 of w tests the
+    # rounding allowance.
+    rng = np.random.default_rng(29)
+    dim = 24
+    alphas, weights = _initial_states(1.0, 8, dim)
+    run = _Run(params(0.6, n_env), 1.0, alphas, weights, dim)
+    for _ in range(12):
+        size = int(rng.integers(2, MAX_MEMBERS + 1))
+        radii = 2.4 * np.sqrt(rng.uniform(0.0, 1.0, size))
+        members = list(radii * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, size)))
+        members[0] = 0.0
+        outs, entropies, photons = run.outputs(members)
+
+        def feasible(raw):
+            return _tilted_weights(raw, photons, 1.0)
+
+        def chi_at(u):
+            return _holevo(_average(outs, u), float(u @ entropies))[0]
+
+        w = feasible(rng.exponential(1.0, size))
+        _, _, ln_avg = _holevo(_average(outs, w), float(w @ entropies), with_log=True)
+        scores = _scores(outs, entropies, ln_avg)
+        assert 0.0 <= _chi_ceiling(outs, scores, w, w) - chi_at(w) <= 1e-8
+        others = [feasible(rng.exponential(1.0, size) ** 3) for _ in range(4)]
+        others += [feasible(w * np.exp(1e-9 * rng.standard_normal(size))) for _ in range(4)]
+        for u in others:
+            assert chi_at(u) <= _chi_ceiling(outs, scores, w, u)
+
+
+@pytest.mark.parametrize("n_env", sorted(_PINNED_HISTORIES))
+def test_chi_ceiling_skips_only_eigensolves(n_env, monkeypatch):
+    # With the bound switched off every move evaluates its reweighting
+    # step, and the run is the same bit for bit: the bound only rejects
+    # what that eigensolve would reject.
+    config = OptimizerConfig(seed=0, max_iterations=20)
+    bounded = optimize(params(0.6, n_env), 1.0, config)
+    monkeypatch.setattr(chi_opt, "_chi_ceiling", lambda *args: math.inf)
+    full = optimize(params(0.6, n_env), 1.0, config)
+    assert bounded.history == full.history
+    assert bounded.best_chi_bits == full.best_chi_bits
+    assert len(bounded.ensemble) == len(full.ensemble)
+    for (state, weight), (other, other_weight) in zip(
+        bounded.ensemble.members, full.ensemble.members
+    ):
+        assert weight == other_weight
+        assert np.array_equal(state.matrix, other.matrix)
+    decided = bounded.stats.moves_decided_by_bound
+    assert decided > 0 and full.stats.moves_decided_by_bound == 0
+    assert full.stats.eigensolves - bounded.stats.eigensolves == decided
+    assert replace(bounded.stats, eigensolves=0, moves_decided_by_bound=0) == replace(
+        full.stats, eigensolves=0
+    )
+
+
+@pytest.mark.parametrize("n_env", [0.0, 0.5])
+def test_optimize_reports_its_truncation(n_env):
+    # Both tails recomputed from the returned ensemble: each member's
+    # output loses the environment tail, and a truncated coherent vector
+    # has |alpha|^2 = |rho_10|^2 / rho_00^2.
+    p = params(0.6, n_env)
+    result = optimize(p, 1.0, OptimizerConfig(max_iterations=5))
+    members = [state for state, _ in result.ensemble.members]
+    assert {apply_channel(p, state).deficit for state in members} == {result.environment_tail}
+    assert (result.environment_tail > 0.0) == (n_env > 0.0)
+    tails = [
+        poisson_tail_bound(abs(s.matrix[1, 0]) ** 2 / s.matrix[0, 0].real ** 2, s.dim)
+        for s in members
+    ]
+    assert result.max_member_tail == pytest.approx(max(tails), rel=1e-9)
+    assert result.max_member_tail > 0.0
+    vacuum = optimize(p, 0.0)
+    assert vacuum.environment_tail == vacuum.max_member_tail == 0.0

@@ -356,6 +356,26 @@ def test_optimize_iteration_cap_exit_four(tmp_path):
     assert payload["best_chi_bits"] <= payload["upper_bits"] + 1e-6
 
 
+def test_optimize_prints_its_work_and_truncation(capsys):
+    # The stats block counts the tilt evaluations and the moves the
+    # Blahut-Arimoto bound decided, and a repeated run repeats them; the
+    # environment and member tails are printed beside them.
+    argv = ["optimize", "--lambda", "0.6", "--ne", "0.5", "--n", "1", "--iters", "3"]
+    payloads = []
+    for _ in range(2):
+        assert main(argv) == 4
+        payloads.append(json.loads(capsys.readouterr().out))
+    first, second = payloads
+    assert first["stats"] == second["stats"]
+    assert first["stats"]["tilt_evaluations"] > 0
+    assert first["stats"]["moves_decided_by_bound"] > 0
+    assert 0.0 < first["environment_tail"] <= 1e-10
+    assert first["max_member_tail"] > 0.0
+    assert (first["environment_tail"], first["max_member_tail"]) == (
+        second["environment_tail"], second["max_member_tail"]
+    )
+
+
 def test_optimize_flags_members_past_the_truncation_limit(capsys):
     # At N = 4 on 8 levels the search moves a member past the coherent
     # limit dim / 4 while chi stays below the upper bound; the audit flag

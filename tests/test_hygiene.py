@@ -169,6 +169,24 @@ def test_each_holevo_step_has_one_home():
     assert not found, f"Holevo steps used outside their home: {'; '.join(found)}"
 
 
+def test_the_chi_ceiling_has_one_home_and_one_caller():
+    # The Blahut-Arimoto bound that spares rejected moves an eigensolve is
+    # written once, in `chi_opt`, and read by `_Run._reweight` alone.
+    homes = [
+        (module, node.name)
+        for module, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_chi_ceiling"
+    ]
+    callers = [
+        (module, function)
+        for module, tree in _package_trees()
+        for function, _, _ in _uses(tree, {"_chi_ceiling"})
+    ]
+    assert homes == [("chi_opt.py", "_chi_ceiling")]
+    assert callers == [("chi_opt.py", "_reweight")]
+
+
 # Each truncation constant is read only where its rule lives: the tail
 # tolerance by the two cutoff rules, and the joint cap by the thermal rule,
 # the transfer-tensor fetch and the thermal entropy cutoff.
