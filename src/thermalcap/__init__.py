@@ -6,8 +6,17 @@ the classical capacity, certifying that they differ by less than
 1/ln 2 bits.  The numerical layer (`fock_oracle`, `chi_opt`) checks the
 same quantities by direct simulation in truncated Fock space and
 searches finite input ensembles for larger Holevo quantities.  `cli`
-exposes everything as a command-line tool.
+exposes everything as a command-line tool.  Imported before NumPy, the
+package sets OPENBLAS/OMP/MKL_NUM_THREADS to 1 unless already set: its
+matrices are small, and one thread runs them fastest and bit for bit.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_variable, "1")
 
 from .gfunc import (
     delta,

@@ -47,17 +47,17 @@ halves, down to a fixed floor.  A sweep whose gradient steps all fail
 halves it too, but not below half the insertion grid's spacing, so the
 steps stay short enough to be accepted while the weights converge.
 
-Members are coherent amplitudes alpha on the run's one cutoff,
-`OptimizerConfig.dim`: a displacement by delta moves alpha to alpha +
-delta.  Every push hands an amplitude to `fock_oracle._coherent_output`,
-as each radius of the oracle does, slicing the run's one transfer
-tensor; it builds the truncated coherent vector, and returns its output,
-output entropy and photons.  State vectors and density matrices are
-built here only for the `Ensemble` a run returns.
-The members' channel outputs are stacked as a (members, D_out, D_out)
-array, so the average output, all relative-entropy scores and all
-displacement gradients are one matvec each.  Every chi in this module,
-`chi` included, comes from `fock_oracle._holevo` on that average, the
+Members are coherent amplitudes alpha: a displacement by delta moves
+alpha to alpha + delta.  Every push hands an amplitude to
+`fock_oracle._coherent_output` on the cutoff `_coherent_cutoff` gives
+|alpha|^2, as for each oracle radius, up to DEFAULT_CHI_DIM_CAP levels;
+it builds the truncated coherent vector, and returns its output, output
+entropy and photons.  State vectors and density matrices are built here
+only for the `Ensemble` a run returns.  The members' channel outputs are
+stacked, zero-padded to the largest, as a (members, D_out, D_out) array,
+so the average output, all relative-entropy scores and all displacement
+gradients are one matvec each.  Every chi in this module, `chi`
+included, comes from `fock_oracle._holevo` on that average, the
 evaluator the oracle uses, physicality check included.
 
 Everything is deterministic under a fixed seed, and the result is
@@ -76,12 +76,14 @@ import numpy as np
 
 from .gaussian_core import ChannelParams
 from .fock_oracle import (
+    DEFAULT_CHI_DIM_CAP,
     EIGENVALUE_TOL,
+    BudgetError,
     FockDensityMatrix,
-    _LEVELS_PER_PHOTON,
     _LN2,
     _LOG_FLOOR,
     _channel_transfer,
+    _coherent_cutoff,
     _coherent_output,
     _coherent_vector,
     _holevo,
@@ -89,7 +91,6 @@ from .fock_oracle import (
     apply_channel,
     coherent_state,
     mean_photon_number,
-    poisson_tail_bound,
     von_neumann_entropy,
 )
 
@@ -101,13 +102,11 @@ __all__ = [
     "chi",
     "optimize",
     "MAX_MEMBERS",
-    "MAX_DIM",
     "WEIGHT_SUM_TOL",
     "CONSTRAINT_SLACK",
 ]
 
 MAX_MEMBERS = 16
-MAX_DIM = 32
 WEIGHT_SUM_TOL = 1e-12
 CONSTRAINT_SLACK = 1e-9
 
@@ -178,18 +177,17 @@ class OptimizerConfig:
     """Search-space size and termination settings.
 
     `ensemble_size` is the starting member count; `optimize` may insert
-    members up to MAX_MEMBERS.  Every member, started or inserted, lives
-    on `dim` levels.
+    members up to MAX_MEMBERS.  Every member, started, moved or inserted,
+    lives on the cutoff its Poisson tail needs (`_coherent_cutoff`).
     """
 
     ensemble_size: int = 8
-    dim: int = 24
     max_iterations: int = 1000
     tolerance: float = 1e-7
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("ensemble_size", "dim", "max_iterations"):
+        for name in ("ensemble_size", "max_iterations", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -197,12 +195,8 @@ class OptimizerConfig:
             raise ValueError(
                 f"ensemble_size must be in [1, {MAX_MEMBERS}], got {self.ensemble_size}"
             )
-        if not (2 <= self.dim <= MAX_DIM):
-            raise ValueError(f"dim must be in [2, {MAX_DIM}], got {self.dim}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         real = isinstance(self.tolerance, (int, float, np.integer, np.floating))
@@ -258,9 +252,9 @@ class OptimizationResult:
     and every member is a pure state.
     The run's truncation: `environment_tail` is the thermal environment's
     tail, which every output lost, and `max_member_tail` the largest
-    `poisson_tail_bound` of a returned member's |alpha|^2 on the
-    `OptimizerConfig.dim` levels it lives on.  Both are 0 when nothing
-    was pushed (N = 0).
+    `poisson_tail_bound` of a returned member's |alpha|^2 on the levels
+    it lives on, each at most DEFAULT_TAIL_TOL by `_coherent_cutoff`.
+    Both are 0 when nothing was pushed (N = 0).
     """
 
     best_chi_bits: float
@@ -501,50 +495,47 @@ class _Run:
     """Mutable state of one optimization: members, weights, channel outputs.
 
     `alphas` lists the members as coherent amplitudes; each stands for
-    the truncated coherent vector at that amplitude on `dim` levels, the
-    run's one cutoff, which `_coherent_output` builds for each push and
-    `ensemble` for the result.  `outs` stacks their channel outputs, so
-    the average output and every relative-entropy score take one matvec
-    each.  `counts` gathers the run's `OptimizerStats`.  One transfer
-    tensor, fetched at `dim`, serves every push of the run, the pool's
-    included.
+    the truncated coherent vector at that amplitude on its own cutoff,
+    which `output` builds for each push and `ensemble` for the result.
+    `outs` stacks their channel outputs (`unpadded`) zero-padded to the
+    largest, so the average output and every relative-entropy score take
+    one matvec each.  `counts` gathers the run's `OptimizerStats`.  The
+    transfer tensor, fetched at the insertion disc's edge, serves every
+    push of the run but those of a member past that edge.
     """
 
     def __init__(
-        self,
-        params: ChannelParams,
-        budget: float,
-        alphas: list[complex],
-        weights: np.ndarray,
-        dim: int,
+        self, params: ChannelParams, budget: float, alphas: list[complex], weights: np.ndarray
     ):
         self.params = params
         self.budget = budget
-        self.dim = dim
-        self.transfer, self.env_tail = _channel_transfer(params, dim)
+        edge, _ = _coherent_cutoff(_radius_cap(budget) ** 2, DEFAULT_CHI_DIM_CAP)
+        self.transfer, self.env_tail = _channel_transfer(params, edge)
         self.counts: Counter[str] = Counter()
         self.alphas = list(alphas)
         self.weights = weights.copy()
-        self.outs, self.entropies, self.photons = self.outputs(self.alphas)
+        self.unpadded, self.entropies, self.photons = self.outputs(self.alphas)
+        self.outs = _stack(self.unpadded)
         self.current_chi = self._chi(self.weights)[0]
 
     def output(self, alpha: complex) -> tuple[np.ndarray, float, float]:
-        """`fock_oracle._coherent_output` at alpha on the run's cutoff, counted.
+        """`fock_oracle._coherent_output` at alpha on its own cutoff, counted.
 
         It gives the channel output, its entropy and the photons of the
         truncated vector, as `Ensemble.mean_photons` measures them; each
-        call counts one push and one eigensolve.
+        call counts one push and one eigensolve, unless it raises BudgetError.
         """
+        dim, _ = _coherent_cutoff(abs(alpha) ** 2, DEFAULT_CHI_DIM_CAP)
+        if dim > self.transfer[0].shape[2]:  # group 0 holds every input level
+            self.transfer, self.env_tail = _channel_transfer(self.params, dim)
         self.counts["channel_pushes"] += 1
         self.counts["eigensolves"] += 1
-        return _coherent_output(self.transfer, self.env_tail, alpha, self.dim)
+        return _coherent_output(self.transfer, self.env_tail, alpha, dim)
 
-    def outputs(
-        self, alphas: list[complex]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`output` at each amplitude: the outputs stacked, entropies, photons."""
+    def outputs(self, alphas: list[complex]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """`output` at each amplitude: the outputs, entropies and photons."""
         outs, entropies, photons = zip(*(self.output(a) for a in alphas))
-        return _stack(list(outs)), np.array(entropies), np.array(photons)
+        return list(outs), np.array(entropies), np.array(photons)
 
     def _chi(
         self, weights: np.ndarray, with_log: bool = False
@@ -639,19 +630,22 @@ class _Run:
         step's chi takes a second eigensolve only when `_chi_ceiling`
         cannot show it below chi before the move (see `_reweight`), so a
         move the bound settles is rejected exactly as that eigensolve
-        would have it; about 92% of rejected moves are settled so.
+        would have it; about 92% of rejected moves are settled so.  A move
+        no cutoff within the caps can hold is rejected outright.
         """
         self.counts["displacements_proposed"] += 1
         self.counts[f"{kind}_proposed"] += 1
         alpha = self.alphas[k] + delta
+        try:
+            old = self._swap(k, *self.output(alpha))
+        except BudgetError:
+            return False
         before = self.current_chi
-        old = (self.outs[k].copy(), self.entropies[k], self.photons[k])
-        self.outs[k], self.entropies[k], self.photons[k] = self.output(alpha)
         weights = self.weights
         if _mean_photons(weights, self.photons) > self.budget:
             if float(self.photons.min()) > self.budget:
                 # No reweighting can restore feasibility; reject outright.
-                self.outs[k], self.entropies[k], self.photons[k] = old
+                self._swap(k, *old)
                 return False
             weights = _tilted_weights(weights, self.photons, self.budget, self.counts)
         best, reweighted, chi_reweighted = self._reweight(weights, before)
@@ -665,8 +659,21 @@ class _Run:
             self.counts["displacements_accepted"] += 1
             self.counts[f"{kind}_accepted"] += 1
             return True
-        self.outs[k], self.entropies[k], self.photons[k] = old
+        self._swap(k, *old)
         return False
+
+    def _swap(
+        self, k: int, out: np.ndarray, entropy: float, photons: float
+    ) -> tuple[np.ndarray, float, float]:
+        """Make out, entropy and photons member k's; return those they replace."""
+        old = (self.unpadded[k], self.entropies[k], self.photons[k])
+        self.unpadded[k], self.entropies[k], self.photons[k] = out, entropy, photons
+        if max(map(len, self.unpadded)) != len(self.outs[0]):
+            self.outs = _stack(self.unpadded)
+        else:
+            self.outs[k] = 0.0
+            self.outs[k, : len(out), : len(out)] = out
+        return old
 
     def grow(self, pool: _Pool) -> bool:
         """Insert pool states one at a time, up to MAX_MEMBERS; True if any.
@@ -703,7 +710,8 @@ class _Run:
         if not violation[j] > 0.0:
             return False
         alpha, out = pool.candidate(j)
-        self.outs = np.concatenate([outs, out[None]])
+        self.unpadded.append(out)
+        self.outs = _stack(self.unpadded)
         self.entropies = np.append(self.entropies, pool.entropies[j])
         self.photons = np.append(self.photons, pool.photons[j])
         best, best_weights = self.current_chi, None
@@ -718,6 +726,7 @@ class _Run:
             share *= 0.5
         if best_weights is None:
             self.outs = outs
+            self.unpadded.pop()
             self.entropies = self.entropies[:-1]
             self.photons = self.photons[:-1]
             return False
@@ -727,14 +736,15 @@ class _Run:
         return True
 
     def ensemble(self) -> Ensemble:
-        """The members as pure density matrices on `dim` levels, weights normalized.
+        """The members as pure density matrices on their cutoffs, weights normalized.
 
         A matrix's photons, as `mean_photon_number` reads them, can differ
         from its pushed vector's by rounding, so weights that meet the
         budget on the run's photons may overdraw it on the matrices' by
         an ulp; they are then re-tilted against the matrices' own.
         """
-        vectors = (_coherent_vector(alpha, self.dim) for alpha in self.alphas)
+        cutoffs = (_coherent_cutoff(abs(a) ** 2, DEFAULT_CHI_DIM_CAP)[0] for a in self.alphas)
+        vectors = (_coherent_vector(a, dim) for a, dim in zip(self.alphas, cutoffs))
         states = [FockDensityMatrix(np.outer(psi, psi.conj())) for psi in vectors]
         photons = np.array([mean_photon_number(state) for state in states])
         weights = self.weights / self.weights.sum()
@@ -743,9 +753,9 @@ class _Run:
         return Ensemble(tuple(zip(states, weights)))
 
 
-def _radius_cap(dim: int) -> float:
-    """Largest ring radius on dim levels: |alpha|^2 stays below dim/4."""
-    return 0.98 * math.sqrt(dim / _LEVELS_PER_PHOTON)
+def _radius_cap(n_signal: float) -> float:
+    """Insertion disc radius 2.40 sqrt(N): e^-5.76 of `holevo_lower`'s ensemble lies past it."""
+    return 0.98 * math.sqrt(6.0 * n_signal)
 
 
 def _ring(radius: float, count: int, offset: float) -> list[complex]:
@@ -759,22 +769,22 @@ def _ring(radius: float, count: int, offset: float) -> list[complex]:
 class _Pool:
     """Coherent candidates for insertion, pushed through the channel by ring.
 
-    A polar grid on the disc |alpha|^2 <= dim/4 where `coherent_state`
-    truncates safely: the origin plus _POOL_RADII rings of _POOL_ANGLES
-    points, alternate rings offset by half an angle step.  `spacing` is
-    the radial distance between rings.  The channel is phase-covariant:
-    the output at r e^{i phi} is the output at r with entry (m, n) times
-    e^{i (m - n) phi}, with the same entropy, and the input has the same
-    photon number.  So only the origin and one point per ring, at phase
-    0, are pushed, through the run, which counts them; a candidate's
-    output is made by rotating its ring's only when it is inserted.  The
-    grid lies on the run's cutoff.
+    A polar grid on the disc of radius `_radius_cap`: the origin plus
+    _POOL_RADII rings of _POOL_ANGLES points, alternate rings offset by
+    half an angle step.  `spacing` is the radial distance between rings.
+    The channel is phase-covariant: the output at r e^{i phi} is the
+    output at r with entry (m, n) times e^{i (m - n) phi}, with the same
+    entropy, and the input has the same photon number.  So only the
+    origin and one point per ring, at phase 0, are pushed, through the
+    run, which counts them; a candidate's output is made by rotating its
+    ring's, on that ring's own cutoff, only when it is inserted.
     """
 
     def __init__(self, run: _Run):
-        self.spacing = _radius_cap(run.dim) / _POOL_RADII
+        self.spacing = _radius_cap(run.budget) / _POOL_RADII
         radii = [i * self.spacing for i in range(_POOL_RADII + 1)]
-        self.outs, entropies, photons = run.outputs(radii)
+        self.ring_outs, entropies, photons = run.outputs(radii)
+        self.outs = _stack(self.ring_outs)
         self.alphas: list[complex] = [0.0]
         rings = [0]
         for i in range(1, _POOL_RADII + 1):
@@ -794,9 +804,12 @@ class _Pool:
         With h_r[delta] = sum over m - n = delta of out_r[m, n] C[n, m],
         for C = ln_avg and ring output out_r, a candidate at phase phi on
         ring r has tr(out C) = Re sum_delta h_r[delta] e^{i delta phi}.
+        Past the average's levels C is the zero-padded average's: ln _LOG_FLOOR on the diagonal.
         """
-        dim = self.outs.shape[-1]
-        products = self.outs * ln_avg[:dim, :dim].T
+        dim, size = self.outs.shape[-1], min(self.outs.shape[-1], len(ln_avg))
+        log = np.diag(np.full(dim, math.log(_LOG_FLOOR))).astype(ln_avg.dtype)
+        log[:size, :size] = ln_avg[:size, :size]
+        products = self.outs * log.T
         lag_sums = np.stack(
             [np.trace(products, offset=-lag, axis1=1, axis2=2) for lag in range(dim)], axis=1
         )
@@ -806,32 +819,26 @@ class _Pool:
     def candidate(self, j: int) -> tuple[complex, np.ndarray]:
         """Amplitude and channel output of candidate j."""
         alpha = self.alphas[j]
-        return alpha, _phase_rotated(self.outs[self.rings[j]], np.angle(alpha))
+        return alpha, _phase_rotated(self.ring_outs[self.rings[j]], np.angle(alpha))
 
 
-def _initial_states(
-    n_signal: float, size: int, dim: int
-) -> tuple[list[complex], np.ndarray]:
+def _initial_states(n_signal: float, size: int) -> tuple[list[complex], np.ndarray]:
     """Vacuum plus up to two rings of coherent amplitudes, feasibly weighted.
 
     Ring radii are fractions of sqrt(N) that work well for the pure-loss
-    channel at small N, clamped so every amplitude meets the coherent
-    truncation precondition |alpha|^2 <= dim/4; the optimizer refines
+    channel at small N, inside the insertion disc; the optimizer refines
     them anyway.  Weights are tilted toward the vacuum just enough to
     respect the photon budget.
     """
     scale = math.sqrt(n_signal)
-    radius_cap = _radius_cap(dim)
     alphas: list[complex] = [0.0]
     if size == 2:
-        alphas.append(min(scale, radius_cap))
+        alphas.append(scale)
     elif size > 2:
         n_inner = (size - 1) // 2
         n_outer = size - 1 - n_inner
-        r_inner = min(0.9 * scale, 0.7 * radius_cap)
-        r_outer = min(1.8 * scale, radius_cap)
-        alphas += _ring(r_inner, n_inner, 0.0)
-        alphas += _ring(r_outer, n_outer, 0.5)
+        alphas += _ring(0.9 * scale, n_inner, 0.0)
+        alphas += _ring(1.8 * scale, n_outer, 0.5)
     photons = np.array([abs(a) ** 2 for a in alphas])
     raw = np.exp(-photons / max(n_signal, 1e-12))
     weights = _tilted_weights(raw, photons, 0.95 * n_signal)
@@ -847,8 +854,10 @@ def optimize(
 
     Alternates guarded reweighting with displacements of the members,
     starting from `config.ensemble_size` coherent states
-    (`_initial_states`); every member, started or inserted, is a
-    coherent amplitude on `config.dim` levels.  Each sweep reweights,
+    (`_initial_states`); every member, started, moved or inserted, is a
+    coherent amplitude on the cutoff its Poisson tail needs.  BudgetError,
+    before the search, when no cutoff within the caps holds the insertion
+    disc's edge.  Each sweep reweights,
     gives every member's amplitude a step of length step * sqrt(n_signal)
     along its chi gradient net of the photon multiplier (repeated once if
     accepted, retried at a quarter of the length if not) and one Gaussian
@@ -874,7 +883,7 @@ def optimize(
         raise ValueError(f"photon-number constraint must be >= 0, got {n_signal}")
 
     if n == 0.0:
-        vacuum = Ensemble(((coherent_state(0.0, 2), 1.0),))
+        vacuum = Ensemble(((coherent_state(0.0, 1), 1.0),))
         return OptimizationResult(
             best_chi_bits=0.0,
             ensemble=vacuum,
@@ -883,16 +892,16 @@ def optimize(
             history=((0, 0.0),),
         )
 
-    alphas, weights = _initial_states(n, config.ensemble_size, config.dim)
+    alphas, weights = _initial_states(n, config.ensemble_size)
     rng = np.random.default_rng(config.seed)
-    run = _Run(params, n, alphas, weights, config.dim)
+    run = _Run(params, n, alphas, weights)
 
     current = run.current_chi
     history = [(0, current)]
     step = _INITIAL_STEP
     scale = math.sqrt(n)
     # Half the insertion grid's spacing, in units of sqrt(n).
-    grid_step = 0.5 * _radius_cap(config.dim) / _POOL_RADII / scale
+    grid_step = 0.5 * _radius_cap(n) / _POOL_RADII / scale
     converged = False
     iterations = 0
     pool = None
@@ -934,6 +943,7 @@ def optimize(
                 break
             step = max(step * _STEP_DECAY, _STEP_FLOOR)
 
+    tails = [_coherent_cutoff(abs(a) ** 2, DEFAULT_CHI_DIM_CAP)[1] for a in run.alphas]
     return OptimizationResult(
         best_chi_bits=current,
         ensemble=run.ensemble(),
@@ -942,5 +952,5 @@ def optimize(
         history=tuple(history),
         stats=OptimizerStats(**run.counts),
         environment_tail=run.env_tail,
-        max_member_tail=max(poisson_tail_bound(abs(a) ** 2, run.dim) for a in run.alphas),
+        max_member_tail=max(tails),
     )

@@ -54,11 +54,9 @@ from .bounds import (
 from .fock_oracle import (
     DEFAULT_CHI_DIM_CAP,
     BudgetError,
-    _LEVELS_PER_PHOTON,
     _thermal_cutoff,
     coherent_state,
     gaussian_ensemble_report,
-    mean_photon_number,
     thermal_entropy_tail,
     thermal_state,
     verify_decomposition_fock,
@@ -501,7 +499,6 @@ def cmd_optimize(args) -> int:
     params = _parse_channel(args)
     config = OptimizerConfig(
         ensemble_size=args.members,
-        dim=args.dim,
         max_iterations=args.iters,
         tolerance=args.tol,
         seed=args.seed,
@@ -512,10 +509,6 @@ def cmd_optimize(args) -> int:
     # The output is opened first, so an unwritable --out costs no search.
     with _open_out(args.out) as out:
         result = optimize(params, args.n, config)
-        max_member_photons = max(
-            mean_photon_number(state) for state, _ in result.ensemble.members
-        )
-        member_photon_limit = config.dim / _LEVELS_PER_PHOTON
         payload = {
             "transmissivity": params.transmissivity,
             "environment_photons": params.environment_photons,
@@ -533,13 +526,9 @@ def cmd_optimize(args) -> int:
             "stats": asdict(result.stats),
             "environment_tail": result.environment_tail,
             "max_member_tail": result.max_member_tail,
-            "max_member_photons": max_member_photons,
-            "member_photon_limit": member_photon_limit,
-            # A best value above the certified upper bound, or a member past
-            # the coherent truncation limit of the cutoff, means a truncation
+            # A best value above the certified upper bound means a truncation
             # budget needs auditing, not a capacity claim.
-            "budget_audit": result.best_chi_bits > upper + 1e-6
-            or max_member_photons > member_photon_limit,
+            "budget_audit": result.best_chi_bits > upper + 1e-6,
         }
         out.write(json.dumps(payload, indent=2) + "\n")
     return 0 if result.converged else 4
@@ -601,9 +590,6 @@ def _build_parser() -> _Parser:
     p_opt.add_argument("--members", type=int, default=8,
                        help="starting ensemble size (default 8); members are "
                             f"inserted up to {MAX_MEMBERS} when a sweep stalls")
-    p_opt.add_argument("--dim", type=int, default=24,
-                       help="Fock cutoff of the starting and inserted members "
-                            "(default 24)")
     p_opt.add_argument("--iters", type=int, default=1000,
                        help="sweep cap; exit code 4 if reached first (default 1000)")
     p_opt.add_argument("--tol", type=float, default=1e-7,

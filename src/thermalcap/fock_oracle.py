@@ -12,10 +12,10 @@ bounds, and requests that cannot meet their budget raise `BudgetError`
 naming the violated bound.  Each cutoff is decided in one place, at the
 one tail tolerance DEFAULT_TAIL_TOL: `_thermal_cutoff` sizes a thermal
 environment from its geometric tail, for `_channel_transfer` and so for
-every channel push, and `_coherent_cutoff` sizes each oracle radius by
-its Chernoff-Poisson tail alone, for `gaussian_ensemble_report`, and
-refuses one whose cutoff exceeds dim_cap: no answer is degraded, and
-`ChiReport.binding_budget` says which tail set its `max_tail_bound`.
+every channel push, and `_coherent_cutoff` sizes every coherent push (each
+oracle radius, `coherent_state`, each `chi_opt` member) by its Poisson tail
+alone, and refuses one whose cutoff exceeds its cap: no answer is degraded,
+and `ChiReport.binding_budget` says which tail set its `max_tail_bound`.
 
 The beamsplitter unitary conserves total photon number, so it is built
 block by block: within the span of |n, M-n> the unitary is a finite
@@ -58,6 +58,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 import functools
 import math
+import sys
 import time
 
 import numpy as np
@@ -104,8 +105,6 @@ MOMENT_TOL = 1e-8
 
 _LN2 = math.log(2.0)
 _LOG_FLOOR = 1e-18             # eigenvalue floor of the average's logarithm
-# A coherent state on dim levels needs |alpha|^2 <= dim / _LEVELS_PER_PHOTON.
-_LEVELS_PER_PHOTON = 4.0
 # Lag groups of a packed transfer tensor: more groups store fewer zeros,
 # and each costs one more matmul per push.
 _LAG_GROUPS = 4
@@ -208,9 +207,10 @@ def _coherent_cutoff(mu: float, max_dim: int) -> tuple[int, float]:
     DEFAULT_TAIL_TOL; BudgetError (coherent_dim, value dim) when it
     exceeds max_dim.  The bound is 1 up to mu, falls strictly after it
     and is at most e^-dim from ceil(e^2 mu + ln(1 / DEFAULT_TAIL_TOL))
-    levels on, so a bisection below that finds dim exactly.
+    levels on, so a bisection below that (capped at sys.maxsize, the
+    longest range) finds dim exactly.
     """
-    top = math.ceil(math.e**2 * mu - math.log(DEFAULT_TAIL_TOL))
+    top = min(math.ceil(math.e**2 * mu - math.log(DEFAULT_TAIL_TOL)), sys.maxsize)
     dim = 1 + bisect.bisect_left(
         range(1, top), True, key=lambda d: poisson_tail_bound(mu, d) <= DEFAULT_TAIL_TOL
     )
@@ -328,21 +328,16 @@ def _coherent_vector(alpha: complex, dim: int) -> np.ndarray:
 def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
     """Projector onto the truncated, renormalized coherent expansion.
 
-    Requires |alpha|^2 <= dim/4 so the discarded Poisson weight is far
-    into the tail; renormalization then makes the trace exactly 1, and
-    the mean photon number sits within the tail budget of |alpha|^2.
+    Requires the cutoff `_coherent_cutoff` gives |alpha|^2, else BudgetError
+    (coherent_dim, value that cutoff); renormalization then makes the trace
+    exactly 1, and the mean photon number sits within the tail budget.
     """
     alpha = complex(alpha)
     dim = _as_positive_dim(dim)
     mu = abs(alpha) ** 2
     if not math.isfinite(mu):
         raise ValueError(f"amplitude must be finite, got {alpha!r}")
-    if mu > dim / _LEVELS_PER_PHOTON:
-        raise BudgetError(
-            f"|alpha|^2 = {mu:g} exceeds dim/4 = {dim / _LEVELS_PER_PHOTON:g}; "
-            f"enlarge the cutoff",
-            bound="coherent_dim", value=_LEVELS_PER_PHOTON * mu, limit=dim,
-        )
+    _coherent_cutoff(mu, dim)
     vec = _coherent_vector(alpha, dim)
     return FockDensityMatrix(np.outer(vec, vec.conj()), 0.0)
 

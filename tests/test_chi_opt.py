@@ -19,18 +19,24 @@ from thermalcap.chi_opt import (
     _initial_states,
     _mean_photons,
     _Pool,
+    _radius_cap,
     _Run,
     _chi_ceiling,
     _scores,
+    _stack,
     _tilted_weights,
     chi,
     optimize,
 )
 from thermalcap.fock_oracle import (
+    _LOG_FLOOR,
+    DEFAULT_CHI_DIM_CAP,
+    BudgetError,
+    DEFAULT_TAIL_TOL,
     FockDensityMatrix,
     GridSpec,
-    _LEVELS_PER_PHOTON,
     _channel_transfer,
+    _coherent_cutoff,
     _coherent_output,
     _diagonals,
     _holevo,
@@ -63,7 +69,7 @@ def test_chi_two_member_pure_loss_below_capacity():
     ens = Ensemble(
         (
             (coherent_state(0.0, 12), 0.5),
-            (coherent_state(np.sqrt(2.0), 16), 0.5),
+            (coherent_state(np.sqrt(2.0), 18), 0.5),
         )
     )
     value = chi(params(0.6, 0.0), ens)
@@ -127,12 +133,10 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(ensemble_size=17)  # above the member cap
     with pytest.raises(ValueError):
-        OptimizerConfig(dim=64)  # above the truncation cap
-    with pytest.raises(ValueError):
         OptimizerConfig(tolerance=-1.0)
     # Counts are integers: a float or a bool is refused, not run.
     for bad in (
-        {"max_iterations": 1e3}, {"dim": 24.5}, {"ensemble_size": 2.5},
+        {"max_iterations": 1e3}, {"ensemble_size": 2.5},
         {"max_iterations": True}, {"ensemble_size": True},
     ):
         with pytest.raises(ValueError):
@@ -165,7 +169,7 @@ def test_optimize_rejects_negative_signal():
 
 
 def test_optimize_deterministic():
-    cfg = OptimizerConfig(ensemble_size=4, dim=10, max_iterations=25, seed=5)
+    cfg = OptimizerConfig(ensemble_size=4, max_iterations=25, seed=5)
     r1 = optimize(params(0.5, 0.2), 0.5, cfg)
     r2 = optimize(params(0.5, 0.2), 0.5, cfg)
     assert r1.best_chi_bits == r2.best_chi_bits
@@ -178,7 +182,7 @@ def test_optimize_deterministic():
 def test_optimize_small_run_invariants():
     p = params(0.6, 0.5)
     n = 1.0
-    cfg = OptimizerConfig(ensemble_size=4, dim=12, max_iterations=60, seed=3)
+    cfg = OptimizerConfig(ensemble_size=4, max_iterations=60, seed=3)
     result = optimize(p, n, cfg)
     chis = [value for _, value in result.history]
     assert all(b >= a - 1e-9 for a, b in zip(chis, chis[1:]))
@@ -189,16 +193,34 @@ def test_optimize_small_run_invariants():
 
 
 def test_optimize_iteration_cap_reports_nonconvergence():
-    cfg = OptimizerConfig(ensemble_size=3, dim=8, max_iterations=3, seed=0)
+    cfg = OptimizerConfig(ensemble_size=3, max_iterations=3, seed=0)
     result = optimize(params(0.5, 0.1), 0.5, cfg)
     assert not result.converged
     assert result.iterations == 3
 
 
+def _member_photons(state):
+    # |alpha|^2 of a truncated coherent projector: |rho_10|^2 / rho_00^2.
+    if state.dim == 1:
+        return 0.0
+    return abs(state.matrix[1, 0]) ** 2 / state.matrix[0, 0].real ** 2
+
+
+def _assert_members_meet_their_tails(result):
+    # Every member lives on the cutoff its Poisson tail needs: its tail on
+    # its own levels is within the tolerance, and that cutoff is the
+    # smallest that meets it, as `_coherent_cutoff` sizes every push.
+    for state, _ in result.ensemble.members:
+        mu = _member_photons(state)
+        assert poisson_tail_bound(mu, state.dim) <= DEFAULT_TAIL_TOL
+        assert state.dim == _coherent_cutoff(mu, DEFAULT_CHI_DIM_CAP)[0]
+    assert result.max_member_tail <= DEFAULT_TAIL_TOL
+
+
 def test_optimize_thermal_lands_in_certified_interval():
     # Production-scale thermal run: the optimum must sit inside the
-    # certified interval [lower - 5e-3, upper + 1e-6], and no member may
-    # outgrow the coherent truncation limit of its own cutoff.
+    # certified interval [lower - 5e-3, upper + 1e-6], and every member
+    # must meet the tail tolerance on its own cutoff.
     p = params(0.6, 0.5)
     n = 1.0
     result = optimize(p, n, OptimizerConfig(seed=1, max_iterations=300))
@@ -208,8 +230,20 @@ def test_optimize_thermal_lands_in_certified_interval():
     assert result.best_chi_bits <= upper + 1e-6
     assert result.ensemble.mean_photons <= n + 1e-9
     assert result.converged
-    for state, _ in result.ensemble.members:
-        assert mean_photon_number(state) <= state.dim / _LEVELS_PER_PHOTON
+    _assert_members_meet_their_tails(result)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.9])
+@pytest.mark.parametrize("n_env", [0.0, 2.0])
+@pytest.mark.parametrize("n", [0.5, 1.0, 4.0])
+def test_members_live_on_their_tail_cutoffs(lam, n_env, n):
+    # Members move freely, to well past N photons at N = 4, and each is
+    # pushed on its own cutoff, so the one evaluator `chi` must agree with
+    # the run's chi on the returned members at their mixed cutoffs.
+    p = params(lam, n_env)
+    result = optimize(p, n, OptimizerConfig(max_iterations=5))
+    _assert_members_meet_their_tails(result)
+    assert abs(chi(p, result.ensemble) - result.best_chi_bits) <= 1e-12
 
 
 def _bisected_tilt(raw, photons, budget):
@@ -322,7 +356,7 @@ def test_tilted_weights_settle_an_ulp_overdraft_in_a_few_evaluations(raw, photon
     assert np.abs(weights - raw / raw.sum()).max() <= 1e-15
 
 
-@pytest.mark.parametrize("n", [1e-12, 1e-15, 1e-30])
+@pytest.mark.parametrize("n", [1e-11, 1e-12, 1e-15, 1e-30])
 def test_optimize_completes_at_tiny_photon_budgets(n):
     # The tilt multiplier scales as 1/N, so no absolute cap on it may fire.
     p = params(0.6, 0.5)
@@ -333,10 +367,13 @@ def test_optimize_completes_at_tiny_photon_budgets(n):
 
 
 def test_tilt_solves_at_tiny_photon_budgets_take_few_evaluations(monkeypatch):
-    # The runs of `test_optimize_completes_at_tiny_photon_budgets`.  An
-    # inserted 5.76-photon member's weight must fall to the budget's
-    # scale; Newton steps on the tilted mean crept there by 1/5.76 of tilt
-    # per evaluation, up to 185 evaluations in one solve at N = 1e-30.
+    # The runs of `test_optimize_completes_at_tiny_photon_budgets`.  From
+    # N = 1e-12 down every member is the vacuum on one level, as its
+    # Poisson tail allows, and most solves are trivial; at N = 1e-11 the
+    # members hold up to 5.76e-11 photons beside the vacuum.  Newton steps
+    # on the tilted mean crept by 1/mu of tilt per evaluation toward a
+    # dear member's weight at the budget's scale, up to 185 evaluations in
+    # one solve.
     solve = chi_opt._tilted_weights
     per_solve = []
 
@@ -349,7 +386,7 @@ def test_tilt_solves_at_tiny_photon_budgets_take_few_evaluations(monkeypatch):
         return weights
 
     monkeypatch.setattr(chi_opt, "_tilted_weights", counted)
-    for n in (1e-12, 1e-15, 1e-30):
+    for n in (1e-11, 1e-12, 1e-15, 1e-30):
         optimize(params(0.6, 0.5), n, OptimizerConfig(max_iterations=3))
     assert len(per_solve) > 100
     assert max(per_solve) <= 9
@@ -370,9 +407,9 @@ def test_optimize_meets_the_photon_budget_it_reports(n_env, n, seed):
 
 def test_optimize_grows_past_starting_size():
     # Two members stall within a few sweeps, so growth starts early.
-    p = params(0.6, 0.3)
+    p = params(0.6, 0.0)
     n = 1.0
-    cfg = OptimizerConfig(ensemble_size=2, dim=8, max_iterations=12, seed=0)
+    cfg = OptimizerConfig(ensemble_size=2, max_iterations=12, seed=0)
     result = optimize(p, n, cfg)
     assert 2 < len(result.ensemble) <= MAX_MEMBERS
     chis = [value for _, value in result.history]
@@ -380,7 +417,7 @@ def test_optimize_grows_past_starting_size():
     assert result.best_chi_bits == chis[-1]
     assert result.ensemble.mean_photons <= n + 1e-9
     assert result.best_chi_bits <= additive_extension_upper(p, n) + 1e-6
-    two_members = optimize(p, n, OptimizerConfig(ensemble_size=2, dim=8, max_iterations=2, seed=0))
+    two_members = optimize(p, n, OptimizerConfig(ensemble_size=2, max_iterations=1, seed=0))
     assert len(two_members.ensemble) == 2  # no stall yet, so no growth
     assert result.best_chi_bits > two_members.best_chi_bits + 0.2
     again = optimize(p, n, cfg)
@@ -408,27 +445,59 @@ def _is_pure(state):
 
 def test_optimize_members_are_pure():
     p = params(0.6, 0.3)
-    result = optimize(p, 1.0, OptimizerConfig(ensemble_size=2, dim=8, max_iterations=12))
+    result = optimize(p, 1.0, OptimizerConfig(ensemble_size=2, max_iterations=12))
     assert len(result.ensemble) > 2  # inserted members included
-    # Started and inserted members alike are pure and on the run's cutoff.
-    assert all(_is_pure(s) and s.dim == 8 for s, _ in result.ensemble.members)
+    # Started, moved and inserted members alike are pure, each on the
+    # cutoff its own Poisson tail needs.
+    assert all(_is_pure(s) for s, _ in result.ensemble.members)
+    _assert_members_meet_their_tails(result)
 
 
 def test_run_builds_one_transfer_tensor():
     # Every push of a run, the insertion pool's included, slices the one
-    # tensor fetched at config.dim when the run starts.
+    # tensor fetched at the insertion disc's cutoff when the run starts.
     _channel_transfer.cache_clear()
-    cfg = OptimizerConfig(ensemble_size=2, dim=8, max_iterations=12, seed=0)
+    cfg = OptimizerConfig(ensemble_size=2, max_iterations=12, seed=0)
     result = optimize(params(0.6, 0.3), 1.0, cfg)
     info = _channel_transfer.cache_info()
     assert result.stats.insertions > 0
     assert (info.misses, info.hits) == (1, 0)
 
 
+def test_run_fetches_a_larger_tensor_only_when_a_member_outgrows_it():
+    # A push past the tensor's levels takes one larger fetch, which then
+    # serves every smaller push; a member that no cutoff within the cap
+    # can hold is refused without a fetch or a count, and a move to it is
+    # rejected.  The stack follows the largest output and comes back bit
+    # for bit when a member's old output is swapped back in.
+    p = params(0.6, 0.3)
+    alphas, weights = _initial_states(0.5, 4)
+    _channel_transfer.cache_clear()
+    run = _Run(p, 0.5, alphas, weights)
+    held = run.transfer[0].shape[2]  # group 0 holds every input level
+    assert held == _coherent_cutoff(_radius_cap(0.5) ** 2, DEFAULT_CHI_DIM_CAP)[0]
+    stack, pushes = run.outs.copy(), run.counts["channel_pushes"]
+    far = 2.0 * _radius_cap(0.5)
+    pushed = run.output(far)
+    assert run.transfer[0].shape[2] == _coherent_cutoff(far**2, DEFAULT_CHI_DIM_CAP)[0] > held
+    run.output(1.0)
+    assert _channel_transfer.cache_info()[:2] == (0, 2)  # (hits, misses)
+    with pytest.raises(BudgetError, match="> limit 192"):
+        run.output(20.0)
+    assert not run.move(1, 20.0, "probes")
+    assert _channel_transfer.cache_info().misses == 2
+    assert run.counts["channel_pushes"] == pushes + 2
+    assert np.array_equal(run.outs, stack)
+    old = run._swap(1, *pushed)
+    assert run.outs.shape[1] == len(pushed[0]) > stack.shape[1]
+    run._swap(1, *old)
+    assert np.array_equal(run.outs, stack)
+
+
 def test_chi_matches_the_optimizer_result():
     # The public evaluator and the optimizer's running value are one core.
     p = params(0.6, 0.5)
-    cfg = OptimizerConfig(ensemble_size=4, dim=10, max_iterations=6, seed=2)
+    cfg = OptimizerConfig(ensemble_size=4, max_iterations=6, seed=2)
     result = optimize(p, 1.0, cfg)
     assert abs(chi(p, result.ensemble) - result.best_chi_bits) <= 1e-12
 
@@ -480,11 +549,15 @@ def test_push_matches_apply_channel():
             assert np.array_equal(_diagonals(projector), _diagonals_by_loop(projector))
             pure = _push(transfer, _diagonals(projector), env_tail)
             assert np.abs(pure - out).max() <= 1e-15
-            radius = math.sqrt(rng.uniform() * dim / _LEVELS_PER_PHOTON)
+            # The coherent state at its own cutoff, pushed through a tensor
+            # for at least that many levels.
+            radius = math.sqrt(rng.uniform() * dim / 4.0)
             alpha = complex(radius * np.exp(2j * math.pi * rng.uniform()))
-            state = coherent_state(alpha, dim)
+            cutoff, _ = _coherent_cutoff(radius**2, DEFAULT_CHI_DIM_CAP)
+            state = coherent_state(alpha, cutoff)
             expected = apply_channel(p, state)
-            coherent, entropy, photons = _coherent_output(transfer, env_tail, alpha, dim)
+            transfer, env_tail = _channel_transfer(p, max(dim, cutoff))
+            coherent, entropy, photons = _coherent_output(transfer, env_tail, alpha, cutoff)
             assert np.abs(coherent - expected.matrix).max() <= 1e-15
             assert abs(entropy - von_neumann_entropy(expected)) <= 1e-12
             assert math.isclose(photons, mean_photon_number(state), rel_tol=1e-15, abs_tol=1e-15)
@@ -493,26 +566,27 @@ def test_push_matches_apply_channel():
 # Chi after each of 20 sweeps at the benchmark's optimizer points
 # (lambda 0.6, N 1, optimizer seed 0), as the gradient-step and probe
 # move rule, with the step halving after a sweep that accepts no
-# gradient step, gives them.  A change that moves a trajectory by more
+# gradient step and every member on its tail-sized cutoff, gives them.
+# A change that moves a trajectory by more
 # than rounding fails here.
 _PINNED_HISTORIES = {
     0.0: (
-        1.1483978369652608, 1.5092250039013935, 1.511338826426222,
-        1.514519642658732, 1.5148905147114375, 1.514982402621381,
-        1.5150153748268136, 1.5159154529211178, 1.5163531373888415,
-        1.51681578025526, 1.5171818392568872, 1.5173678777352075,
-        1.5174189063959445, 1.5177413447628363, 1.5180553339404002,
-        1.5181100539958385, 1.518236467379549, 1.5182824714289664,
-        1.5183320468831092, 1.5184138019525215, 1.5184170326497,
+        1.1483978368454903, 1.5092249993205338, 1.5113388239267636,
+        1.5145196350684935, 1.514890504431539, 1.5149823906777211,
+        1.5150153629144585, 1.5159154577535574, 1.5163531396552499,
+        1.5168157304025096, 1.5171818416754266, 1.5173678832337563,
+        1.5174189110393659, 1.5177413505403865, 1.5180553607762823,
+        1.5181100601976667, 1.5182364730940023, 1.5182824961570902,
+        1.5183320683439372, 1.5184138173595043, 1.5184170531669858,
     ),
     0.5: (
-        0.7105671827190552, 0.9985639955808149, 0.9996305063376019,
-        0.9997105519181824, 0.9997355335488614, 0.9999680420034295,
-        1.0001597301375689, 1.0003043967757024, 1.000433943413293,
-        1.0006355973912355, 1.0006425122962401, 1.0007692217237394,
-        1.0009184207927222, 1.0010258351003434, 1.001192026866512,
-        1.0013010086347742, 1.0014641320028725, 1.0015737669525457,
-        1.001660289408621, 1.001703106740535, 1.0017927826542656,
+        0.7105671827042073, 0.9985639917621675, 0.9996305031934569,
+        0.9997105484219371, 0.9997355300632601, 0.9999680458636072,
+        1.00015973247312, 1.0003043961117195, 1.0004339423867272,
+        1.0006355935240314, 1.0006425088395399, 1.000769218222109,
+        1.0009184232251134, 1.0010258346073626, 1.0011920236076612,
+        1.0013010049354334, 1.0014641252137213, 1.0015737610915634,
+        1.0016603032937375, 1.001703124687481, 1.0017928092846156,
     ),
 }
 
@@ -548,12 +622,11 @@ def test_directions_match_finite_differences():
     # binds, and the photon term's slope 2 alpha is checked too.
     # Central differences of the exact truncated objective agree.
     p = params(0.6, 0.5)
-    dim = 24
     alphas = [0.0, 0.8, -0.5 + 0.6j, 1.1j, 0.3 - 0.9j, 1.4 + 0.2j]
     weights = np.array([0.3, 0.15, 0.15, 0.15, 0.15, 0.1])
-    slack = _Run(p, 10.0, alphas, weights, dim)
+    slack = _Run(p, 10.0, alphas, weights)
     for budget in (slack.budget, float(weights @ slack.photons)):
-        run = _Run(p, budget, alphas, weights, dim)
+        run = _Run(p, budget, alphas, weights)
         _, _, ln_avg = _holevo(
             _average(run.outs, weights), float(weights @ run.entropies), with_log=True
         )
@@ -561,7 +634,7 @@ def test_directions_match_finite_differences():
         assert (mu > 0.0) == (budget < slack.budget)
 
         def objective(members):
-            shifted = _Run(p, budget, members, weights, dim)
+            shifted = _Run(p, budget, members, weights)
             return shifted.current_chi * LN2 - mu * float(weights @ shifted.photons)
 
         gradient = weights * run.directions()
@@ -582,10 +655,10 @@ def test_directions_match_finite_differences():
 @pytest.mark.parametrize("n_env", [0.0, 0.5])
 def test_ring_pool_matches_direct_pushes(n_env):
     # Phase covariance lets one push per ring stand in for a push per
-    # candidate: scores, entropies, photons and the inserted output agree.
-    dim = 24
-    alphas, weights = _initial_states(1.0, 8, dim)
-    run = _Run(params(0.6, n_env), 1.0, alphas, weights, dim)
+    # candidate: scores, entropies, photons and the inserted output, on
+    # the candidate's own cutoff, agree.
+    alphas, weights = _initial_states(1.0, 8)
+    run = _Run(params(0.6, n_env), 1.0, alphas, weights)
     pool = _Pool(run)
     assert run.counts["channel_pushes"] == len(alphas) + 1 + _POOL_RADII
     outs, entropies, photons = run.outputs(pool.alphas)
@@ -593,12 +666,21 @@ def test_ring_pool_matches_direct_pushes(n_env):
     _, _, ln_avg = _holevo(
         _average(run.outs, run.weights), float(run.weights @ run.entropies), with_log=True
     )
-    assert np.abs(pool.scores(ln_avg) - _scores(outs, entropies, ln_avg)).max() <= 1e-13
+    # The pool's outer rings need more levels than the members: they are
+    # scored against the zero-padded average, whose log `_holevo` floors.
+    stack = _stack(outs)
+    size = len(ln_avg)
+    assert len(stack[0]) > size
+    padded = np.diag(np.full(len(stack[0]), math.log(_LOG_FLOOR))).astype(complex)
+    padded[:size, :size] = ln_avg
+    direct = _scores(stack, entropies, padded)
+    assert np.abs(pool.scores(ln_avg) - direct).max() <= 1e-13
     assert np.abs(pool.entropies - entropies).max() <= 1e-13
     assert np.abs(pool.photons - photons).max() <= 1e-13
     for j, alpha in enumerate(pool.alphas):
         candidate, out = pool.candidate(j)
         assert candidate == alpha
+        assert out.shape == outs[j].shape
         assert np.abs(out - outs[j]).max() <= 1e-14
 
 
@@ -610,15 +692,15 @@ def test_chi_ceiling_bounds_chi_at_other_weights(n_env):
     # bound is as tight as its slack, and u within 1e-9 of w tests the
     # rounding allowance.
     rng = np.random.default_rng(29)
-    dim = 24
-    alphas, weights = _initial_states(1.0, 8, dim)
-    run = _Run(params(0.6, n_env), 1.0, alphas, weights, dim)
+    alphas, weights = _initial_states(1.0, 8)
+    run = _Run(params(0.6, n_env), 1.0, alphas, weights)
     for _ in range(12):
         size = int(rng.integers(2, MAX_MEMBERS + 1))
         radii = 2.4 * np.sqrt(rng.uniform(0.0, 1.0, size))
         members = list(radii * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, size)))
         members[0] = 0.0
         outs, entropies, photons = run.outputs(members)
+        outs = _stack(outs)
 
         def feasible(raw):
             return _tilted_weights(raw, photons, 1.0)

@@ -336,7 +336,7 @@ def test_optimize_iteration_cap_exit_four(tmp_path):
     code = main(
         [
             "optimize", "--lambda", "0.5", "--ne", "0.2", "--n", "0.5",
-            "--members", "3", "--dim", "8", "--iters", "3", "--seed", "0",
+            "--members", "3", "--iters", "3", "--seed", "0",
             "--out", str(out_path),
         ]
     )
@@ -376,19 +376,18 @@ def test_optimize_prints_its_work_and_truncation(capsys):
     )
 
 
-def test_optimize_flags_members_past_the_truncation_limit(capsys):
-    # At N = 4 on 8 levels the search moves a member past the coherent
-    # limit dim / 4 while chi stays below the upper bound; the audit flag
-    # must say so rather than stay silent.
-    code = main(
-        ["optimize", "--lambda", "0.6", "--ne", "0", "--n", "4", "--dim", "8", "--iters", "5"]
-    )
+def test_optimize_holds_every_member_to_its_tail_at_n_4(capsys):
+    # At N = 4 the search moves members to well over 4 photons; each is
+    # pushed on the cutoff its Poisson tail needs, so the printed member
+    # tail stays within the tolerance, chi below the upper bound, and the
+    # audit flag down.  The payload carries no per-member photon limit.
+    code = main(["optimize", "--lambda", "0.6", "--ne", "0", "--n", "4", "--iters", "5"])
     assert code == 4
     payload = json.loads(capsys.readouterr().out)
-    assert payload["member_photon_limit"] == 2.0
-    assert payload["max_member_photons"] > payload["member_photon_limit"]
+    assert 0.0 < payload["max_member_tail"] <= 1e-10
     assert payload["best_chi_bits"] <= payload["upper_bits"] + 1e-6
-    assert payload["budget_audit"] is True
+    assert payload["budget_audit"] is False
+    assert not {"max_member_photons", "member_photon_limit"} & set(payload)
 
 
 def test_optimize_invalid_parameters_exit_one(capsys, monkeypatch):
@@ -408,16 +407,17 @@ def test_optimize_invalid_parameters_exit_one(capsys, monkeypatch):
 
 
 def test_optimize_refuses_a_member_its_cutoff_cannot_hold(capsys):
-    # A first-sweep move puts a member at |alpha|^2 = 1000 on 24 levels,
-    # where the scaled amplitudes' squares underflow: a budget error, with
-    # no NaN, warning or traceback on the way.
+    # At N = 1000 the insertion disc's edge, |alpha|^2 = 5760, needs far
+    # more levels than the cap of 192: a budget error before the search,
+    # with no NaN, warning or traceback on the way.
     argv = ["optimize", "--lambda", "0.6", "--ne", "0.5", "--n", "1000", "--iters", "2"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "on 24 levels" in captured.err
+    assert captured.err.startswith("error: ")
+    assert "needs cutoff" in captured.err and "> limit 192" in captured.err
 
 
 def test_optimize_out_in_a_missing_directory_fails_before_the_search(tmp_path, capsys, monkeypatch):

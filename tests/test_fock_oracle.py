@@ -16,7 +16,6 @@ from thermalcap.fock_oracle import (
     DEFAULT_MAX_JOINT_DIM,
     DEFAULT_TAIL_TOL,
     BudgetError,
-    _LEVELS_PER_PHOTON,
     FockDensityMatrix,
     GridSpec,
     _coherent_cutoff,
@@ -172,7 +171,7 @@ def test_truncation_budget_sizes_dimensions():
 def test_coherent_budget_is_the_smallest_cutoff_meeting_both_rules(mu, phase):
     # The Poisson tail alone sizes the cutoff: the smallest dim with a tail
     # within DEFAULT_TAIL_TOL.  That is never more levels than starting at
-    # 4|alpha|^2 (the coherent_state precondition) and growing to the tail.
+    # 4|alpha|^2 and growing to the tail.
     alpha = math.sqrt(mu) * cmath.exp(1j * phase)
     mu = abs(alpha) ** 2
 
@@ -183,7 +182,7 @@ def test_coherent_budget_is_the_smallest_cutoff_meeting_both_rules(mu, phase):
     assert meets(dim)
     assert tail == poisson_tail_bound(mu, dim)
     assert dim == 1 or not meets(dim - 1)
-    grown = max(math.ceil(_LEVELS_PER_PHOTON * mu), 1)
+    grown = max(math.ceil(4.0 * mu), 1)
     while not meets(grown):
         grown += 1
     assert dim <= grown
@@ -212,9 +211,15 @@ def test_coherent_state_examples():
 
 
 def test_coherent_state_budget_error():
+    # coherent_state refuses by the tail rule: the value is the cutoff
+    # |alpha|^2 = 9 needs, the limit the levels it was given.
     with pytest.raises(BudgetError) as excinfo:
-        coherent_state(3.0, 8)  # |alpha|^2 = 9 > 8/4
-    assert excinfo.value.value > excinfo.value.limit
+        coherent_state(3.0, 36)
+    needed, _ = _coherent_cutoff(9.0, DEFAULT_MAX_JOINT_DIM)
+    error = excinfo.value
+    assert (error.bound, error.value, error.limit) == ("coherent_dim", needed, 36)
+    assert needed == 37
+    assert coherent_state(3.0, needed).dim == needed
 
 
 def test_apply_channel_transparent():
@@ -387,8 +392,11 @@ def test_apply_channel_matches_output_offset_reference():
         for dim in (1, 2, 7, 24):
             vecs = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
             mixed = vecs @ vecs.conj().T
+            # The truncated coherent projector at any cutoff, the tail's
+            # or not: the push is checked, not the truncation.
+            vec = fock_oracle._coherent_vector(0.3 * math.sqrt(dim) * np.exp(0.7j), dim)
             states = (
-                coherent_state(0.3 * math.sqrt(dim) * np.exp(0.7j), dim),
+                FockDensityMatrix(np.outer(vec, vec.conj())),
                 FockDensityMatrix(mixed / np.trace(mixed).real),
             )
             for rho in states:
@@ -403,7 +411,7 @@ def test_operator_cache_is_bounded():
     # each new channel is a miss, and repeating the newest one is a hit.
     cached = fock_oracle._channel_transfer
     maxsize = cached.cache_parameters()["maxsize"]
-    rho = coherent_state(0.5, 6)
+    rho = coherent_state(0.5, 9)
     for lam in np.linspace(0.31, 0.93, maxsize + 3):
         p = params(float(lam), 0.5)
         before = cached.cache_info()

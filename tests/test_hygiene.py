@@ -1,10 +1,11 @@
 """Source hygiene: correctness checks must survive `python -O`, caches are
 bounded, each step of the Holevo quantity has one home, each truncation
-constant is read only by its rules, transfer tensors are fetched once per
-caller, the bound interval has one kernel, sweep rows are streamed and
-validated once, every `--out` has one opener, every exported name and
-every name the bench tracer patches must exist, and a bench worker call
-still runs against the package."""
+constant is read only by its rules, every optimizer push is sized by the
+coherent-cutoff rule, transfer tensors are fetched once per caller, the
+bound interval has one kernel, sweep rows are streamed and validated
+once, every `--out` has one opener, every exported name and every name
+the bench tracer patches must exist, the package defaults BLAS to one
+thread, and a bench worker call still runs against the package."""
 
 import ast
 import importlib
@@ -206,6 +207,66 @@ def test_truncation_constants_are_read_where_their_rules_live():
     assert not found, f"truncation constants read outside their rules: {'; '.join(found)}"
 
 
+def test_no_second_coherent_truncation_rule():
+    # The Poisson tail is the one rule for a coherent cutoff: no module
+    # defines or reads a photons-per-level constant or a fixed member
+    # cutoff beside it.
+    found = [
+        f"{module}:{line} {function} uses {name}"
+        for module, tree in _package_trees()
+        for function, name, line in _uses(tree, {"_LEVELS_PER_PHOTON", "MAX_DIM"})
+    ] + [
+        f"{module}:{node.lineno} defines {target.id}"
+        for module, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id in {"_LEVELS_PER_PHOTON", "MAX_DIM"}
+    ]
+    assert not found, f"a second coherent truncation rule: {'; '.join(found)}"
+
+
+def test_optimizer_pushes_take_their_levels_from_the_cutoff_rule():
+    # The optimizer has one coherent push, in `_Run.output`, and the level
+    # count it passes is the first value of a `_coherent_cutoff` call in
+    # that method.
+    tree = dict(_package_trees())["chi_opt.py"]
+    sites = [(function, line) for function, _, line in _uses(tree, {"_coherent_output"})]
+    assert [function for function, _ in sites] == ["output"], sites
+    run = next(
+        node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "_Run"
+    )
+    output = next(
+        node for node in run.body if isinstance(node, ast.FunctionDef) and node.name == "output"
+    )
+    calls = [
+        node for node in ast.walk(output)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_coherent_output"
+    ]
+    assert len(calls) == 1 and isinstance(calls[0].args[-1], ast.Name)
+    levels = calls[0].args[-1].id
+    sized = [
+        node for node in ast.walk(output)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "_coherent_cutoff"
+        and isinstance(node.targets[0], ast.Tuple)
+        and isinstance(node.targets[0].elts[0], ast.Name)
+        and node.targets[0].elts[0].id == levels
+    ]
+    assigned = [
+        node for node in ast.walk(output)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id == levels
+    ]
+    assert len(sized) == 1 and len(assigned) == 1, (
+        f"`_Run.output` pushes on {levels!r} levels not sized by `_coherent_cutoff`"
+    )
+
+
 def test_every_exported_name_exists():
     # A stale `__all__` entry breaks `from <module> import *`.
     modules = [thermalcap] + [
@@ -289,23 +350,42 @@ def apply_channel(t, d):
     ]
 
 # The transfer tensor is fetched once per `apply_channel` call, once per
-# oracle report and once per optimizer run, in `_Run.__init__`; every
-# other push slices a tensor its caller already holds.
+# oracle report and once per optimizer run, in `_Run.__init__`, and again
+# by `_Run.output` only when a member outgrows the tensor the run holds;
+# every other push slices a tensor its caller already holds.
 _TRANSFER_FETCHERS = {"apply_channel", "gaussian_ensemble_report"}
 
 
 def test_transfer_tensor_is_fetched_once_per_caller():
     trees = dict(_package_trees())
-    in_run_init = _run_method_uses(trees["chi_opt.py"], {"_channel_transfer"}, {"__init__"})
+    in_run = _run_method_uses(trees["chi_opt.py"], {"_channel_transfer"}, {"__init__", "output"})
     found = [
         f"{module}:{line} {function} uses _channel_transfer"
         for module, tree in trees.items()
         for function, _, line in _uses(tree, {"_channel_transfer"})
         if not (module == "fock_oracle.py" and function in _TRANSFER_FETCHERS)
-        and not (module == "chi_opt.py" and line in in_run_init)
+        and not (module == "chi_opt.py" and line in in_run)
     ]
     assert not found, f"transfer tensors fetched outside their callers: {'; '.join(found)}"
-    assert in_run_init, "an optimizer run fetches no transfer tensor"
+    run = next(
+        node for node in ast.walk(trees["chi_opt.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "_Run"
+    )
+    methods = {node.name: node for node in run.body if isinstance(node, ast.FunctionDef)}
+    fetches = {
+        name: [line for _, _, line in _uses(methods[name], {"_channel_transfer"})]
+        for name in ("__init__", "output")
+    }
+    assert fetches == {"__init__": fetches["__init__"][:1], "output": fetches["output"][:1]}
+    assert all(fetches.values()), "an optimizer run fetches no transfer tensor"
+    # The refetch in `output` sits under the one check that the held
+    # tensor is too small.
+    guarded = {
+        line
+        for node in ast.walk(methods["output"]) if isinstance(node, ast.If)
+        for _, _, line in _uses(node, {"_channel_transfer"})
+    }
+    assert guarded == set(fetches["output"]), "`_Run.output` fetches unconditionally"
 
 
 # The interval of one (lambda, N_E, N) triple is computed in one kernel,
@@ -432,6 +512,39 @@ def cmd(args):
     assert _out_openers(ast.parse(source)) == [
         ("cmd", 7), (None, 7), ("cmd", 8), (None, 8),
     ]
+
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_environment(code, **set_variables):
+    """os.environ's BLAS variables after running code in a fresh process.
+
+    The child starts with those variables unset except as given.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
+    env.update(set_variables)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(thermalcap.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    script = code + "\nimport json, os\n" + (
+        f"print(json.dumps([os.environ.get(name) for name in {_BLAS_VARIABLES!r}]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_package_defaults_blas_to_one_thread():
+    # Imported before NumPy, the package sets each unset variable to 1.
+    assert _fresh_environment("import thermalcap") == ["1", "1", "1"]
+    # A value the user set survives.
+    assert _fresh_environment("import thermalcap", OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
+    # After NumPy has loaded its BLAS the variables change nothing, so
+    # the package leaves them alone.
+    assert _fresh_environment("import numpy\nimport thermalcap") == [None, None, None]
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
