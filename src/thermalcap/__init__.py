@@ -53,13 +53,11 @@ from .fock_oracle import (
     ChiReport,
     FockDensityMatrix,
     GridSpec,
-    MomentCheckReport,
     apply_channel,
     beamsplitter_blocks,
     coherent_state,
     gaussian_ensemble_report,
     mean_photon_number,
-    quadrature_moments,
     thermal_state,
     verify_decomposition_fock,
     von_neumann_entropy,
@@ -103,14 +101,12 @@ __all__ = [
     "FockDensityMatrix",
     "GridSpec",
     "ChiReport",
-    "MomentCheckReport",
     "thermal_state",
     "coherent_state",
     "beamsplitter_blocks",
     "apply_channel",
     "von_neumann_entropy",
     "mean_photon_number",
-    "quadrature_moments",
     "gaussian_ensemble_report",
     "verify_decomposition_fock",
     "Ensemble",

@@ -102,8 +102,6 @@ __all__ = [
     "chi",
     "optimize",
     "MAX_MEMBERS",
-    "WEIGHT_SUM_TOL",
-    "CONSTRAINT_SLACK",
 ]
 
 MAX_MEMBERS = 16
@@ -252,7 +250,7 @@ class OptimizationResult:
     and every member is a pure state.
     The run's truncation: `environment_tail` is the thermal environment's
     tail, which every output lost, and `max_member_tail` the largest
-    `poisson_tail_bound` of a returned member's |alpha|^2 on the levels
+    `_poisson_tail_bound` of a returned member's |alpha|^2 on the levels
     it lives on, each at most DEFAULT_TAIL_TOL by `_coherent_cutoff`.
     Both are 0 when nothing was pushed (N = 0).
     """

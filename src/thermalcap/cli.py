@@ -284,12 +284,12 @@ def _suite_fock(seed: int) -> list[CheckResult]:
     for _ in range(3):
         re, im = rng.uniform(-1.2, 1.2, size=2)
         states.append(coherent_state(complex(re, im), 32))
-    worst = 0.0
-    for lam, n_env in ((0.5, 0.3), (0.8, 1.0)):
-        check = verify_decomposition_fock(
+    worst = max(
+        verify_decomposition_fock(
             ChannelParams(transmissivity=lam, environment_photons=n_env), states
         )
-        worst = max(worst, check.max_discrepancy)
+        for lam, n_env in ((0.5, 0.3), (0.8, 1.0))
+    )
     results.append(CheckResult("fock.moment-consistency", worst, 1e-8))
 
     params = ChannelParams(transmissivity=0.6, environment_photons=0.5)
@@ -336,14 +336,17 @@ def cmd_bounds(args) -> int:
 def _parse_range(text: str, name: str) -> list[float]:
     """One grid axis: a bare value or start:stop:count[:lin|log]."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) not in (3, 4):
-        raise ValueError(
-            f"{name}: expected VALUE or START:STOP:COUNT[:lin|log], got {text!r}"
-        )
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    expected = f"{name}: expected VALUE or START:STOP:COUNT[:lin|log], got {text!r}"
+    if len(parts) not in (1, 3, 4):
+        raise ValueError(expected)
+    try:
+        values = [float(part) for part in parts[:2]]
+        if len(parts) == 1:
+            return values
+        count = int(parts[2])
+    except ValueError as error:
+        raise ValueError(f"{expected} ({error})") from None
+    start, stop = values
     if count < 1:
         raise ValueError(f"{name}: count must be >= 1, got {count}")
     scale = parts[3] if len(parts) == 4 else "lin"

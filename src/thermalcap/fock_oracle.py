@@ -70,28 +70,17 @@ __all__ = [
     "FockDensityMatrix",
     "GridSpec",
     "ChiReport",
-    "MomentCheckReport",
     "thermal_state",
     "coherent_state",
     "beamsplitter_blocks",
     "apply_channel",
     "von_neumann_entropy",
     "mean_photon_number",
-    "quadrature_moments",
-    "thermal_tail_bound",
     "thermal_entropy_tail",
-    "dim_for_thermal_entropy",
-    "poisson_tail_bound",
     "gaussian_ensemble_report",
     "verify_decomposition_fock",
-    "HERMITICITY_TOL",
     "EIGENVALUE_TOL",
-    "ENTROPY_EIGENVALUE_FLOOR",
-    "TRACE_TOL",
-    "DEFAULT_TAIL_TOL",
-    "DEFAULT_MAX_JOINT_DIM",
     "DEFAULT_CHI_DIM_CAP",
-    "MOMENT_TOL",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -101,7 +90,6 @@ TRACE_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_MAX_JOINT_DIM = 4096
 DEFAULT_CHI_DIM_CAP = 192
-MOMENT_TOL = 1e-8
 
 _LN2 = math.log(2.0)
 _LOG_FLOOR = 1e-18             # eigenvalue floor of the average's logarithm
@@ -203,7 +191,7 @@ def _thermal_cutoff(n_mean: float) -> tuple[int, float]:
 def _coherent_cutoff(mu: float, max_dim: int) -> tuple[int, float]:
     """The coherent-cutoff rule: (dim, Poisson tail) for |alpha|^2 = mu.
 
-    dim is the smallest cutoff whose `poisson_tail_bound` is at most
+    dim is the smallest cutoff whose `_poisson_tail_bound` is at most
     DEFAULT_TAIL_TOL; BudgetError (coherent_dim, value dim) when it
     exceeds max_dim.  The bound is 1 up to mu, falls strictly after it
     and is at most e^-dim from ceil(e^2 mu + ln(1 / DEFAULT_TAIL_TOL))
@@ -212,14 +200,14 @@ def _coherent_cutoff(mu: float, max_dim: int) -> tuple[int, float]:
     """
     top = min(math.ceil(math.e**2 * mu - math.log(DEFAULT_TAIL_TOL)), sys.maxsize)
     dim = 1 + bisect.bisect_left(
-        range(1, top), True, key=lambda d: poisson_tail_bound(mu, d) <= DEFAULT_TAIL_TOL
+        range(1, top), True, key=lambda d: _poisson_tail_bound(mu, d) <= DEFAULT_TAIL_TOL
     )
     if dim > max_dim:
         raise BudgetError(
             f"|alpha|^2 = {mu:g} needs cutoff {dim} > limit {max_dim}",
             bound="coherent_dim", value=dim, limit=max_dim,
         )
-    return dim, poisson_tail_bound(mu, dim)
+    return dim, _poisson_tail_bound(mu, dim)
 
 
 def _check_photon_number(n_mean: float) -> float:
@@ -229,7 +217,7 @@ def _check_photon_number(n_mean: float) -> float:
     return n_mean
 
 
-def poisson_tail_bound(mu: float, dim: int) -> float:
+def _poisson_tail_bound(mu: float, dim: int) -> float:
     """Chernoff bound on P(n >= dim) for a Poisson(mu) photon count.
 
     exp(-mu) (e mu / dim)^dim, valid and below 1 for dim > mu; returns
@@ -243,13 +231,6 @@ def poisson_tail_bound(mu: float, dim: int) -> float:
         return 1.0
     log_bound = -mu + dim * (1.0 + math.log(mu) - math.log(dim))
     return math.exp(min(log_bound, 0.0))
-
-
-def thermal_tail_bound(n_mean: float, dim: int) -> float:
-    """Exact probability weight of a thermal state above level dim-1."""
-    n_mean = _check_photon_number(n_mean)
-    dim = _as_positive_dim(dim)
-    return (n_mean / (n_mean + 1.0)) ** dim
 
 
 def thermal_entropy_tail(n_mean: float, dim: int) -> float:
@@ -267,26 +248,6 @@ def thermal_entropy_tail(n_mean: float, dim: int) -> float:
     return q**dim * (math.log(n_mean + 1.0) + (dim + n_mean) * math.log1p(1.0 / n_mean))
 
 
-def dim_for_thermal_entropy(n_mean: float, tol: float) -> int:
-    """Smallest cutoff whose thermal entropy tail is at most tol nats.
-
-    BudgetError (thermal_dim) beyond DEFAULT_MAX_JOINT_DIM levels.
-    """
-    n_mean = _check_photon_number(n_mean)
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"entropy tolerance must be in (0, 1), got {tol}")
-    dim = 1
-    while thermal_entropy_tail(n_mean, dim) > tol:
-        dim += 1
-        if dim > DEFAULT_MAX_JOINT_DIM:
-            raise BudgetError(
-                f"thermal entropy cutoff for N = {n_mean:g}, tol {tol:g} "
-                f"exceeds limit {DEFAULT_MAX_JOINT_DIM}",
-                bound="thermal_dim", value=dim, limit=DEFAULT_MAX_JOINT_DIM,
-            )
-    return dim
-
-
 def _thermal_probs(n_mean: float, dim: int) -> np.ndarray:
     """p_n = q^n / (N+1) with q = N/(N+1), n < dim; N = 0 gives the vacuum."""
     q = n_mean / (n_mean + 1.0)
@@ -301,22 +262,25 @@ def thermal_state(n_mean: float, dim: int) -> FockDensityMatrix:
     n_mean = _check_photon_number(n_mean)
     dim = _as_positive_dim(dim)
     probs = _thermal_probs(n_mean, dim).astype(complex)
-    return FockDensityMatrix(np.diag(probs), thermal_tail_bound(n_mean, dim))
+    return FockDensityMatrix(np.diag(probs), (n_mean / (n_mean + 1.0)) ** dim)
 
 
 def _coherent_vector(alpha: complex, dim: int) -> np.ndarray:
     """Renormalized truncated Fock expansion of |alpha>; real for a float alpha.
 
     BudgetError (coherent_dim, value |alpha|^2, limit dim) when its norm
-    is not finite and positive, as from |alpha| ~ 30 on, where it underflows.
+    is not finite and positive, as from |alpha| ~ 38 on, where the terms
+    overflow before e^(-|alpha|^2 / 2) scales them.  The overflow is that
+    error's cause, so it raises no floating-point warning of its own.
     """
     amps = np.empty(dim, dtype=complex if isinstance(alpha, complex) else float)
     amps[0] = 1.0
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     mu = abs(alpha) ** 2
-    amps *= math.exp(-mu / 2.0)
-    norm = np.linalg.norm(amps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, dim):
+            amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+        amps *= math.exp(-mu / 2.0)
+        norm = np.linalg.norm(amps)
     if not (math.isfinite(norm) and norm > 0.0):
         raise BudgetError(
             f"|alpha|^2 = {mu:g} has no normalizable expansion on {dim} levels",
@@ -724,7 +688,7 @@ def mean_photon_number(rho: FockDensityMatrix) -> float:
     return float(np.arange(rho.dim) @ diag / rho.trace)
 
 
-def quadrature_moments(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature_moments(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """First and second quadrature moments, trace-normalized.
 
     Quadratures Q = a + a^dag and P = -i(a - a^dag), so the vacuum
@@ -752,80 +716,50 @@ def quadrature_moments(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 class GridSpec:
     """Radial-angular discretization of the isotropic Gaussian ensemble.
 
-    The radial direction uses Gauss-Laguerre nodes in t = |alpha|^2 / N
-    (the exact weight of the Gaussian in that variable), the angular
-    direction is uniform.  Nodes with radial weight below WEIGHT_FLOOR
-    are dropped and the rest renormalized; at 24 nodes the floor discards
-    under 2e-10 of the distribution while keeping the largest node at
-    t ~ 20.5, which covers the required phase-space radius 4 sqrt(N);
-    at N = 2 that node's Poisson tail needs 92 levels.  n_radial
-    is at most MAX_RADIAL: from 187 nodes on numpy's Gauss-Laguerre
-    weights overflow.
+    The radial direction uses the N_RADIAL Gauss-Laguerre nodes in
+    t = |alpha|^2 / N (the exact weight of the Gaussian in that
+    variable), the angular direction N_ANGULAR uniform phases.  Nodes
+    with radial weight below WEIGHT_FLOOR are dropped and the rest
+    renormalized; the floor discards under 2e-10 of the distribution
+    while keeping the largest node at t ~ 20.5, which covers the
+    required phase-space radius 4 sqrt(N) at every N; at N = 2 that
+    node's Poisson tail needs 92 levels.
     """
 
-    n_radial: int = 24
-    n_angular: int = 24
-
-    COVERAGE_FACTOR = 4.0      # required reach, in units of sqrt(N)
+    N_RADIAL = 24
+    N_ANGULAR = 24
     MAX_SPACING = 0.5          # node spacing budget, in alpha units
     WEIGHT_FLOOR = 1e-9        # smallest radial weight kept
-    MAX_RADIAL = 186           # largest rule numpy's laggauss computes finitely
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_radial", _as_positive_dim(self.n_radial))
-        object.__setattr__(self, "n_angular", _as_positive_dim(self.n_angular))
-        if self.n_radial > self.MAX_RADIAL:
-            raise ValueError(
-                f"n_radial {self.n_radial} exceeds {self.MAX_RADIAL}: numpy's "
-                f"Gauss-Laguerre weights overflow beyond it"
-            )
 
     def nodes(self, n_signal: float) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes and weights for mean photon number n_signal.
 
         Returns (alphas, weights) with weights summing to 1.  Raises
-        BudgetError when the surviving nodes cannot cover radius
-        4 sqrt(N) or resolve the distribution at spacing 0.5: coverage
-        needs the largest kept t node to reach 16, the radial spacing
-        check applies inside r <= 2 sqrt(N), and the angular arc length
-        is checked at the modal radius sqrt(N).
+        BudgetError (grid_radial_spacing) when the radial spacing inside
+        r <= 2 sqrt(N), the six nodes with t <= 4, exceeds 0.5: from
+        N = 2.413 on.  The arc between phases at the modal radius
+        sqrt(N) stays within 0.5 up to N = 3.65, so it never binds.
         """
         n_signal = _check_photon_number(n_signal)
         if n_signal == 0.0:
             return np.array([0.0 + 0.0j]), np.array([1.0])
-        t_nodes, t_weights = np.polynomial.laguerre.laggauss(self.n_radial)
+        t_nodes, t_weights = np.polynomial.laguerre.laggauss(self.N_RADIAL)
         keep = t_weights >= self.WEIGHT_FLOOR
         t_nodes, t_weights = t_nodes[keep], t_weights[keep]
         t_weights = t_weights / t_weights.sum()
 
-        t_required = self.COVERAGE_FACTOR**2
-        if t_nodes[-1] < t_required:
-            raise BudgetError(
-                f"grid reaches t = {t_nodes[-1]:.3f} < {t_required:g}; "
-                f"increase n_radial",
-                bound="grid_coverage", value=t_nodes[-1], limit=t_required,
-            )
         radii = np.sqrt(n_signal * t_nodes)
         bulk = radii <= 2.0 * math.sqrt(n_signal)
-        if bulk.sum() >= 2:
-            spacing = float(np.diff(radii[: int(bulk.sum())]).max())
-            if spacing > self.MAX_SPACING:
-                raise BudgetError(
-                    f"radial spacing {spacing:.3f} exceeds {self.MAX_SPACING} "
-                    f"in the bulk; increase n_radial",
-                    bound="grid_radial_spacing", value=spacing, limit=self.MAX_SPACING,
-                )
-        arc = math.sqrt(n_signal) * 2.0 * math.pi / self.n_angular
-        if arc > self.MAX_SPACING:
+        spacing = float(np.diff(radii[: int(bulk.sum())]).max())
+        if spacing > self.MAX_SPACING:
             raise BudgetError(
-                f"angular arc spacing {arc:.3f} at the modal radius exceeds "
-                f"{self.MAX_SPACING}; increase n_angular",
-                bound="grid_angular_spacing", value=arc, limit=self.MAX_SPACING,
+                f"radial spacing {spacing:.3f} exceeds {self.MAX_SPACING} in the bulk",
+                bound="grid_radial_spacing", value=spacing, limit=self.MAX_SPACING,
             )
 
-        phases = np.exp(2j * math.pi * np.arange(self.n_angular) / self.n_angular)
+        phases = np.exp(2j * math.pi * np.arange(self.N_ANGULAR) / self.N_ANGULAR)
         alphas = (radii[:, None] * phases[None, :]).ravel()
-        weights = np.repeat(t_weights / self.n_angular, self.n_angular)
+        weights = np.repeat(t_weights / self.N_ANGULAR, self.N_ANGULAR)
         return alphas, weights
 
 
@@ -892,12 +826,12 @@ def gaussian_ensemble_report(
     The channel is phase-covariant: with U(phi) = diag(e^{i n phi}),
     the input U |alpha> gives the output U rho_out U^dag.  So the nodes
     on one radius share one output entropy, and the average of their
-    outputs over the n_angular uniform phases is exactly the phase-0
-    output with every entry (m, n) zeroed unless m - n is a multiple of
-    n_angular.  Each radius therefore costs one `_coherent_output` at its
-    real phase-0 amplitude, as an optimizer member does, added into one
-    real average matrix, and chi comes from `_holevo`, so every
-    eigensolve of the report is real.  One packed transfer tensor is
+    outputs over the 24 uniform phases is exactly the phase-0 output with
+    every entry (m, n) zeroed unless m - n is a multiple of 24.  Each
+    radius therefore costs one `_coherent_output` at its real phase-0
+    amplitude, as an optimizer member does, added into one real average
+    matrix, and chi comes from `_holevo`, so every eigensolve of the
+    report is real.  One packed transfer tensor is
     built, at the largest cutoff, and each push reads the leading slice
     of its lag blocks for a smaller one.
     """
@@ -905,7 +839,7 @@ def gaussian_ensemble_report(
     dim_cap = _as_positive_dim(dim_cap)
     alphas, weights = grid.nodes(n_signal)
     # Nodes come radius-major; N = 0 has the single node alpha = 0.
-    per_radius = grid.n_angular if n_signal > 0.0 else 1
+    per_radius = grid.N_ANGULAR if n_signal > 0.0 else 1
     radii = alphas[::per_radius].real
     radius_weights = weights.reshape(-1, per_radius).sum(axis=1)
     dims, tails = zip(*(_coherent_cutoff(r * r, dim_cap) for r in radii))
@@ -948,47 +882,33 @@ def gaussian_ensemble_report(
     )
 
 
-@dataclass(frozen=True)
-class MomentCheckReport:
-    """Per-state moment discrepancies between the two channel routes."""
-
-    max_discrepancy: float
-    discrepancies: tuple[float, ...]
-    passed: bool
-
-
 def verify_decomposition_fock(
     params: ChannelParams, test_states: list[FockDensityMatrix]
-) -> MomentCheckReport:
+) -> float:
     """Check the amplifier-after-loss factorization at the moment level.
 
     For each test state the first and second quadrature moments of the
     simulated channel output, from `apply_channel` and so truncated as
     every push is, are compared against the input moments mapped through
     the pure-loss stage (transmissivity lam/G) followed by the amplifier
-    stage (gain G).  Passes when the largest absolute discrepancy over
-    all entries is at most 1e-8.
+    stage (gain G).  Returns the largest absolute discrepancy over all
+    states and entries, 0.0 for no state.
     """
     dec = decompose(params)
     lam_loss = dec.pure_loss_transmissivity
     gain = dec.gain
-    discrepancies = []
+    worst = 0.0
     for rho in test_states:
         out = apply_channel(params, rho)
-        mean_direct, cov_direct = quadrature_moments(out)
-        mean_in, cov_in = quadrature_moments(rho)
+        mean_direct, cov_direct = _quadrature_moments(out)
+        mean_in, cov_in = _quadrature_moments(rho)
         mean_pred = math.sqrt(gain) * math.sqrt(lam_loss) * mean_in
         cov_pred = gain * (lam_loss * cov_in + (1.0 - lam_loss) * np.eye(2)) + (
             gain - 1.0
         ) * np.eye(2)
-        disc = max(
+        worst = max(
+            worst,
             float(np.max(np.abs(mean_direct - mean_pred))),
             float(np.max(np.abs(cov_direct - cov_pred))),
         )
-        discrepancies.append(disc)
-    worst = max(discrepancies) if discrepancies else 0.0
-    return MomentCheckReport(
-        max_discrepancy=worst,
-        discrepancies=tuple(discrepancies),
-        passed=worst <= MOMENT_TOL,
-    )
+    return worst

@@ -21,7 +21,7 @@ from thermalcap.bounds import (
 )
 from thermalcap.chi_opt import OptimizerConfig, optimize
 from thermalcap.fock_oracle import (
-    dim_for_thermal_entropy,
+    _thermal_cutoff,
     gaussian_ensemble_report,
     thermal_state,
     von_neumann_entropy,
@@ -179,7 +179,7 @@ def test_criterion_6_fock_thermal_entropy():
     worst = 0.0
     max_dim = 0
     for n in (0.5, 1.0, 2.0):
-        dim = dim_for_thermal_entropy(n, 1e-9)
+        dim, _ = _thermal_cutoff(n)
         max_dim = max(max_dim, dim)
         entropy = von_neumann_entropy(thermal_state(n, dim))
         worst = max(worst, abs(entropy - gfunc.g(n)))

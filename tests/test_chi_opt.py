@@ -40,12 +40,12 @@ from thermalcap.fock_oracle import (
     _coherent_output,
     _diagonals,
     _holevo,
+    _poisson_tail_bound,
     _push,
     apply_channel,
     coherent_state,
     gaussian_ensemble_report,
     mean_photon_number,
-    poisson_tail_bound,
     von_neumann_entropy,
 )
 from thermalcap.gaussian_core import ChannelParams
@@ -92,26 +92,22 @@ def test_chi_of_a_mixed_member_is_below_its_split():
     assert 0.0 < chi(p, mixed) < chi(p, split) - 0.1
 
 
-def _report_matches_explicit_ensemble(grid):
+def test_chi_matches_gaussian_ensemble_report():
     # Build the identical discretized coherent ensemble, one member per
-    # grid node, and evaluate it through the generic chi: the report's
-    # per-radius shortcut must give the same number.
+    # grid node (14 radii x 24 phases), and evaluate it through the
+    # generic chi: the report's per-radius shortcut and its masked phase
+    # average must give the same number.  The output has 31 levels, so
+    # the mask keeps entries at lag 24.
     p = params(0.6, 0.5)
-    report = gaussian_ensemble_report(p, 0.02, grid, dim_cap=48)
+    report = gaussian_ensemble_report(p, 0.02, GridSpec(), dim_cap=48)
+    assert len(report.alphas) == 336
+    assert report.member_dims.max() + report.dim_env - 1 > GridSpec.N_ANGULAR
     members = tuple(
         (coherent_state(a, int(d)), float(w))
         for a, w, d in zip(report.alphas, report.weights, report.member_dims)
     )
     value = chi(p, Ensemble(members))
     assert abs(value - report.chi_bits) <= 1e-12
-
-
-def test_chi_matches_gaussian_ensemble_report():
-    _report_matches_explicit_ensemble(GridSpec(n_radial=7, n_angular=2))
-
-
-def test_chi_matches_gaussian_ensemble_report_odd_angular():
-    _report_matches_explicit_ensemble(GridSpec(n_radial=7, n_angular=3))
 
 
 def test_ensemble_mean_photons_and_validation():
@@ -212,7 +208,7 @@ def _assert_members_meet_their_tails(result):
     # smallest that meets it, as `_coherent_cutoff` sizes every push.
     for state, _ in result.ensemble.members:
         mu = _member_photons(state)
-        assert poisson_tail_bound(mu, state.dim) <= DEFAULT_TAIL_TOL
+        assert _poisson_tail_bound(mu, state.dim) <= DEFAULT_TAIL_TOL
         assert state.dim == _coherent_cutoff(mu, DEFAULT_CHI_DIM_CAP)[0]
     assert result.max_member_tail <= DEFAULT_TAIL_TOL
 
@@ -754,7 +750,7 @@ def test_optimize_reports_its_truncation(n_env):
     assert {apply_channel(p, state).deficit for state in members} == {result.environment_tail}
     assert (result.environment_tail > 0.0) == (n_env > 0.0)
     tails = [
-        poisson_tail_bound(abs(s.matrix[1, 0]) ** 2 / s.matrix[0, 0].real ** 2, s.dim)
+        _poisson_tail_bound(abs(s.matrix[1, 0]) ** 2 / s.matrix[0, 0].real ** 2, s.dim)
         for s in members
     ]
     assert result.max_member_tail == pytest.approx(max(tails), rel=1e-9)

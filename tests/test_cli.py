@@ -120,6 +120,18 @@ def test_sweep_invalid_range_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("axis", ["1:2:1e3", "1:x:3"])
+def test_sweep_range_conversion_errors_name_the_flag(axis, capsys):
+    # A count that is no integer, or an endpoint that is no number, is
+    # reported with the flag and the expected form, like every range error.
+    assert main(["sweep", "--lambda", "0.5", "--n", axis]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: --n: expected VALUE or START:STOP:COUNT[:lin|log], got {axis!r} ("
+    )
+
+
 # lambda reaches 1 on a log axis, and N_E and N both start at 0.
 _EDGE_GRID = ("0.01:1:4:log", "0:2:3", "0:1000:4")
 

@@ -1,7 +1,13 @@
 """Tests for the truncated Fock-space oracle: states, channel, entropies."""
 
 import cmath
+import dataclasses
+import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -19,17 +25,16 @@ from thermalcap.fock_oracle import (
     FockDensityMatrix,
     GridSpec,
     _coherent_cutoff,
+    _poisson_tail_bound,
+    _quadrature_moments,
     _thermal_cutoff,
     apply_channel,
     beamsplitter_blocks,
     coherent_state,
     gaussian_ensemble_report,
     mean_photon_number,
-    poisson_tail_bound,
-    quadrature_moments,
     thermal_entropy_tail,
     thermal_state,
-    thermal_tail_bound,
     verify_decomposition_fock,
     von_neumann_entropy,
 )
@@ -152,18 +157,16 @@ def test_thermal_state_geometric_diagonal():
 
 
 def test_thermal_tail_bounds():
-    assert thermal_tail_bound(1.0, 40) == 2.0 ** (-40)
     assert abs(thermal_entropy_tail(1.0, 40) - 2.6477374907260764e-11) < 1e-24
     assert abs(thermal_entropy_tail(2.0, 66) - 6.8455480838377270e-11) < 1e-24
-    assert poisson_tail_bound(1.0, 30) < 1e-31
+    assert _poisson_tail_bound(1.0, 30) < 1e-31
 
 
 def test_truncation_budget_sizes_dimensions():
     dim, tail = _thermal_cutoff(1.0)
-    assert thermal_tail_bound(1.0, dim) <= 1e-10
-    assert tail <= 1e-10
+    assert thermal_state(1.0, dim).deficit == tail <= 1e-10
     dim, _ = _coherent_cutoff(1.0, DEFAULT_MAX_JOINT_DIM)
-    assert poisson_tail_bound(1.0, dim) <= 1e-10
+    assert _poisson_tail_bound(1.0, dim) <= 1e-10
 
 
 @settings(derandomize=True, deadline=None)
@@ -176,11 +179,11 @@ def test_coherent_budget_is_the_smallest_cutoff_meeting_both_rules(mu, phase):
     mu = abs(alpha) ** 2
 
     def meets(dim):
-        return poisson_tail_bound(mu, dim) <= DEFAULT_TAIL_TOL
+        return _poisson_tail_bound(mu, dim) <= DEFAULT_TAIL_TOL
 
     dim, tail = _coherent_cutoff(mu, DEFAULT_MAX_JOINT_DIM)
     assert meets(dim)
-    assert tail == poisson_tail_bound(mu, dim)
+    assert tail == _poisson_tail_bound(mu, dim)
     assert dim == 1 or not meets(dim - 1)
     grown = max(math.ceil(4.0 * mu), 1)
     while not meets(grown):
@@ -222,6 +225,18 @@ def test_coherent_state_budget_error():
     assert coherent_state(3.0, needed).dim == needed
 
 
+def test_coherent_state_refuses_an_overflowing_expansion_without_a_warning():
+    # |alpha|^2 = 1444 fits its 1710-level tail cutoff, but the expansion's
+    # terms overflow before e^-722 scales them.  The caller gets the
+    # documented BudgetError, also where warnings are errors.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BudgetError) as excinfo:
+            coherent_state(38.0, 1710)
+    error = excinfo.value
+    assert (error.bound, error.value, error.limit) == ("coherent_dim", 1444.0, 1710)
+
+
 def test_apply_channel_transparent():
     # The output lives on the padded joint-space dimension; the input
     # must come back in the leading block with nothing outside it.
@@ -259,7 +274,7 @@ def test_apply_channel_trace_accounting():
 def test_apply_channel_phase_covariance():
     # U(phi) = diag(e^{i n phi}) on the input comes out as U(phi) on the
     # output; the oracle's exact angular average rests on this.  phi is
-    # not a multiple of 2 pi / n_angular for any default grid.
+    # not a multiple of the grid's phase step 2 pi / 24.
     p = params(0.6, 0.5)
     alpha, phi = 1.1, 0.37
     out = apply_channel(p, coherent_state(alpha, 24))
@@ -281,20 +296,56 @@ def _lag_blocks(transfer):
     return [block[: dim_out - d, : dim_in - d] for d, block in enumerate(blocks)]
 
 
+# Builds at each (N_E, largest cutoff), and the smaller cutoffs sliced from
+# it; at N_E 2 the 133-163-level slices of a 164-level build are those
+# whose Gram products OpenBLAS splits differently on two threads.
+_SLICED_BUILDS = [
+    (0.0, 40, (1, 17, 39)),
+    (0.5, 40, (1, 17, 39)),
+    (2.0, 40, (1, 17, 39)),
+    (2.0, 164, (133, 148, 163)),
+]
+_SLICE_CHECK = """
+import json
+import numpy as np
+from thermalcap import fock_oracle
+
+def lags(transfer):
+    dim_out, dim_in = transfer[0].shape[1:]
+    blocks = [block for group in transfer for block in group]
+    return [block[: dim_out - d, : dim_in - d] for d, block in enumerate(blocks)]
+
+differ = []
+for n_env, largest, dims in json.loads({builds!r}):
+    env_probs, _ = fock_oracle._env_distribution(n_env)
+    full = lags(fock_oracle._transfer_tensor(0.6, env_probs, largest))
+    for dim in dims:
+        fresh = lags(fock_oracle._transfer_tensor(0.6, env_probs, dim))
+        if not all(np.array_equal(full[d][: len(b), : dim - d], b) for d, b in enumerate(fresh)):
+            differ.append([n_env, largest, dim])
+print(json.dumps(differ))
+"""
+
+
 def test_transfer_tensor_slices_the_largest_build():
     # The oracle builds one tensor at its largest cutoff and slices it for
     # the smaller ones; each lag block of a build at a smaller cutoff is
     # bit for bit the leading slice of that lag's block in the largest.
-    for n_env in (0.0, 0.5, 2.0):
-        env_probs, _ = fock_oracle._env_distribution(n_env)
-        dim_env = len(env_probs)
-        largest = _lag_blocks(fock_oracle._transfer_tensor(0.6, env_probs, 40))
-        for dim in (1, 17, 39):
-            fresh = _lag_blocks(fock_oracle._transfer_tensor(0.6, env_probs, dim))
-            for delta, block in enumerate(fresh):
-                rows, cols = dim + dim_env - 1 - delta, dim - delta
-                assert block.shape == (rows, cols)
-                assert np.array_equal(largest[delta][:rows, :cols], block)
+    # That holds on one BLAS thread, so the builds run in a fresh process
+    # with the three thread variables set to 1, whatever the caller's.
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(fock_oracle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    script = _SLICE_CHECK.format(builds=json.dumps(_SLICED_BUILDS))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def _transfer_by_einsum(lam, env_probs, dim_in):
@@ -477,26 +528,31 @@ def test_quadrature_moments_match_covariance_algebra():
     for _ in range(5):
         n = float(rng.uniform(0.1, 2.0))
         out = apply_channel(p, thermal_state(n, 48))
-        _, cov_fock = quadrature_moments(out)
+        _, cov_fock = _quadrature_moments(out)
         cov_expected = apply_thermal(p, thermal_covariance(n)).matrix
         assert float(np.abs(cov_fock - cov_expected).max()) <= 1e-8
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(n_radial=0)
-
-
-def test_grid_spec_insufficient_coverage():
-    with pytest.raises(BudgetError):
-        GridSpec(n_radial=3).nodes(1.0)
-    # From 187 nodes numpy's Gauss-Laguerre weights overflow, so such a
-    # rule is refused before it is computed; 186 nodes run cleanly.
-    with pytest.raises(ValueError, match="Gauss-Laguerre"):
-        GridSpec(n_radial=187)
+def test_fixed_grid_covers_its_radius_and_its_arcs_never_bind():
+    # The 24-node rule keeps nodes out to t = 20.49 >= 16 = 4^2, so it
+    # covers radius 4 sqrt(N) at every N; its radial spacing refuses every
+    # N from 2.413 on, and below that the arc between its 24 phases at the
+    # modal radius sqrt(N) is within the 0.5 spacing budget.
+    grid = GridSpec()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        GridSpec(n_radial=186).nodes(1.0)
+        alphas, _ = grid.nodes(1.0)
+    assert np.abs(alphas).max() ** 2 >= 16.0
+    radii = np.unique(np.abs(alphas).round(12))
+    spacing = np.diff(radii[radii <= 2.0]).max()
+    n_max = (GridSpec.MAX_SPACING / spacing) ** 2
+    assert 2.41 < n_max < 2.42
+    grid.nodes(n_max * (1.0 - 1e-9))
+    with pytest.raises(BudgetError) as excinfo:
+        grid.nodes(n_max * (1.0 + 1e-9))
+    assert excinfo.value.bound == "grid_radial_spacing"
+    assert math.sqrt(n_max) * 2.0 * math.pi / GridSpec.N_ANGULAR <= GridSpec.MAX_SPACING
+    assert dataclasses.fields(GridSpec) == ()
 
 
 def test_chi_pure_loss_matches_capacity():
@@ -545,9 +601,8 @@ def test_oracle_reports_the_tail_a_capped_cutoff_reaches():
         gaussian_ensemble_report(params(0.6, 0.5), 0.02, dim_cap=4)
     error = excinfo.value
     assert (error.bound, error.value, error.limit) == ("coherent_dim", 5, 4)
-    grid = GridSpec()
-    radii = grid.nodes(0.02)[0][:: grid.n_angular].real
-    reached = max(poisson_tail_bound(r * r, 4) for r in radii)
+    radii = GridSpec().nodes(0.02)[0][:: GridSpec.N_ANGULAR].real
+    reached = max(_poisson_tail_bound(r * r, 4) for r in radii)
     assert reached == pytest.approx(3.9936e-3, rel=1e-4)
     assert reached > DEFAULT_TAIL_TOL
 
@@ -608,7 +663,7 @@ def test_oracle_names_the_budget_that_sets_its_tail(n_env, n_signal, dim_cap, bi
     assert report.binding_budget == binding
     env_tail = _thermal_cutoff(n_env)[1]
     coherent = max(
-        poisson_tail_bound(abs(alpha) ** 2, int(dim))
+        _poisson_tail_bound(abs(alpha) ** 2, int(dim))
         for alpha, dim in zip(report.alphas, report.member_dims)
     )
     # |alpha|^2 from a node's phase differs from the radius squared by an ulp.
@@ -661,15 +716,12 @@ def test_verify_decomposition_examples():
     vac_out = apply_channel(p, coherent_state(0.0, 8))
     assert abs(mean_photon_number(vac_out) - 0.5) <= 1e-9
 
-    rep = verify_decomposition_fock(
-        p, [coherent_state(0.0, 8), coherent_state(1.0, 24)]
-    )
-    assert rep.passed
-    assert rep.max_discrepancy <= 1e-8
-    assert len(rep.discrepancies) == 2
+    for state in (coherent_state(0.0, 8), coherent_state(1.0, 24)):
+        assert verify_decomposition_fock(p, [state]) <= 1e-8
+    assert verify_decomposition_fock(p, []) == 0.0
 
     out = apply_channel(p, coherent_state(1.0, 24))
-    mean, cov = quadrature_moments(out)
+    mean, cov = _quadrature_moments(out)
     np.testing.assert_allclose(cov, 2.0 * np.eye(2), atol=1e-8)
     np.testing.assert_allclose(mean, [2.0 * math.sqrt(0.5), 0.0], atol=1e-8)
 
@@ -678,8 +730,7 @@ def test_verify_decomposition_thermal_input():
     # The hot environment (N_E = 5) takes 127 levels, so a 32-level input
     # fills 4064 of the 4096-level joint cap.
     rho = thermal_state(2.0, 32)
-    rep = verify_decomposition_fock(params(0.8, 5.0), [rho])
-    assert rep.passed
+    assert verify_decomposition_fock(params(0.8, 5.0), [rho]) <= 1e-8
     out = apply_channel(params(0.8, 5.0), rho)
     expected = 0.8 * mean_photon_number(rho) + 0.2 * 5.0
     assert abs(mean_photon_number(out) - expected) <= 1e-8

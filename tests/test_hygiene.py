@@ -4,7 +4,8 @@ constant is read only by its rules, every optimizer push is sized by the
 coherent-cutoff rule, transfer tensors are fetched once per caller, the
 bound interval has one kernel, sweep rows are streamed and validated
 once, every `--out` has one opener, every exported name and every name
-the bench tracer patches must exist, the package defaults BLAS to one
+the bench tracer patches must exist, every public name of the numerical
+layer has a caller outside its module, the package defaults BLAS to one
 thread, and a bench worker call still runs against the package."""
 
 import ast
@@ -189,11 +190,11 @@ def test_the_chi_ceiling_has_one_home_and_one_caller():
 
 
 # Each truncation constant is read only where its rule lives: the tail
-# tolerance by the two cutoff rules, and the joint cap by the thermal rule,
-# the transfer-tensor fetch and the thermal entropy cutoff.
+# tolerance by the two cutoff rules, and the joint cap by the thermal rule
+# and the transfer-tensor fetch.
 _CONSTANT_READERS = {
     "DEFAULT_TAIL_TOL": {"_thermal_cutoff", "_coherent_cutoff"},
-    "DEFAULT_MAX_JOINT_DIM": {"_thermal_cutoff", "_channel_transfer", "dim_for_thermal_entropy"},
+    "DEFAULT_MAX_JOINT_DIM": {"_thermal_cutoff", "_channel_transfer"},
 }
 
 
@@ -281,6 +282,114 @@ def test_every_exported_name_exists():
         if not hasattr(module, name)
     ]
     assert not missing, f"names in __all__ that do not exist: {', '.join(missing)}"
+
+
+# A name in the numerical layer's `__all__` stays public only when code
+# outside its module needs it: another package module or a bench script
+# reads it, or it is a class its module's public functions hand to their
+# callers.  `chi` and `Ensemble` stay to evaluate arbitrary ensembles.
+_PUBLIC_ON_PURPOSE = {"chi", "Ensemble"}
+
+
+def _docstrings(tree):
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def _unneeded_exports(module, readers, bench):
+    """Names in module's `__all__` that no rule keeps public, sorted.
+
+    module, readers and bench are parsed trees: the exporting module, the
+    other package modules and the bench scripts.  A read is what `_uses`
+    sees, and in a bench script also a string that is not a docstring,
+    since the bench tracer names what it patches.  A handed class is
+    named by a public function's return annotation or by a field of a
+    handed class, or is raised in the module.
+    """
+    exported = next(
+        {element.value for element in node.value.elts}
+        for node in module.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    read = {name for tree in readers + bench for _, name, _ in _uses(tree, exported)}
+    for tree in bench:
+        docstrings = _docstrings(tree)
+        read |= {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings
+        }
+    classes = {node.name: node for node in module.body if isinstance(node, ast.ClassDef)}
+    handed = {
+        name.id
+        for node in module.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.returns
+        for name in ast.walk(node.returns) if isinstance(name, ast.Name)
+    } | {
+        name.id
+        for node in ast.walk(module) if isinstance(node, ast.Raise) and node.exc
+        for name in ast.walk(node.exc) if isinstance(name, ast.Name)
+    }
+    pending = list(handed & classes.keys())
+    while pending:
+        for field in classes[pending.pop()].body:
+            if isinstance(field, ast.AnnAssign):
+                for name in ast.walk(field.annotation):
+                    if isinstance(name, ast.Name) and name.id in classes.keys() - handed:
+                        handed.add(name.id)
+                        pending.append(name.id)
+    kept = read | (handed & classes.keys()) | _PUBLIC_ON_PURPOSE
+    return sorted(exported - kept)
+
+
+def test_numerical_exports_have_a_caller_outside_their_module():
+    trees = dict(_package_trees())
+    bench = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
+    found = [
+        f"{module}: {name}"
+        for module in ("fock_oracle.py", "chi_opt.py")
+        for name in _unneeded_exports(
+            trees[module], [tree for other, tree in trees.items() if other != module], bench
+        )
+    ]
+    assert not found, f"public names nothing outside their module needs: {', '.join(found)}"
+
+
+def test_export_check_sees_readers_handed_classes_and_bench_strings():
+    module = '''
+__all__ = ["Report", "Stats", "Error", "Spare", "run", "read", "traced", "helper", "TOL", "chi"]
+TOL = 1e-9
+class Stats:
+    calls: int
+class Report:
+    stats: Stats
+class Error(Exception):
+    pass
+class Spare:
+    pass
+def run(x) -> Report:
+    if x > TOL:
+        raise Error(helper(x))
+def read(x):
+    return Spare()
+def traced(x):
+    return x
+def helper(x):
+    return x
+def chi(x):
+    return x
+'''
+    reader = 'from . import mod\n"""helper"""\nvalue = mod.read(TOL)\n"helper"\n'
+    bench = '"""helper"""\nrows = [("mod", "traced")]\n'
+    trees = [ast.parse(source) for source in (module, reader, bench)]
+    assert _unneeded_exports(trees[0], trees[1:2], trees[2:]) == ["Spare", "helper", "run"]
 
 
 def test_chi_opt_leaves_output_spectra_to_fock_oracle():
