@@ -14,8 +14,10 @@ matrices are small, and one thread runs them fastest and bit for bit.
 import os
 import sys
 
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 if "numpy" not in sys.modules:
-    for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for _variable in _BLAS_VARIABLES:
         os.environ.setdefault(_variable, "1")
 
 from .gfunc import (

@@ -21,15 +21,18 @@ at the iteration cap.
 from __future__ import annotations
 
 import argparse
+from collections.abc import Iterator
 import contextlib
 from dataclasses import asdict, dataclass
 import json
 import math
+import os
 import sys
+import time
 
 import numpy as np
 
-from . import gfunc
+from . import _BLAS_VARIABLES, gfunc
 from .gaussian_core import (
     AmplifierParams,
     ChannelParams,
@@ -117,7 +120,7 @@ def _fd(func, x: float, h: float) -> float:
     return (func(x + h) - func(x - h)) / (2.0 * h)
 
 
-def _suite_gfunc(seed: int) -> list[CheckResult]:
+def _suite_gfunc(seed: int) -> Iterator[list[CheckResult]]:
     del seed  # fixed grids; the entropy function has no randomized checks
     frozen = {
         0.2: 0.54067345063956563,
@@ -129,7 +132,7 @@ def _suite_gfunc(seed: int) -> list[CheckResult]:
     worst = max(abs(gfunc.g(x) - v) / v for x, v in frozen.items())
     worst = max(worst, abs(gfunc.delta(1.0, 1.0) - 0.43152310867767139))
     worst = max(worst, abs(gfunc.delta_limit(1.0) - math.log(2.0)))
-    results = [CheckResult("gfunc.frozen-values", worst, 1e-13)]
+    yield [CheckResult("gfunc.frozen-values", worst, 1e-13)]
 
     # Second-derivative magnitudes reach ~1e2 at the low end of the grid,
     # where the centered-difference Taylor remainder of the fixed step
@@ -149,7 +152,7 @@ def _suite_gfunc(seed: int) -> list[CheckResult]:
         for y in (0.1, 1.0, 10.0):
             fd = _fd(lambda t: gfunc.delta(y, t), x, h)
             worst = max(worst, abs(fd - gfunc.delta_prime(y, x)))
-    results.append(CheckResult("gfunc.derivative-fd", worst, 1e-6))
+    yield [CheckResult("gfunc.derivative-fd", worst, 1e-6)]
 
     violation = 0.0
     xs = np.geomspace(1e-9, 1e9, 200)
@@ -170,8 +173,7 @@ def _suite_gfunc(seed: int) -> list[CheckResult]:
         violation = max(violation, float(-primes.min()))
         seconds = np.array([gfunc.delta_second(y, x) for x in xs])
         violation = max(violation, float(seconds.max()))
-    results.append(CheckResult("gfunc.gap-shape", violation, 0.0))
-    return results
+    yield [CheckResult("gfunc.gap-shape", violation, 0.0)]
 
 
 def _random_channel(rng: np.random.Generator) -> ChannelParams:
@@ -181,7 +183,7 @@ def _random_channel(rng: np.random.Generator) -> ChannelParams:
     )
 
 
-def _suite_gaussian(seed: int) -> list[CheckResult]:
+def _suite_gaussian(seed: int) -> Iterator[list[CheckResult]]:
     rng = np.random.default_rng(seed)
     worst_compose = 0.0
     worst_phys = 0.0
@@ -199,7 +201,7 @@ def _suite_gaussian(seed: int) -> list[CheckResult]:
             worst_compose, float(np.abs(direct.matrix - composed.matrix).max())
         )
         worst_phys = max(worst_phys, 1.0 - float(direct.det))
-    results = [
+    yield [
         CheckResult("gaussian.decomposition-identity", worst_compose, 1e-12),
         CheckResult("gaussian.physicality", worst_phys, 1e-9),
     ]
@@ -213,11 +215,10 @@ def _suite_gaussian(seed: int) -> list[CheckResult]:
             1.0 - params.transmissivity
         ) * params.environment_photons
         worst = max(worst, abs(got - want))
-    results.append(CheckResult("gaussian.photon-bookkeeping", worst, 1e-12))
-    return results
+    yield [CheckResult("gaussian.photon-bookkeeping", worst, 1e-12)]
 
 
-def _suite_bounds(seed: int) -> list[CheckResult]:
+def _suite_bounds(seed: int) -> Iterator[list[CheckResult]]:
     rng = np.random.default_rng(seed)
     worst_order = 0.0
     worst_route = 0.0
@@ -240,7 +241,7 @@ def _suite_bounds(seed: int) -> list[CheckResult]:
         y = (1.0 - params.transmissivity) * params.environment_photons
         route = gfunc.delta(y, params.transmissivity * n) / LN2
         worst_route = max(worst_route, abs(rep.upper_bits - rep.lower_bits - route))
-    results = [
+    yield [
         CheckResult("bounds.interval-order", worst_order, 1e-10),
         CheckResult("bounds.route-consistency", worst_route, 1e-10),
         CheckResult("bounds.certified-count", float(uncertified), 0.0),
@@ -253,7 +254,7 @@ def _suite_bounds(seed: int) -> list[CheckResult]:
             rep = report(params, 1e8)
             limit = gfunc.delta_limit((1.0 - lam) * n_env)
             worst = max(worst, abs(rep.gap_bits * LN2 - limit))
-    results.append(CheckResult("bounds.large-n-limit", worst, 1e-6))
+    yield [CheckResult("bounds.large-n-limit", worst, 1e-6)]
 
     worst = 0.0
     for _ in range(200):
@@ -266,11 +267,10 @@ def _suite_bounds(seed: int) -> list[CheckResult]:
             abs(holevo_lower(params, n) - cap),
             abs(additive_extension_upper(params, n) - cap),
         )
-    results.append(CheckResult("bounds.pure-loss-collapse", worst, 0.0))
-    return results
+    yield [CheckResult("bounds.pure-loss-collapse", worst, 0.0)]
 
 
-def _suite_fock(seed: int) -> list[CheckResult]:
+def _suite_fock(seed: int) -> Iterator[list[CheckResult]]:
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     for n in (0.2, 0.5, 1.0, 2.0, 5.0):
@@ -278,7 +278,7 @@ def _suite_fock(seed: int) -> list[CheckResult]:
         entropy = von_neumann_entropy(thermal_state(n, dim))
         tail = thermal_entropy_tail(n, dim)
         worst_ratio = max(worst_ratio, abs(entropy - gfunc.g(n)) / (10.0 * tail))
-    results = [CheckResult("fock.thermal-entropy-vs-tail", worst_ratio, 1.0)]
+    yield [CheckResult("fock.thermal-entropy-vs-tail", worst_ratio, 1.0)]
 
     states = [thermal_state(0.7, 48)]
     for _ in range(3):
@@ -290,13 +290,14 @@ def _suite_fock(seed: int) -> list[CheckResult]:
         )
         for lam, n_env in ((0.5, 0.3), (0.8, 1.0))
     )
-    results.append(CheckResult("fock.moment-consistency", worst, 1e-8))
+    yield [CheckResult("fock.moment-consistency", worst, 1e-8)]
 
     params = ChannelParams(transmissivity=0.6, environment_photons=0.5)
     _, _, difference, spread = _oracle_agreement(params, 2.0, DEFAULT_CHI_DIM_CAP)
-    results.append(CheckResult("fock.chi-vs-closed-form", difference, 1e-3))
-    results.append(CheckResult("fock.alpha-independence", spread, _ENTROPY_SPREAD_TOL))
-    return results
+    yield [
+        CheckResult("fock.chi-vs-closed-form", difference, 1e-3),
+        CheckResult("fock.alpha-independence", spread, _ENTROPY_SPREAD_TOL),
+    ]
 
 
 def _oracle_agreement(params: ChannelParams, n_signal: float, dim_cap: int):
@@ -458,16 +459,26 @@ def cmd_verify(args) -> int:
     if args.level == "full":
         suites.append(_suite_fock)
 
+    print("blas threads: " + " ".join(
+        f"{name}={os.environ.get(name, 'unset')}" for name in _BLAS_VARIABLES
+    ))
     failed: list[str] = []
     for suite in suites:
-        for check in suite(args.seed):
-            status = "pass" if check.passed else "FAIL"
-            print(
-                f"{check.name:<32} max discrepancy {check.discrepancy:<12.3e}"
-                f" tol {check.tolerance:<9.0e} {status}"
-            )
-            if not check.passed:
-                failed.append(check.name)
+        # Each suite yields its checks in groups computed together; a group's
+        # seconds are printed on each of its checks, marked shared after the first.
+        start = time.perf_counter()
+        for group in suite(args.seed):
+            seconds = time.perf_counter() - start
+            for index, check in enumerate(group):
+                status = "pass" if check.passed else "FAIL"
+                print(
+                    f"{check.name:<32} max discrepancy {check.discrepancy:<12.3e}"
+                    f" tol {check.tolerance:<9.0e} {status:<4} {seconds:8.4f} s"
+                    + (" shared" if index else "")
+                )
+                if not check.passed:
+                    failed.append(check.name)
+            start = time.perf_counter()
     if failed:
         print(f"verification failed: {', '.join(failed)}")
         return 3
@@ -478,13 +489,16 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
-    chi_report, lower, difference, spread = _oracle_agreement(
-        _parse_channel(args), args.n, args.dim_cap
-    )
+    params = _parse_channel(args)
+    chi_report, lower, difference, spread = _oracle_agreement(params, args.n, args.dim_cap)
     print(f"chi_bits = {chi_report.chi_bits:.10g}")
     print(f"lower_bits = {lower:.10g}")
     print(f"difference_bits = {difference:.10g}")
     print(f"alpha_entropy_spread_nats = {spread:.10g}")
+    # The ensemble's own photon mean falls short of N by about 1e-8, and
+    # the lower bound there differs by about 1e-9 bits: 15 digits show both.
+    print(f"mean_photons = {chi_report.mean_photons:.15g}")
+    print(f"lower_at_mean_bits = {holevo_lower(params, chi_report.mean_photons):.15g}")
     print(f"max_tail_bound = {chi_report.max_tail_bound:.10g}")
     print(f"binding_budget = {chi_report.binding_budget}")
     print(f"dim_env = {chi_report.dim_env}")

@@ -31,8 +31,10 @@ store about half of a dense (dim_in, dim_out, dim_in) array, whose
 nonzero share is about a fifth (3.8 MB instead of 7.6 MB at the
 oracle's 92 levels with 21 environment levels).  It is built by one
 BLAS Gram product per output-minus-input diagonal, which yields every
-lag at once, and strided copies into the lag groups.  Every push
-truncates alike, at DEFAULT_TAIL_TOL and DEFAULT_MAX_JOINT_DIM.
+lag at once, and one plain strided slice per lag group and diagonal;
+the blocks come from one square-root table and one reused zero-bordered
+buffer, with the float operations of the block-by-block recurrence.
+Every push truncates alike, at DEFAULT_TAIL_TOL and DEFAULT_MAX_JOINT_DIM.
 `_channel_transfer` keeps only its last tensor: an oracle report or an
 optimizer run fetches one and slices it for each smaller state, and a
 tensor build streams the block columns it reads and keeps none.
@@ -49,6 +51,10 @@ the output into that of a complex amplitude by phase covariance.  The
 oracle's radii are real, so its average and every one of its
 eigensolves are real too; `apply_channel` keeps the complex path for
 arbitrary states.
+
+The oracle's radial rule is Gauss-Laguerre, taken from one symmetric
+eigensolve of its Jacobi matrix (Golub and Welsch, Math. Comp. 23, 221,
+1969), so a report imports nothing beyond `numpy.linalg`.
 """
 
 from __future__ import annotations
@@ -338,24 +344,40 @@ def _blocks(lam: float, count: int, dim_env: int, dim_in: int) -> Iterator[np.nd
     sqrt(M-n)/M, and the recurrence is stable: B B^T is the identity to
     3.2e-14 up to total 214 (5.8e-14 up to 400), and entries at totals 40,
     120 and 215 lie within 4.9e-15 of a 130-digit closed-form evaluation.
+
+    Entry (p, n) is (sqrt(n) (c sqrt(p) L[p-1] - s sqrt(M-p) L[p])
+    + sqrt(M-n) (s sqrt(p) R[p-1] + c sqrt(M-p) R[p])) / M, with L and R
+    the parent columns n - 1 and n.  Every square root and its products
+    with c and s come from one table, and the parent sits in one reused
+    zero-bordered buffer, so a block costs a handful of array operations;
+    each entry is rounded as by that formula evaluated left to right.
+    Each yielded block is a new array.
     """
     c, s = math.sqrt(lam), math.sqrt(1.0 - lam)
+    root = np.sqrt(np.arange(count + 1.0))
+    # Rows p of these columns give c sqrt(p) and s sqrt(p); rows taken in
+    # reverse from M give c sqrt(M - p) and s sqrt(M - p).
+    c_root, s_root = (c * root)[:, None], (s * root)[:, None]
+    # Parent block at rows 1..M and columns 1..width, zero around it.
+    pad = np.zeros((count + 1, min(dim_env, dim_in - 1) + 3))
     blk = np.ones((1, 1))
     yield blk
     for total in range(1, count):
-        cols = np.arange(max(0, total - dim_env), min(total, dim_in - 1) + 1.0)
-        # Zero-bordered parent; its column shift + k holds column cols[k] - 1.
-        shift, width = int(total > dim_env), len(cols)
-        pad = np.zeros((total + 2, blk.shape[1] + 2))
-        pad[1:-1, 1:-1] = blk
-        left = pad[:, shift : shift + width]            # columns n - 1
-        right = pad[:, shift + 1 : shift + 1 + width]   # columns n
-        p = np.sqrt(np.arange(total + 1.0))[:, None]
-        q = p[::-1]                                     # sqrt(total - p)
-        blk = (
-            np.sqrt(cols) * (c * p * left[:-1] - s * q * left[1:])
-            + np.sqrt(total - cols) * (s * p * right[:-1] + c * q * right[1:])
-        ) / total
+        lo, hi = max(0, total - dim_env), min(total, dim_in - 1)
+        # Column shift + k of pad holds column lo + k - 1 of the parent.
+        shift, width, parent = int(total > dim_env), max(hi - lo + 1, 0), blk.shape[1]
+        pad[1 : total + 1, 1 : parent + 1] = blk
+        pad[1 : total + 1, parent + 1] = 0.0   # left over from a wider block
+        up = pad[: total + 1, shift : shift + width + 1]        # parent rows p - 1
+        down = pad[1 : total + 2, shift : shift + width + 1]    # parent rows p
+        blk = c_root[: total + 1] * up[:, :-1]                  # columns n - 1
+        blk -= s_root[total::-1] * down[:, :-1]
+        right = s_root[: total + 1] * up[:, 1:]                 # columns n
+        right += c_root[total::-1] * down[:, 1:]
+        blk *= root[lo : hi + 1]
+        right *= root[total - hi : total - lo + 1][::-1]
+        blk += right
+        blk /= total
         yield blk
 
 
@@ -370,8 +392,7 @@ def _strided(
     """View of the C-contiguous array base, with offset and strides in elements.
 
     The ndarray constructor checks that the view stays inside base and is
-    far cheaper than `as_strided`, which a tensor build calls over a
-    thousand times.
+    far cheaper than `as_strided`; a tensor build makes one view per block.
     """
     item = base.itemsize
     return np.ndarray(shape, base.dtype, base, offset * item, tuple(s * item for s in strides))
@@ -402,10 +423,11 @@ def _transfer_tensor(
     with V_s[e, k] = sqrt(p_e) B[k+e][k+s, k], T_delta[k+s, k] is entry
     (k, k + delta) of the Gram matrix V_s^T V_s, one BLAS product.  Each
     Gram goes into a zero-padded buffer, so that a superdiagonal read past
-    its end gives zeros, and each lag group takes one strided copy of its
-    superdiagonals per diagonal.  A 1 x 1 Gram gets a zero second column,
-    so that it is a matrix product like the others and not a dot product,
-    whose rounding differs.
+    its end gives zeros.  Read with a row stride one larger, that buffer
+    holds bands[j, d] = gram[j, j + d], and each lag group takes one plain
+    strided slice of it per diagonal, through a 2-D view of the group.
+    A 1 x 1 Gram gets a zero second column, so that it is a matrix
+    product like the others and not a dot product, whose rounding differs.
 
     No entry depends on the input cutoff: `_blocks` yields only the at most
     dim_env + 1 block columns the build reads, bit for bit those of the
@@ -442,7 +464,15 @@ def _transfer_tensor(
         np.zeros((min(size, dim_in - lo), dim_out - lo, dim_in - lo))
         for lo in range(0, dim_in, size)
     ]
-    gram = np.zeros((max(dim_in, 2), dim_in + size + 1))
+    # (first lag, lags, input levels, the group as (lags, rows * levels)).
+    planes = [
+        (lo, len(group), dim_in - lo, group.reshape(len(group), -1))
+        for lo, group in zip(range(0, dim_in, size), groups)
+    ]
+    rows, stride = max(dim_in, 2), dim_in + size + 1
+    buffer = np.zeros(rows * (stride + 1))
+    gram = buffer[: rows * stride].reshape(rows, stride)
+    lagged = buffer.reshape(rows, stride + 1).T     # lagged[d, j] = gram[j, j + d]
     # Descending r: the Grams only grow, so the buffer past each is zero.
     for r in range(dim_out - 1, -1, -1):
         s, k0 = dim_env - 1 - r, max(0, r - dim_env + 1)
@@ -451,15 +481,15 @@ def _transfer_tensor(
         # Two operands, so that NumPy calls gemm: syrk, which it takes for
         # v.T @ v, rounds its diagonal blocks otherwise and breaks the slices.
         np.matmul(v.T, v.copy(), out=gram[:cols, :cols])
-        for lo, group in zip(range(0, dim_in, size), groups):
-            lags, rows, count = group.shape[0], dim_out - lo, dim_in - lo - k0
+        for lo, lags, levels, plane in planes:
+            count = levels - k0
             if count <= 0:
                 break
             # group[i, k + s, k] = gram[k - k0, k - k0 + lo + i] for k >= k0.
-            _strided(
-                group, (k0 + s) * (dim_in - lo) + k0, (lags, count),
-                (rows * (dim_in - lo), dim_in - lo + 1),
-            )[...] = _strided(gram, lo, (lags, count), (1, gram.shape[1] + 1))
+            start = (k0 + s) * levels + k0
+            plane[:, start : start + count * (levels + 1) : levels + 1] = (
+                lagged[lo : lo + lags, :count]
+            )
     for group in groups:
         group.setflags(write=False)
     return tuple(groups)
@@ -712,18 +742,38 @@ def _quadrature_moments(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]
     return mean, np.array([[qq, qp], [qp, pp]])
 
 
+def _gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Laguerre rule.
+
+    The weight function is e^-t on t >= 0.  By Golub and Welsch (Math.
+    Comp. 23, 221, 1969) the nodes are the eigenvalues of the symmetric
+    Jacobi matrix of the Laguerre polynomials, diagonal 2i + 1 and
+    off-diagonal i, and each weight is the squared first component of
+    its unit eigenvector; the weights are normalized to sum to 1.  One
+    eigensolve, so no weight overflows at any n: numpy's `laggauss`
+    overflows from 187 nodes on, while this rule stays finite.
+    """
+    i = np.arange(n, dtype=float)
+    jacobi = np.diag(2.0 * i + 1.0) + np.diag(i[1:], 1) + np.diag(i[1:], -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2
+    return nodes, weights / weights.sum()
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Radial-angular discretization of the isotropic Gaussian ensemble.
 
     The radial direction uses the N_RADIAL Gauss-Laguerre nodes in
     t = |alpha|^2 / N (the exact weight of the Gaussian in that
-    variable), the angular direction N_ANGULAR uniform phases.  Nodes
-    with radial weight below WEIGHT_FLOOR are dropped and the rest
-    renormalized; the floor discards under 2e-10 of the distribution
-    while keeping the largest node at t ~ 20.5, which covers the
-    required phase-space radius 4 sqrt(N) at every N; at N = 2 that
-    node's Poisson tail needs 92 levels.
+    variable), from the Golub-Welsch eigensolve `_gauss_laguerre`, which
+    stays finite at any node count (numpy's `laggauss` overflows past 186
+    nodes), the angular direction N_ANGULAR uniform phases.  Nodes with radial weight below WEIGHT_FLOOR are
+    dropped and the rest renormalized; the floor discards under 2e-10 of
+    the distribution while keeping the largest node at t ~ 20.5, which
+    covers the required phase-space radius 4 sqrt(N) at every N; at
+    N = 2 that node's Poisson tail needs 92 levels.  The rule is computed
+    on each call, not at import.
     """
 
     N_RADIAL = 24
@@ -743,7 +793,7 @@ class GridSpec:
         n_signal = _check_photon_number(n_signal)
         if n_signal == 0.0:
             return np.array([0.0 + 0.0j]), np.array([1.0])
-        t_nodes, t_weights = np.polynomial.laguerre.laggauss(self.N_RADIAL)
+        t_nodes, t_weights = _gauss_laguerre(self.N_RADIAL)
         keep = t_weights >= self.WEIGHT_FLOOR
         t_nodes, t_weights = t_nodes[keep], t_weights[keep]
         t_weights = t_weights / t_weights.sum()
@@ -781,7 +831,10 @@ class ChiReport:
     transfer tensor holds.  transfer_seconds is the time the report spent
     fetching that tensor (its build, unless it was cached), and
     eigensolve_seconds the time spent in the output eigensolves, the
-    members' and the average's.
+    members' and the average's.  mean_photons is the ensemble's own
+    photon mean, sum w n over its truncated coherent vectors (math.fsum
+    of the radius weights times each radius's photons): the weight floor
+    and the truncation leave it short of the requested N.
     """
 
     chi_bits: float
@@ -796,6 +849,7 @@ class ChiReport:
     transfer_bytes: int
     transfer_seconds: float
     eigensolve_seconds: float
+    mean_photons: float
 
     def __post_init__(self) -> None:
         for name in ("member_entropies_nats", "alphas", "weights", "member_dims"):
@@ -853,10 +907,11 @@ def gaussian_ensemble_report(
     mask = (levels[:, None] - levels[None, :]) % per_radius == 0
     average = np.zeros((dim_out, dim_out))
     entropies = np.empty(len(radii))
+    photons = np.empty(len(radii))
     solves: list[float] = []
     # Largest cutoff first, the order that fixes the average's rounding.
     for k in np.argsort(-dims, kind="stable"):
-        out, entropies[k], _ = _coherent_output(
+        out, entropies[k], photons[k] = _coherent_output(
             transfer, env_tail, radii[k], int(dims[k]), solves
         )
         average[: len(out), : len(out)] += radius_weights[k] * out
@@ -879,6 +934,7 @@ def gaussian_ensemble_report(
         transfer_bytes=sum(group.nbytes for group in transfer),
         transfer_seconds=transfer_seconds,
         eigensolve_seconds=math.fsum(solves),
+        mean_photons=math.fsum(radius_weights * photons),
     )
 
 

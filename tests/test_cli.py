@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import tracemalloc
 import warnings
 
@@ -259,6 +260,32 @@ def test_verify_quick_passes(capsys):
     assert "bounds.interval-order" in out
 
 
+def test_verify_prints_each_checks_seconds_and_the_blas_threads(capsys):
+    assert main(["verify", "--level", "quick", "--seed", "7"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    assert out[0] == "blas threads: " + " ".join(
+        f"{name}={os.environ.get(name, 'unset')}" for name in names
+    )
+    seconds = {}
+    for line in out:
+        if " max discrepancy " not in line:
+            continue
+        fields = line.split()
+        shared = fields[-1] == "shared"
+        if shared:
+            fields.pop()
+        assert fields[-1] == "s" and float(fields[-2]) >= 0.0
+        seconds[fields[0]] = (float(fields[-2]), shared)
+    assert len(seconds) == 11
+    # Checks computed in one pass share that pass's seconds.
+    assert [name for name, (_, shared) in seconds.items() if shared] == [
+        "gaussian.physicality", "bounds.route-consistency", "bounds.certified-count",
+    ]
+    assert seconds["gaussian.physicality"][0] == seconds["gaussian.decomposition-identity"][0]
+    assert seconds["bounds.certified-count"][0] == seconds["bounds.interval-order"][0]
+
+
 def test_verify_fault_injection_names_invariant(capsys, monkeypatch):
     # A sign flip in the entropy function must be caught and named.
     true_g = thermalcap.gfunc.g
@@ -299,6 +326,18 @@ def test_oracle_prints_its_tensor_and_eigensolve_seconds(capsys):
     )
     for name in ("transfer_seconds", "eigensolve_seconds"):
         assert float(lines[name]) >= 0.0
+
+
+def test_oracle_prints_the_ensembles_photon_mean_and_the_bound_there(capsys):
+    argv = ["oracle", "--lambda", "0.6", "--ne", "0.5", "--n", "1", "--dim-cap", "96"]
+    assert main(argv) == 0
+    lines = dict(
+        line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line
+    )
+    mean = float(lines["mean_photons"])
+    assert 0.0 < 1.0 - mean < 1e-8
+    lower_at_mean = holevo_lower(ChannelParams(0.6, 0.5), mean)
+    assert float(lines["lower_at_mean_bits"]) == pytest.approx(lower_at_mean, rel=1e-14)
 
 
 def test_oracle_zero_signal_prints_a_positive_zero(capsys):

@@ -140,6 +140,51 @@ def test_block_builds_run_no_eigensolver(monkeypatch):
             assert np.array_equal(window, full[total][:, lo : hi + 1])
 
 
+def _reference_blocks(lam, count, dim_env, dim_in):
+    # The block recurrence as first written: a fresh zero-bordered parent
+    # and fresh square roots for every block.
+    c, s = math.sqrt(lam), math.sqrt(1.0 - lam)
+    blk = np.ones((1, 1))
+    yield blk
+    for total in range(1, count):
+        cols = np.arange(max(0, total - dim_env), min(total, dim_in - 1) + 1.0)
+        shift, width = int(total > dim_env), len(cols)
+        pad = np.zeros((total + 2, blk.shape[1] + 2))
+        pad[1:-1, 1:-1] = blk
+        left = pad[:, shift : shift + width]
+        right = pad[:, shift + 1 : shift + 1 + width]
+        p = np.sqrt(np.arange(total + 1.0))[:, None]
+        q = p[::-1]
+        blk = (
+            np.sqrt(cols) * (c * p * left[:-1] - s * q * left[1:])
+            + np.sqrt(total - cols) * (s * p * right[:-1] + c * q * right[1:])
+        ) / total
+        yield blk
+
+
+@pytest.mark.parametrize(
+    "lam, count, dim_env, dim_in",
+    [
+        (1.0, 30, 30, 30),
+        (0.6, 114, 23, 92),    # an oracle build at N_E 0.55, N 2
+        (0.3, 91, 16, 76),
+        (0.99, 60, 57, 4),
+        (0.5, 21, 21, 1),
+        (0.05, 31, 1, 31),
+        (0.6, 40, 5, 20),      # empty windows past total dim_in + dim_env - 2
+    ],
+)
+def test_blocks_match_the_reference_recurrence_bit_for_bit(lam, count, dim_env, dim_in):
+    # The table-driven recurrence rounds each entry as the formula does, so
+    # every window, its shape included, is bit for bit the reference's.
+    windows = list(fock_oracle._blocks(lam, count, dim_env, dim_in))
+    reference = list(_reference_blocks(lam, count, dim_env, dim_in))
+    assert len(windows) == len(reference) == count
+    for window, expected in zip(windows, reference):
+        assert window.shape == expected.shape
+        assert np.array_equal(window, expected)
+
+
 def test_thermal_state_zero_temperature_is_vacuum():
     rho = thermal_state(0.0, 6)
     expected = np.zeros((6, 6))
@@ -553,6 +598,68 @@ def test_fixed_grid_covers_its_radius_and_its_arcs_never_bind():
     assert excinfo.value.bound == "grid_radial_spacing"
     assert math.sqrt(n_max) * 2.0 * math.pi / GridSpec.N_ANGULAR <= GridSpec.MAX_SPACING
     assert dataclasses.fields(GridSpec) == ()
+
+
+def test_gauss_laguerre_rule_matches_numpys_laggauss():
+    # The Golub-Welsch eigensolve gives numpy's 24-node rule: the same
+    # nodes, and the same 14 weights above the floor, to rounding.
+    from numpy.polynomial.laguerre import laggauss
+
+    nodes, weights = fock_oracle._gauss_laguerre(GridSpec.N_RADIAL)
+    expected_nodes, expected_weights = laggauss(GridSpec.N_RADIAL)
+    np.testing.assert_allclose(nodes, expected_nodes, rtol=1e-14, atol=0.0)
+    kept = weights >= GridSpec.WEIGHT_FLOOR
+    assert np.array_equal(kept, expected_weights >= GridSpec.WEIGHT_FLOOR)
+    assert kept.sum() == 14
+    np.testing.assert_allclose(weights[kept], expected_weights[kept], rtol=1e-12, atol=0.0)
+    # Past 186 nodes laggauss overflows; the eigensolve stays finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nodes, weights = fock_oracle._gauss_laguerre(200)
+    assert np.isfinite(weights).all() and abs(weights.sum() - 1.0) <= 1e-12
+    assert np.all(np.diff(nodes) > 0.0)
+
+
+_COLD_REPORT = """
+import sys
+from thermalcap.fock_oracle import gaussian_ensemble_report
+from thermalcap.gaussian_core import ChannelParams
+gaussian_ensemble_report(ChannelParams(0.6, 0.5), 2.0)
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_cold_report_leaves_numpy_polynomial_unloaded():
+    # A report in a fresh process pays no import beyond the package's own.
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(fock_oracle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_REPORT], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_report_measures_its_ensembles_photon_mean():
+    # The weight floor and the truncated vectors leave the ensemble about
+    # 7.2e-9 photons short of N = 2, and chi sits above holevo_lower at the
+    # ensemble's own mean, below it at N.
+    p = params(0.6, 0.5)
+    report = gaussian_ensemble_report(p, 2.0)
+    assert 2.0 - report.mean_photons == pytest.approx(7.201e-9, rel=1e-3)
+    lower_at_mean = holevo_lower(p, report.mean_photons)
+    assert 0.0 < report.chi_bits - lower_at_mean < 2e-9
+    assert report.chi_bits < holevo_lower(p, 2.0)
+    # sum w n over the nodes, n measured on each node's truncated vector.
+    photons = []
+    for alpha, dim in zip(report.alphas, report.member_dims):
+        probs = np.abs(fock_oracle._coherent_vector(abs(alpha), int(dim))) ** 2
+        photons.append(np.arange(dim) @ probs / probs.sum())
+    assert report.mean_photons == pytest.approx(math.fsum(report.weights * photons), rel=1e-14)
 
 
 def test_chi_pure_loss_matches_capacity():

@@ -5,8 +5,9 @@ coherent-cutoff rule, transfer tensors are fetched once per caller, the
 bound interval has one kernel, sweep rows are streamed and validated
 once, every `--out` has one opener, every exported name and every name
 the bench tracer patches must exist, every public name of the numerical
-layer has a caller outside its module, the package defaults BLAS to one
-thread, and a bench worker call still runs against the package."""
+layer has a caller outside its module, the package never names
+numpy.polynomial, the package defaults BLAS to one thread, and a bench
+worker call still runs against the package."""
 
 import ast
 import importlib
@@ -621,6 +622,61 @@ def cmd(args):
     assert _out_openers(ast.parse(source)) == [
         ("cmd", 7), (None, 7), ("cmd", 8), (None, 8),
     ]
+
+
+_POLYNOMIAL_NAMES = {"polynomial", "laggauss"}
+
+
+def _polynomial_references(tree):
+    """Line numbers of code that names numpy.polynomial or laggauss.
+
+    Importing numpy.polynomial costs a cold oracle report more than its
+    Gauss-Laguerre rule does (`fock_oracle._gauss_laguerre`).
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in _POLYNOMIAL_NAMES
+        elif isinstance(node, ast.Name):
+            hit = node.id in _POLYNOMIAL_NAMES
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            hit = any(
+                name.startswith("numpy.polynomial") or name.split(".")[-1] in _POLYNOMIAL_NAMES
+                for name in names
+            )
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            hit = node.value.startswith("numpy.polynomial")
+        else:
+            hit = False
+        if hit:
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_the_package_never_names_numpy_polynomial():
+    found = [
+        f"{name}:{line}"
+        for name, tree in _package_trees()
+        for line in _polynomial_references(tree)
+    ]
+    assert not found, f"numpy.polynomial or laggauss named in the package: {', '.join(found)}"
+
+
+def test_polynomial_check_flags_each_form():
+    source = '''
+import numpy.polynomial
+from numpy.polynomial.laguerre import laggauss
+from numpy import polynomial
+x = np.polynomial.laguerre.laggauss(24)
+y = laggauss(24)
+z = importlib.import_module("numpy.polynomial.laguerre")
+w = np.linalg.eigh(m)
+"""Docstrings may cite numpy's laggauss."""
+'''
+    assert _polynomial_references(ast.parse(source)) == [2, 3, 4, 5, 6, 7]
 
 
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
