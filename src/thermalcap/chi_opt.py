@@ -1,4 +1,4 @@
-"""Ascent search for the Holevo quantity over small pure-state ensembles.
+"""Blahut-Arimoto search for the Holevo quantity over coherent rings.
 
 The interval in `bounds` brackets the constrained capacity analytically;
 this module probes the inside of that interval numerically.  It
@@ -6,70 +6,49 @@ maximizes
 
     chi = S(sum_k w_k E(psi_k)) - sum_k w_k S(E(psi_k))
 
-over ensembles of at most MAX_MEMBERS (16) Fock-truncated pure states
-under the mean photon-number constraint, using the channel kernel and
-entropy routine of `fock_oracle`.  Pure members lose nothing: under a
-linear photon constraint chi is maximized on pure-state ensembles,
-because splitting a mixed member into its eigenvectors keeps the photon
-mean and, by concavity of the entropy, cannot lower chi (Schumacher and
-Westmoreland, PRA 56, 131, 1997).  Every run starts from coherent
-states, so nothing needs splitting.
+under the mean photon-number constraint over phase-uniform rings of
+coherent states: ring i holds the coherent states r_i e^{i phi} at every
+phase, with weight w_i spread evenly over them.  Nothing is lost by
+searching rings.  Pure members suffice under a linear photon constraint
+(Schumacher and Westmoreland, PRA 56, 131, 1997); twirling any coherent
+ensemble over phase rotations keeps each member's photons and output
+entropy, by phase covariance, and can only raise the entropy of the
+average output, by concavity; and Gaussian-modulated coherent states,
+which are rings, reach the capacity (Giovannetti, Garcia-Patron, Cerf and
+Holevo, Nat. Photon. 8, 796, 2014), the paper's `holevo_lower`.
 
-The search alternates two kinds of steps.  The weight step is a
-Blahut-Arimoto style exponentiated reweighting toward members with a
-larger relative-entropy contribution, with a Lagrange multiplier (the
-photon tilt, found by a bracketed Newton-type solve that stops within
-rounding noise of its root) holding the photon budget; on fixed states
-this is the classical capacity iteration and is monotone, but we still
-guard every step by re-evaluating chi and rejecting regressions.  The
-state step displaces individual members and keeps only improvements,
-judged at the moved weights and at one reweighting step from them.  The
-scores that step is built from also bound chi at its end, by the
-Blahut-Arimoto auxiliary bound (Arimoto, IEEE T-IT 18, 14, 1972;
-Blahut, IEEE T-IT 18, 460, 1972; see `_chi_ceiling`), so a move whose
-bound falls short of chi before it is rejected without the step's
-eigensolve, as that eigensolve would have rejected it.  The channel is
-displacement-covariant,
-E(D(d) rho D(d)^dag) = D(sqrt(lam) d) E(rho) D(sqrt(lam) d)^dag, so a
-member's chi gradient comes from C = ln of the average output alone:
-with A = a^dag - a and B = i (a^dag + a) on the output levels, member k
-gains sqrt(lam) (tr(rho_k [A, C]) + i tr(rho_k [B, C])) nats per unit
-weight and unit displacement, and its photon cost grows by 2 alpha_k.
-Each sweep steps every member along that direction, net of the photon
-multiplier, and adds one random probe.
+The rings are the origin and `OptimizerConfig.ensemble_size` radii
+evenly spaced out to `_radius_cap` (2.40 sqrt(N)).  Each is pushed once,
+at its real radius, by `fock_oracle._coherent_output` on the cutoff
+`_coherent_cutoff` gives it, through the one transfer tensor fetched at
+the edge of the disc.  A ring averaged over K >= D_out phases has the
+diagonal of that output as its output, so the run keeps each ring's
+output diagonal, its output entropy and its photons, and takes no
+spectrum after the pushes: every average output is diagonal, and
+`fock_oracle._holevo` reads chi off it as a vector.
 
-When a full sweep stalls, the ensemble first grows: in the manner of
-particle Blahut-Arimoto, coherent states that violate the stationarity
-condition of the constrained capacity problem are inserted, one at a
-time, until MAX_MEMBERS is reached or no candidate helps.  A stall that
-inserts nothing shrinks the perturbation scale geometrically: it
-halves, down to a fixed floor.  A sweep whose gradient steps all fail
-halves it too, but not below half the insertion grid's spacing, so the
-steps stay short enough to be accepted while the weights converge.
+The weights follow cost-constrained Blahut-Arimoto (Arimoto, IEEE T-IT
+18, 14, 1972; Blahut, IEEE T-IT 18, 460, 1972).  Score ring i by
+D(E(ring i) || average) in nats, reweight by exp(gamma score_i), and let
+the photon tilt `_tilted_weights` restore the budget.  The step takes
+gamma = 2, and the plain gamma = 1 step where the longer one would lower
+chi, so chi never falls.  The dual bound min over mu >= 0 of
+max_i [score_i - mu (n_i - N)] caps chi over every ring ensemble on the
+grid; each iteration records its gap to chi.
 
-Members are coherent amplitudes alpha: a displacement by delta moves
-alpha to alpha + delta.  Every push hands an amplitude to
-`fock_oracle._coherent_output` on the cutoff `_coherent_cutoff` gives
-|alpha|^2, as for each oracle radius, up to DEFAULT_CHI_DIM_CAP levels;
-it builds the truncated coherent vector, and returns its output, output
-entropy and photons.  State vectors and density matrices are built here
-only for the `Ensemble` a run returns.  The members' channel outputs are
-stacked, zero-padded to the largest, as a (members, D_out, D_out) array,
-so the average output, all relative-entropy scores and all displacement
-gradients are one matvec each.  Every chi in this module, `chi`
-included, comes from `fock_oracle._holevo` on that average, the
-evaluator the oracle uses, physicality check included.
-
-Everything is deterministic under a fixed seed, and the result is
-numerical evidence only: no claim of a global optimum is made, and a
-value above the certified upper bound signals a truncation or budget
-problem, not a capacity violation.
+Every chi in this module, `chi` included, comes from `fock_oracle._holevo`.
+The search is deterministic, and the result is numerical evidence only:
+no claim of a global optimum is made, and a value above the certified
+upper bound signals a truncation or budget problem, not a capacity
+violation.
 """
 
 from __future__ import annotations
 
+import cmath
 from collections import Counter
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -77,17 +56,12 @@ import numpy as np
 from .gaussian_core import ChannelParams
 from .fock_oracle import (
     DEFAULT_CHI_DIM_CAP,
-    EIGENVALUE_TOL,
-    BudgetError,
     FockDensityMatrix,
     _LN2,
-    _LOG_FLOOR,
     _channel_transfer,
     _coherent_cutoff,
     _coherent_output,
-    _coherent_vector,
     _holevo,
-    _phase_rotated,
     apply_channel,
     coherent_state,
     mean_photon_number,
@@ -101,33 +75,12 @@ __all__ = [
     "OptimizerStats",
     "chi",
     "optimize",
-    "MAX_MEMBERS",
 ]
 
-MAX_MEMBERS = 16
 WEIGHT_SUM_TOL = 1e-12
-CONSTRAINT_SLACK = 1e-9
 
-# Perturbation schedule, in units of sqrt(N): the step starts at
-# _INITIAL_STEP; each stall halves it, down to the floor, and so does a
-# sweep that accepts no gradient step, down to half the insertion grid's
-# spacing (see `optimize`).
-_INITIAL_STEP = 0.5
-_STEP_DECAY = 0.5
-_STEP_FLOOR = 1e-4
-
-# Moves per member and sweep, at `axis` = step * sqrt(N): a gradient step
-# of length axis, repeated if accepted and retried at this fraction if
-# not, then one complex Gaussian probe of this rms size in units of axis.
-_RETRY_FRACTION = 0.25
-_PROBE_SCALE = 0.35
-
-# Rounding allowance of `_chi_ceiling`, in nats.
-_CEILING_ROUNDING = 1e-12
-
-# Insertion candidates: rings x points per ring (see `_Pool`).
-_POOL_RADII = 16
-_POOL_ANGLES = 32
+# Exponent of the accelerated Blahut-Arimoto step; gamma = 1 is the plain one.
+_ACCELERATION = 2.0
 
 
 def _mean_photons(weights: np.ndarray, photons: np.ndarray) -> float:
@@ -172,11 +125,11 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search-space size and termination settings.
+    """Search-grid size and termination settings.
 
-    `ensemble_size` is the starting member count; `optimize` may insert
-    members up to MAX_MEMBERS.  Every member, started, moved or inserted,
-    lives on the cutoff its Poisson tail needs (`_coherent_cutoff`).
+    `ensemble_size` is the number of rings beside the origin.  `seed` is
+    validated and kept for callers that pass one; the search is
+    deterministic and does not read it.
     """
 
     ensemble_size: int = 8
@@ -189,10 +142,8 @@ class OptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not (1 <= self.ensemble_size <= MAX_MEMBERS):
-            raise ValueError(
-                f"ensemble_size must be in [1, {MAX_MEMBERS}], got {self.ensemble_size}"
-            )
+        if self.ensemble_size < 1:
+            raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.seed < 0:
@@ -206,63 +157,85 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerStats:
-    """Work counts of one ascent run; a repeated run repeats them exactly.
+    """Work counts of one run; a repeated run repeats them exactly.
 
-    Proposals are the displacement moves judged by the acceptance rule,
-    in total and split by type: steps along the chi gradient and random
-    probes.  Weight-step rejections count guarded reweightings that would
-    have lowered chi; insertions count members added by growth.  Channel
-    pushes cover the whole run, the insertion pool included.
-    Eigensolves count the spectra of channel outputs: one per push, for
-    its entropy, and one per chi evaluation, for the average output.
-    Moves decided by the bound are rejected moves whose reweighted
-    candidate `_chi_ceiling` ruled out, so its chi took no eigensolve.
-    Tilt evaluations count the tilted weights `_tilted_weights` computed
-    over every re-tilt of the run, its starting weights' aside.
-    The one-off build of the run's transfer tensor is not counted.
+    Channel pushes count the rings pushed, and eigensolves the spectra
+    taken, one per push for its output entropy: every average output is
+    diagonal, so no iteration takes one.  Tilt evaluations count the
+    tilted weights `_tilted_weights` computed over the run.  Fallback
+    steps count the iterations whose accelerated step would have lowered
+    chi and that took the plain step instead.  The one-off build of the
+    run's transfer tensor is not counted.
     """
 
-    displacements_proposed: int = 0
-    displacements_accepted: int = 0
-    gradient_steps_proposed: int = 0
-    gradient_steps_accepted: int = 0
-    probes_proposed: int = 0
-    probes_accepted: int = 0
-    weight_steps_rejected: int = 0
-    moves_decided_by_bound: int = 0
-    insertions: int = 0
     channel_pushes: int = 0
     eigensolves: int = 0
     tilt_evaluations: int = 0
+    fallback_steps: int = 0
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of one ascent run.
+    """Outcome of one run.
 
-    `history` records (iteration, chi_bits) after every sweep, including
-    any members inserted at its end, starting from the initial ensemble
-    at iteration 0, and is nondecreasing.  `converged` means the schedule
-    finished: a full sweep at the minimum step size improved chi by less
-    than the tolerance, and no member could be inserted after it (the
-    ensemble was at MAX_MEMBERS, or no candidate raised chi).
-    `ensemble` may hold more members than `OptimizerConfig.ensemble_size`,
-    and every member is a pure state.
-    The run's truncation: `environment_tail` is the thermal environment's
-    tail, which every output lost, and `max_member_tail` the largest
-    `_poisson_tail_bound` of a returned member's |alpha|^2 on the levels
-    it lives on, each at most DEFAULT_TAIL_TOL by `_coherent_cutoff`.
-    Both are 0 when nothing was pushed (N = 0).
+    `history` records (iteration, chi_bits) from the starting weights at
+    iteration 0 through every iteration, and is nondecreasing;
+    `dual_gaps` records (iteration, gap_bits) alike, where the gap is the
+    dual bound min over mu >= 0 of max_i [score_i - mu (n_i - N)] less
+    chi, and `dual_gap_bits` is its last entry.  `converged` means an
+    iteration gained less than the tolerance; reaching the iteration cap
+    first reports converged=False.
+    The rings: `radii`, `ring_weights` (summing to 1), each ring's cutoff
+    `ring_cutoffs` and Poisson tail `ring_tails`, and `ring_phases`, the
+    phases its explicit members take (its output levels, or 1 where the
+    output is diagonal already, as at the origin).  `ensemble` is built
+    from them on first read: each ring as that many pure coherent states,
+    re-tilted into the budget against the matrices' own photons.
+    `environment_tail` is the thermal environment's tail, which every
+    output lost, and `max_member_tail` the largest ring tail, each at
+    most DEFAULT_TAIL_TOL.  Both are 0 when nothing was pushed (N = 0).
     """
 
     best_chi_bits: float
-    ensemble: Ensemble
     iterations: int
     converged: bool
+    n_signal: float
+    radii: tuple[float, ...]
+    ring_weights: tuple[float, ...]
+    ring_cutoffs: tuple[int, ...]
+    ring_tails: tuple[float, ...]
+    ring_phases: tuple[int, ...]
     history: tuple[tuple[int, float], ...] = field(repr=False)
+    dual_gaps: tuple[tuple[int, float], ...] = field(repr=False)
     stats: OptimizerStats = field(default_factory=OptimizerStats)
     environment_tail: float = 0.0
     max_member_tail: float = 0.0
+
+    @property
+    def dual_gap_bits(self) -> float:
+        return self.dual_gaps[-1][1]
+
+    @functools.cached_property
+    def ensemble(self) -> Ensemble:
+        """The rings as explicit pure states on their cutoffs, weights normalized.
+
+        A matrix's photons, as `mean_photon_number` reads them, can differ
+        from its pushed vector's by rounding, so weights that meet the
+        budget on the run's photons may overdraw it on the matrices' by
+        an ulp; they are then re-tilted against the matrices' own.
+        """
+        states, weights = [], []
+        for radius, weight, dim, phases in zip(
+            self.radii, self.ring_weights, self.ring_cutoffs, self.ring_phases
+        ):
+            for j in range(phases):
+                states.append(coherent_state(cmath.rect(radius, 2.0 * math.pi * j / phases), dim))
+                weights.append(weight / phases)
+        photons = np.array([mean_photon_number(state) for state in states])
+        weights = np.array(weights) / math.fsum(weights)
+        if _mean_photons(weights, photons) > self.n_signal:
+            weights = _tilted_weights(weights, photons, self.n_signal)
+        return Ensemble(tuple(zip(states, weights)))
 
 
 def chi(params: ChannelParams, ensemble: Ensemble) -> float:
@@ -271,36 +244,25 @@ def chi(params: ChannelParams, ensemble: Ensemble) -> float:
     Single-member ensembles give exactly 0.  Member outputs are embedded
     into the largest common output dimension before mixing, which is
     lossless; truncation error is bounded by the members' own deficits
-    as propagated by `apply_channel`.  Raises ValueError if a member's
-    output or the average output is unphysical.
+    as propagated by `apply_channel`.  Each output is added into the
+    average as it is pushed, so memory holds one output at a time.
+    Raises ValueError if a member's output or the average output is
+    unphysical.
     """
     if not isinstance(ensemble, Ensemble):
         raise ValueError(f"expected an Ensemble, got {ensemble!r}")
     if len(ensemble) == 1:
         return 0.0
-    outs = [apply_channel(params, state) for state, _ in ensemble.members]
-    weights = np.array([weight for _, weight in ensemble.members])
-    entropies = np.array(
-        [von_neumann_entropy(out) if w > 0.0 else 0.0 for out, w in zip(outs, weights)]
-    )
-    average = _average(_stack([o.matrix for o in outs]), weights)
-    return _holevo(average, float(weights @ entropies))[0]
-
-
-def _stack(matrices: list[np.ndarray]) -> np.ndarray:
-    """Square matrices zero-padded to the largest, stacked."""
-    dim = max(len(m) for m in matrices)
-    stack = np.zeros((len(matrices), dim, dim), dtype=complex)
-    for k, m in enumerate(matrices):
-        stack[k, : len(m), : len(m)] = m
-    return stack
-
-
-def _average(outs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted average of stacked outputs: one real matvec over the stack."""
-    members, dim = outs.shape[:2]
-    average = (weights @ outs.view(float).reshape(members, -1)).view(complex)
-    return average.reshape(dim, dim)
+    average = np.zeros((0, 0), dtype=complex)
+    weights, entropies = [], []
+    for state, weight in ensemble.members:
+        out = apply_channel(params, state)
+        if out.dim > len(average):
+            average = np.pad(average, (0, out.dim - len(average)))
+        average[: out.dim, : out.dim] += weight * out.matrix
+        weights.append(weight)
+        entropies.append(von_neumann_entropy(out) if weight > 0.0 else 0.0)
+    return _holevo(average, float(np.array(weights) @ np.array(entropies)))[0]
 
 
 def _tilted_weights(
@@ -350,7 +312,7 @@ def _tilted_weights(
     So a step toward a candidate within `floor` of 0 is at least
     `stretch` floors long, not `stretch` ulps of the candidate, and the
     first feasible tilt within four floors is returned, since no smaller
-    tilt is resolved.  The sums run over Python floats: at 8 to 16
+    tilt is resolved.  The sums run over Python floats: at a few dozen
     members that is quicker than numpy's temporaries.
     """
     if counts is None:
@@ -451,396 +413,92 @@ def _tilted_weights(
     return w_hi
 
 
-def _scores(outs: np.ndarray, entropies: np.ndarray, ln_avg: np.ndarray) -> np.ndarray:
-    """Relative entropies D(E(rho_k) || average output) in nats, stacked.
-
-    For Hermitian matrices tr(out ln_avg) is the real inner product of
-    their (re, im) entries, so the whole stack takes one matvec.
-    """
-    members, dim = outs.shape[:2]
-    log_avg = np.ascontiguousarray(ln_avg[:dim, :dim]).view(float).reshape(-1)
-    return -entropies - outs.view(float).reshape(members, -1) @ log_avg
-
-
-def _chi_ceiling(
-    outs: np.ndarray, scores: np.ndarray, weights: np.ndarray, candidate: np.ndarray
-) -> float:
-    """An upper bound, in bits, on chi at `candidate`, without its eigensolve.
-
-    scores are the members' D(rho_k || sigma) in nats (`_scores`) against
-    sigma, the average output at `weights` with its eigenvalues floored
-    at _LOG_FLOOR, as `_holevo` takes its logarithm.  With avg the average
-    at `candidate`, in nats
-
-        chi(candidate) = sum_k candidate_k scores_k - D(avg || sigma),
-
-    and Klein's inequality D(avg || sigma) >= tr avg - tr sigma turns this
-    into the Blahut-Arimoto auxiliary bound chi <= candidate @ scores +
-    tr sigma - tr avg.  tr sigma - tr avg is (weights - candidate) @ the
-    member traces plus the floor's excess.  That excess is at most
-    _LOG_FLOOR + EIGENVALUE_TOL per output level, since `_holevo` refuses
-    an average with an eigenvalue below -EIGENVALUE_TOL; _CEILING_ROUNDING
-    nats more cover the rounding of the two entropies.
-    """
-    members, dim = outs.shape[:2]
-    traces = outs.reshape(members, -1)[:, :: dim + 1].real.sum(axis=1)
-    excess = dim * (_LOG_FLOOR + EIGENVALUE_TOL) + _CEILING_ROUNDING
-    slack = float((weights - candidate) @ traces) + excess
-    return (float(candidate @ scores) + slack) / _LN2
-
-
-class _Run:
-    """Mutable state of one optimization: members, weights, channel outputs.
-
-    `alphas` lists the members as coherent amplitudes; each stands for
-    the truncated coherent vector at that amplitude on its own cutoff,
-    which `output` builds for each push and `ensemble` for the result.
-    `outs` stacks their channel outputs (`unpadded`) zero-padded to the
-    largest, so the average output and every relative-entropy score take
-    one matvec each.  `counts` gathers the run's `OptimizerStats`.  The
-    transfer tensor, fetched at the insertion disc's edge, serves every
-    push of the run but those of a member past that edge.
-    """
-
-    def __init__(
-        self, params: ChannelParams, budget: float, alphas: list[complex], weights: np.ndarray
-    ):
-        self.params = params
-        self.budget = budget
-        edge, _ = _coherent_cutoff(_radius_cap(budget) ** 2, DEFAULT_CHI_DIM_CAP)
-        self.transfer, self.env_tail = _channel_transfer(params, edge)
-        self.counts: Counter[str] = Counter()
-        self.alphas = list(alphas)
-        self.weights = weights.copy()
-        self.unpadded, self.entropies, self.photons = self.outputs(self.alphas)
-        self.outs = _stack(self.unpadded)
-        self.current_chi = self._chi(self.weights)[0]
-
-    def output(self, alpha: complex) -> tuple[np.ndarray, float, float]:
-        """`fock_oracle._coherent_output` at alpha on its own cutoff, counted.
-
-        It gives the channel output, its entropy and the photons of the
-        truncated vector, as `Ensemble.mean_photons` measures them; each
-        call counts one push and one eigensolve, unless it raises BudgetError.
-        """
-        dim, _ = _coherent_cutoff(abs(alpha) ** 2, DEFAULT_CHI_DIM_CAP)
-        if dim > self.transfer[0].shape[2]:  # group 0 holds every input level
-            self.transfer, self.env_tail = _channel_transfer(self.params, dim)
-        self.counts["channel_pushes"] += 1
-        self.counts["eigensolves"] += 1
-        return _coherent_output(self.transfer, self.env_tail, alpha, dim)
-
-    def outputs(self, alphas: list[complex]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """`output` at each amplitude: the outputs, entropies and photons."""
-        outs, entropies, photons = zip(*(self.output(a) for a in alphas))
-        return list(outs), np.array(entropies), np.array(photons)
-
-    def _chi(
-        self, weights: np.ndarray, with_log: bool = False
-    ) -> tuple[float, np.ndarray | None]:
-        self.counts["eigensolves"] += 1
-        value, _, ln_avg = _holevo(
-            _average(self.outs, weights), float(weights @ self.entropies), with_log
-        )
-        return value, ln_avg
-
-    def _reweight(
-        self, weights: np.ndarray, to_beat: float = -math.inf
-    ) -> tuple[float, np.ndarray, float]:
-        """Chi at `weights`, one reweighting step from them, and chi there.
-
-        The step scales each weight by exp of the member's relative-entropy
-        score against the average output at `weights`; the photon tilt
-        then restores the budget.  Fixed points of this map with a nonzero
-        tilt saturate the constraint at stationary weights.
-        When chi at `weights` is at most `to_beat` and `_chi_ceiling`
-        shows chi at the step below it too, the step's eigensolve is
-        skipped and its chi reads -inf: neither can beat `to_beat`.
-        """
-        value, ln_avg = self._chi(weights, with_log=True)
-        scores = _scores(self.outs, self.entropies, ln_avg)
-        raw = weights * np.exp(scores - scores.max())
-        candidate = _tilted_weights(raw, self.photons, self.budget, self.counts)
-        if value <= to_beat and _chi_ceiling(self.outs, scores, weights, candidate) < to_beat:
-            self.counts["moves_decided_by_bound"] += 1
-            return value, candidate, -math.inf
-        return value, candidate, self._chi(candidate)[0]
-
-    def weight_step(self) -> None:
-        chi_now, candidate, chi_candidate = self._reweight(self.weights)
-        if chi_candidate >= chi_now - 1e-15:
-            self.weights = candidate
-            self.current_chi = chi_candidate
-        else:
-            self.counts["weight_steps_rejected"] += 1
-            self.current_chi = chi_now
-
-    def _multiplier(self, scores: np.ndarray) -> float:
-        """Photon multiplier mu, in nats per photon, from member scores.
-
-        It is the weighted slope of score against photons over the
-        members, and zero while the budget is slack.
-        """
-        w = self.weights
-        mean = float(w @ self.photons)
-        if not mean > self.budget * (1.0 - CONSTRAINT_SLACK):
-            return 0.0
-        centred = self.photons - mean
-        spread = float(w @ (centred * centred))
-        if not spread > 0.0:
-            return 0.0
-        return max(float(w @ (centred * scores)) / spread, 0.0)
-
-    def directions(self) -> np.ndarray:
-        """Each member's ascent direction for a displacement, per unit weight.
-
-        Entry k is dchi/dx + i dchi/dy in nats, for the displacement
-        x + i y of member k, minus mu times the same derivative of its
-        photon number |alpha_k|^2, which is 2 alpha_k.  By displacement
-        covariance dchi/dx is sqrt(lam) tr(rho_k [A, C]) with C = ln of
-        the average output and A = a^dag - a, and dchi/dy is the same
-        with B = i (a^dag + a).
-        Both commutators are Hermitian, so all members take one real
-        matvec over the stacked outputs, as in `_scores`.
-        """
-        _, ln_avg = self._chi(self.weights, with_log=True)
-        mu = self._multiplier(_scores(self.outs, self.entropies, ln_avg))
-        members, dim = self.outs.shape[:2]
-        lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)  # a
-        generators = np.stack([lower.T - lower, 1j * (lower.T + lower)])
-        commutators = generators @ ln_avg - ln_avg @ generators
-        traces = self.outs.view(float).reshape(members, -1) @ (
-            commutators.view(float).reshape(2, -1).T
-        )
-        gradient = math.sqrt(self.params.transmissivity) * (traces[:, 0] + 1j * traces[:, 1])
-        return gradient - 2.0 * mu * np.array(self.alphas)
-
-    def move(self, k: int, delta: complex, kind: str) -> bool:
-        """Move member k to amplitude alpha_k + delta if that improves chi.
-
-        The proposal is counted, in total and under kind.  The move is
-        judged jointly with the weight response.  A move that overdraws
-        the photon budget gets its weights re-tilted back into
-        feasibility, and a reweighting step is evaluated alongside the
-        unchanged weights, so moves that only pay off after the weights
-        adapt stay reachable even when the constraint is active.  The new
-        output takes the old one's place in the stack.  The reweighting
-        step's chi takes a second eigensolve only when `_chi_ceiling`
-        cannot show it below chi before the move (see `_reweight`), so a
-        move the bound settles is rejected exactly as that eigensolve
-        would have it; about 92% of rejected moves are settled so.  A move
-        no cutoff within the caps can hold is rejected outright.
-        """
-        self.counts["displacements_proposed"] += 1
-        self.counts[f"{kind}_proposed"] += 1
-        alpha = self.alphas[k] + delta
-        try:
-            old = self._swap(k, *self.output(alpha))
-        except BudgetError:
-            return False
-        before = self.current_chi
-        weights = self.weights
-        if _mean_photons(weights, self.photons) > self.budget:
-            if float(self.photons.min()) > self.budget:
-                # No reweighting can restore feasibility; reject outright.
-                self._swap(k, *old)
-                return False
-            weights = _tilted_weights(weights, self.photons, self.budget, self.counts)
-        best, reweighted, chi_reweighted = self._reweight(weights, before)
-        best_weights = weights
-        if chi_reweighted > best:
-            best_weights, best = reweighted, chi_reweighted
-        if best > before:
-            self.alphas[k] = alpha
-            self.weights = best_weights
-            self.current_chi = best
-            self.counts["displacements_accepted"] += 1
-            self.counts[f"{kind}_accepted"] += 1
-            return True
-        self._swap(k, *old)
-        return False
-
-    def _swap(
-        self, k: int, out: np.ndarray, entropy: float, photons: float
-    ) -> tuple[np.ndarray, float, float]:
-        """Make out, entropy and photons member k's; return those they replace."""
-        old = (self.unpadded[k], self.entropies[k], self.photons[k])
-        self.unpadded[k], self.entropies[k], self.photons[k] = out, entropy, photons
-        if max(map(len, self.unpadded)) != len(self.outs[0]):
-            self.outs = _stack(self.unpadded)
-        else:
-            self.outs[k] = 0.0
-            self.outs[k, : len(out), : len(out)] = out
-        return old
-
-    def grow(self, pool: _Pool) -> bool:
-        """Insert pool states one at a time, up to MAX_MEMBERS; True if any.
-
-        At a constrained optimum no input state scores above the members:
-        every input's relative entropy to the average output, minus mu
-        times its photon number, is at most chi - mu * N (the stationarity
-        condition of the cq-channel capacity problem, with mu the photon
-        multiplier).  Each insertion takes the pool state that most
-        violates this against the current ensemble and gives it the
-        weight, from a halving ladder, that raises chi the most once the
-        weights are re-tilted into the budget.  Growth stops at the cap,
-        when no pool state violates the condition, or when the most
-        violating one does not raise chi.
-        """
-        grew = False
-        while len(self.alphas) < MAX_MEMBERS and self._insert(pool):
-            self.counts["insertions"] += 1
-            grew = True
-        return grew
-
-    def _insert(self, pool: _Pool) -> bool:
-        w = self.weights
-        outs = self.outs
-        _, ln_avg = self._chi(w, with_log=True)
-        scores = _scores(outs, self.entropies, ln_avg)
-        mu = self._multiplier(scores)
-        violation = (
-            pool.scores(ln_avg)
-            - mu * pool.photons
-            - float(w @ (scores - mu * self.photons))
-        )
-        j = int(np.argmax(violation))
-        if not violation[j] > 0.0:
-            return False
-        alpha, out = pool.candidate(j)
-        self.unpadded.append(out)
-        self.outs = _stack(self.unpadded)
-        self.entropies = np.append(self.entropies, pool.entropies[j])
-        self.photons = np.append(self.photons, pool.photons[j])
-        best, best_weights = self.current_chi, None
-        share = 0.5
-        for _ in range(12):
-            weights = np.append((1.0 - share) * w, share)
-            if _mean_photons(weights, self.photons) > self.budget:
-                weights = _tilted_weights(weights, self.photons, self.budget, self.counts)
-            value = self._chi(weights)[0]
-            if value > best:
-                best, best_weights = value, weights
-            share *= 0.5
-        if best_weights is None:
-            self.outs = outs
-            self.unpadded.pop()
-            self.entropies = self.entropies[:-1]
-            self.photons = self.photons[:-1]
-            return False
-        self.alphas.append(alpha)
-        self.weights = best_weights
-        self.current_chi = best
-        return True
-
-    def ensemble(self) -> Ensemble:
-        """The members as pure density matrices on their cutoffs, weights normalized.
-
-        A matrix's photons, as `mean_photon_number` reads them, can differ
-        from its pushed vector's by rounding, so weights that meet the
-        budget on the run's photons may overdraw it on the matrices' by
-        an ulp; they are then re-tilted against the matrices' own.
-        """
-        cutoffs = (_coherent_cutoff(abs(a) ** 2, DEFAULT_CHI_DIM_CAP)[0] for a in self.alphas)
-        vectors = (_coherent_vector(a, dim) for a, dim in zip(self.alphas, cutoffs))
-        states = [FockDensityMatrix(np.outer(psi, psi.conj())) for psi in vectors]
-        photons = np.array([mean_photon_number(state) for state in states])
-        weights = self.weights / self.weights.sum()
-        if _mean_photons(weights, photons) > self.budget:
-            weights = _tilted_weights(weights, photons, self.budget, self.counts)
-        return Ensemble(tuple(zip(states, weights)))
-
-
 def _radius_cap(n_signal: float) -> float:
-    """Insertion disc radius 2.40 sqrt(N): e^-5.76 of `holevo_lower`'s ensemble lies past it."""
+    """Disc radius 2.40 sqrt(N): e^-5.76 of `holevo_lower`'s ensemble lies past it."""
     return 0.98 * math.sqrt(6.0 * n_signal)
 
 
-def _ring(radius: float, count: int, offset: float) -> list[complex]:
-    """count amplitudes radius e^{i a} at angles a = 2 pi (j + offset) / count."""
-    return [
-        radius * complex(math.cos(a), math.sin(a))
-        for a in (2.0 * math.pi * (j + offset) / count for j in range(count))
-    ]
+@dataclass(frozen=True)
+class _Rings:
+    """The pushed rings: radii, output diagonals, entropies, photons, truncation.
 
-
-class _Pool:
-    """Coherent candidates for insertion, pushed through the channel by ring.
-
-    A polar grid on the disc of radius `_radius_cap`: the origin plus
-    _POOL_RADII rings of _POOL_ANGLES points, alternate rings offset by
-    half an angle step.  `spacing` is the radial distance between rings.
-    The channel is phase-covariant: the output at r e^{i phi} is the
-    output at r with entry (m, n) times e^{i (m - n) phi}, with the same
-    entropy, and the input has the same photon number.  So only the
-    origin and one point per ring, at phase 0, are pushed, through the
-    run, which counts them; a candidate's output is made by rotating its
-    ring's, on that ring's own cutoff, only when it is inserted.
+    `diagonals` stacks each ring's output diagonal, zero-padded to the
+    largest, so the average output and every score take one matvec.
     """
 
-    def __init__(self, run: _Run):
-        self.spacing = _radius_cap(run.budget) / _POOL_RADII
-        radii = [i * self.spacing for i in range(_POOL_RADII + 1)]
-        self.ring_outs, entropies, photons = run.outputs(radii)
-        self.outs = _stack(self.ring_outs)
-        self.alphas: list[complex] = [0.0]
-        rings = [0]
-        for i in range(1, _POOL_RADII + 1):
-            self.alphas += _ring(radii[i], _POOL_ANGLES, 0.5 * (i % 2))
-            rings += [i] * _POOL_ANGLES
-        self.rings = np.array(rings)
-        self.entropies = entropies[self.rings]
-        self.photons = photons[self.rings]
-        # e^{i delta phi} at each candidate for lags delta >= 0, doubled for
-        # delta > 0 to count the conjugate lag -delta as well.
-        self.phases = np.exp(1j * np.outer(np.angle(self.alphas), np.arange(self.outs.shape[-1])))
-        self.phases[:, 1:] *= 2.0
-
-    def scores(self, ln_avg: np.ndarray) -> np.ndarray:
-        """Relative entropies of all candidates' outputs to the average, in nats.
-
-        With h_r[delta] = sum over m - n = delta of out_r[m, n] C[n, m],
-        for C = ln_avg and ring output out_r, a candidate at phase phi on
-        ring r has tr(out C) = Re sum_delta h_r[delta] e^{i delta phi}.
-        Past the average's levels C is the zero-padded average's: ln _LOG_FLOOR on the diagonal.
-        """
-        dim, size = self.outs.shape[-1], min(self.outs.shape[-1], len(ln_avg))
-        log = np.diag(np.full(dim, math.log(_LOG_FLOOR))).astype(ln_avg.dtype)
-        log[:size, :size] = ln_avg[:size, :size]
-        products = self.outs * log.T
-        lag_sums = np.stack(
-            [np.trace(products, offset=-lag, axis1=1, axis2=2) for lag in range(dim)], axis=1
-        )
-        traces = np.einsum("jd,jd->j", lag_sums[self.rings], self.phases).real
-        return -self.entropies - traces
-
-    def candidate(self, j: int) -> tuple[complex, np.ndarray]:
-        """Amplitude and channel output of candidate j."""
-        alpha = self.alphas[j]
-        return alpha, _phase_rotated(self.ring_outs[self.rings[j]], np.angle(alpha))
+    radii: tuple[float, ...]
+    diagonals: np.ndarray
+    entropies: np.ndarray
+    photons: np.ndarray
+    cutoffs: tuple[int, ...]
+    tails: tuple[float, ...]
+    phases: tuple[int, ...]
+    env_tail: float
 
 
-def _initial_states(n_signal: float, size: int) -> tuple[list[complex], np.ndarray]:
-    """Vacuum plus up to two rings of coherent amplitudes, feasibly weighted.
+def _push_rings(
+    params: ChannelParams, n_signal: float, count: int, counts: Counter[str]
+) -> _Rings:
+    """Push the origin and `count` rings evenly spaced out to `_radius_cap`.
 
-    Ring radii are fractions of sqrt(N) that work well for the pure-loss
-    channel at small N, inside the insertion disc; the optimizer refines
-    them anyway.  Weights are tilted toward the vacuum just enough to
-    respect the photon budget.
+    BudgetError, before the tensor is fetched, when no cutoff within the
+    cap holds the disc's edge.  One transfer tensor, fetched at the
+    edge's cutoff, serves every push; each ring is pushed at its real
+    radius on its own cutoff, counting one push and one eigensolve.
     """
-    scale = math.sqrt(n_signal)
-    alphas: list[complex] = [0.0]
-    if size == 2:
-        alphas.append(scale)
-    elif size > 2:
-        n_inner = (size - 1) // 2
-        n_outer = size - 1 - n_inner
-        alphas += _ring(0.9 * scale, n_inner, 0.0)
-        alphas += _ring(1.8 * scale, n_outer, 0.5)
-    photons = np.array([abs(a) ** 2 for a in alphas])
-    raw = np.exp(-photons / max(n_signal, 1e-12))
-    weights = _tilted_weights(raw, photons, 0.95 * n_signal)
-    return alphas, weights
+    cap = _radius_cap(n_signal)
+    edge, _ = _coherent_cutoff(cap * cap, DEFAULT_CHI_DIM_CAP)
+    transfer, env_tail = _channel_transfer(params, edge)
+    radii = tuple(cap * i / count for i in range(count + 1))
+    outs, entropies, photons, cutoffs, tails = [], [], [], [], []
+    for radius in radii:
+        dim, tail = _coherent_cutoff(radius * radius, DEFAULT_CHI_DIM_CAP)
+        out, entropy, n = _coherent_output(transfer, env_tail, radius, dim)
+        counts["channel_pushes"] += 1
+        counts["eigensolves"] += 1
+        outs.append(out.diagonal())
+        entropies.append(entropy)
+        photons.append(n)
+        cutoffs.append(dim)
+        tails.append(tail)
+    diagonals = np.zeros((len(outs), max(map(len, outs))))
+    for k, diagonal in enumerate(outs):
+        diagonals[k, : len(diagonal)] = diagonal
+    # A ring on one level is the vacuum at every phase: its output is diagonal.
+    phases = tuple(len(d) if dim > 1 else 1 for d, dim in zip(outs, cutoffs))
+    return _Rings(
+        radii, diagonals, np.array(entropies), np.array(photons),
+        tuple(cutoffs), tuple(tails), phases, env_tail,
+    )
+
+
+def _evaluate(rings: _Rings, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Chi in bits at the ring weights, and each ring's score in nats.
+
+    The score is D(E(ring i) || average) = -S_i - d_i . ln(average), the
+    average's logarithm floored as `_holevo` floors it; sum_i w_i score_i
+    is chi in nats.
+    """
+    value, _, ln_avg = _holevo(
+        weights @ rings.diagonals, float(weights @ rings.entropies), with_log=True
+    )
+    return value, -rings.entropies - rings.diagonals @ ln_avg
+
+
+def _dual_gap(scores: np.ndarray, photons: np.ndarray, budget: float, chi_bits: float) -> float:
+    """min over mu >= 0 of max_i [score_i - mu (n_i - N)], in bits, less chi.
+
+    By Blahut's dual bound this caps chi over every ensemble of the rings.
+    The bracket is convex and piecewise linear in mu, so its minimum sits
+    at mu = 0 or where two of its lines cross.
+    """
+    excess = photons - budget
+    rise = scores[:, None] - scores[None, :]
+    run = excess[:, None] - excess[None, :]
+    crossings = rise[run > 0.0] / run[run > 0.0]
+    mus = np.concatenate([[0.0], crossings[crossings > 0.0]])
+    bracket = (scores[None, :] - mus[:, None] * excess[None, :]).max(axis=1)
+    return float(bracket.min()) / _LN2 - chi_bits
 
 
 def optimize(
@@ -848,29 +506,17 @@ def optimize(
     n_signal: float,
     config: OptimizerConfig | None = None,
 ) -> OptimizationResult:
-    """Maximize chi over ensembles with mean photon number <= n_signal.
+    """Maximize chi over ring ensembles with mean photon number <= n_signal.
 
-    Alternates guarded reweighting with displacements of the members,
-    starting from `config.ensemble_size` coherent states
-    (`_initial_states`); every member, started, moved or inserted, is a
-    coherent amplitude on the cutoff its Poisson tail needs.  BudgetError,
-    before the search, when no cutoff within the caps holds the insertion
-    disc's edge.  Each sweep reweights,
-    gives every member's amplitude a step of length step * sqrt(n_signal)
-    along its chi gradient net of the photon multiplier (repeated once if
-    accepted, retried at a quarter of the length if not) and one Gaussian
-    probe drawn from `config.seed`, each kept only if it raises chi, and
-    reweights again.  A sweep that accepts no gradient step halves the
-    step, down to half the insertion grid's spacing (steps already
-    shorter stay).  A sweep that improves chi by less than the tolerance
-    is a stall.  At a stall below MAX_MEMBERS, coherent states that
-    violate stationarity are inserted (`_Run.grow`); if any is, the
-    perturbation scale halves, or drops further to half the candidate
-    grid's spacing, and the search goes on.  Any other stall halves the
-    scale, down to a floor of 1e-4 times sqrt(n_signal).
-    `converged` is True only when a sweep at that floor stalls and
-    nothing can be inserted; hitting the iteration cap first reports
-    converged=False.
+    Pushes the origin and `config.ensemble_size` rings (`_push_rings`),
+    starts from uniform weights tilted into the budget, and iterates the
+    Blahut-Arimoto step: each weight times exp(2 score_i), or exp(score_i)
+    where that would lower chi, re-tilted by `_tilted_weights`.  Should
+    both lower chi, which rounding alone can do near the fixed point, the
+    weights stay.  An iteration that gains less than the tolerance ends
+    the run as converged; reaching `config.max_iterations` first does
+    not.  BudgetError, before any push, when no cutoff within the caps
+    holds the disc's edge.
     """
     if config is None:
         config = OptimizerConfig()
@@ -881,74 +527,52 @@ def optimize(
         raise ValueError(f"photon-number constraint must be >= 0, got {n_signal}")
 
     if n == 0.0:
-        vacuum = Ensemble(((coherent_state(0.0, 1), 1.0),))
         return OptimizationResult(
-            best_chi_bits=0.0,
-            ensemble=vacuum,
-            iterations=0,
-            converged=True,
-            history=((0, 0.0),),
+            best_chi_bits=0.0, iterations=0, converged=True, n_signal=0.0,
+            radii=(0.0,), ring_weights=(1.0,), ring_cutoffs=(1,), ring_tails=(0.0,),
+            ring_phases=(1,), history=((0, 0.0),), dual_gaps=((0, 0.0),),
         )
 
-    alphas, weights = _initial_states(n, config.ensemble_size)
-    rng = np.random.default_rng(config.seed)
-    run = _Run(params, n, alphas, weights)
-
-    current = run.current_chi
+    counts: Counter[str] = Counter()
+    rings = _push_rings(params, n, config.ensemble_size, counts)
+    weights = _tilted_weights(np.ones(len(rings.radii)), rings.photons, n, counts)
+    current, scores = _evaluate(rings, weights)
     history = [(0, current)]
-    step = _INITIAL_STEP
-    scale = math.sqrt(n)
-    # Half the insertion grid's spacing, in units of sqrt(n).
-    grid_step = 0.5 * _radius_cap(n) / _POOL_RADII / scale
+    gaps = [(0, _dual_gap(scores, rings.photons, n, current))]
     converged = False
     iterations = 0
-    pool = None
 
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
         before = current
-        accepted = run.counts["gradient_steps_accepted"]
-        run.weight_step()
-        axis = step * scale
-        for k, direction in enumerate(run.directions()):
-            if direction != 0.0:  # e.g. a lone vacuum member: its output is diagonal
-                delta = axis * direction / abs(direction)
-                if not run.move(k, delta, "gradient_steps"):
-                    delta *= _RETRY_FRACTION
-                run.move(k, delta, "gradient_steps")
-            gauss = rng.standard_normal(2)
-            run.move(k, _PROBE_SCALE * axis * complex(*gauss) / math.sqrt(2.0), "probes")
-        run.weight_step()
-        current = run.current_chi
-        history.append((iteration, current))
-        if run.counts["gradient_steps_accepted"] == accepted:
-            # Every gradient step overshot: shorten it without waiting for
-            # the weights alone to stall the sweep.
-            step = max(step * _STEP_DECAY, min(step, grid_step))
-        if current - before < config.tolerance:
-            if len(run.alphas) < MAX_MEMBERS:
-                if pool is None:
-                    pool = _Pool(run)
-                if run.grow(pool):
-                    current = run.current_chi
-                    history[-1] = (iteration, current)
-                    # New members sit within half a grid cell of where
-                    # they belong; the old ones were refined at `step`.
-                    step = max(min(step * _STEP_DECAY, grid_step), _STEP_FLOOR)
-                    continue
-            if step <= _STEP_FLOOR * (1.0 + 1e-12):
-                converged = True
+        for gamma in (_ACCELERATION, 1.0):
+            raw = weights * np.exp(gamma * (scores - scores.max()))
+            candidate = _tilted_weights(raw, rings.photons, n, counts)
+            value, candidate_scores = _evaluate(rings, candidate)
+            if value >= before:
+                weights, current, scores = candidate, value, candidate_scores
                 break
-            step = max(step * _STEP_DECAY, _STEP_FLOOR)
+            if gamma == _ACCELERATION:
+                counts["fallback_steps"] += 1
+        history.append((iteration, current))
+        gaps.append((iteration, _dual_gap(scores, rings.photons, n, current)))
+        if current - before < config.tolerance:
+            converged = True
+            break
 
-    tails = [_coherent_cutoff(abs(a) ** 2, DEFAULT_CHI_DIM_CAP)[1] for a in run.alphas]
     return OptimizationResult(
         best_chi_bits=current,
-        ensemble=run.ensemble(),
         iterations=iterations,
         converged=converged,
+        n_signal=n,
+        radii=rings.radii,
+        ring_weights=tuple(weights.tolist()),
+        ring_cutoffs=rings.cutoffs,
+        ring_tails=rings.tails,
+        ring_phases=rings.phases,
         history=tuple(history),
-        stats=OptimizerStats(**run.counts),
-        environment_tail=run.env_tail,
-        max_member_tail=max(tails),
+        dual_gaps=tuple(gaps),
+        stats=OptimizerStats(**counts),
+        environment_tail=rings.env_tail,
+        max_member_tail=max(rings.tails),
     )

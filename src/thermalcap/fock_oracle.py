@@ -13,7 +13,7 @@ naming the violated bound.  Each cutoff is decided in one place, at the
 one tail tolerance DEFAULT_TAIL_TOL: `_thermal_cutoff` sizes a thermal
 environment from its geometric tail, for `_channel_transfer` and so for
 every channel push, and `_coherent_cutoff` sizes every coherent push (each
-oracle radius, `coherent_state`, each `chi_opt` member) by its Poisson tail
+oracle radius, `coherent_state`, each `chi_opt` ring) by its Poisson tail
 alone, and refuses one whose cutoff exceeds its cap: no answer is degraded,
 and `ChiReport.binding_budget` says which tail set its `max_tail_bound`.
 
@@ -43,7 +43,7 @@ Each step of a Holevo quantity is written once, for the oracle and
 `chi_opt` alike: the kernel `_push` runs only under `apply_channel`,
 on the diagonals `_diagonals` reads, and `_coherent_output` (a coherent
 amplitude's output, its entropy and its photons, for each oracle radius
-and each optimizer member), on diagonals read from the vector, and
+and each optimizer ring), on diagonals read from the vector, and
 `_holevo` turns an average output into chi.  A coherent push is real:
 the vector at |alpha|, its diagonals, the kernel's matmuls, the output
 and the entropy's eigensolve are all real, and `_phase_rotated` turns
@@ -85,7 +85,6 @@ __all__ = [
     "thermal_entropy_tail",
     "gaussian_ensemble_report",
     "verify_decomposition_fock",
-    "EIGENVALUE_TOL",
     "DEFAULT_CHI_DIM_CAP",
 ]
 
@@ -697,8 +696,12 @@ def _holevo(
     entropies, nats), clamped at +0.0.  An unphysical average raises
     ValueError.  ln(average) (eigenvalues floored at 1e-18) comes from
     the same eigh; without `with_log` only eigenvalues are computed.
+    A 1-D average is the diagonal of a diagonal matrix: its entries are
+    its eigenvalues, so it takes no eigensolve, and its ln is a vector.
     """
-    if with_log:
+    if average.ndim == 1:
+        vals, vecs = np.sort(average), None
+    elif with_log:
         vals, vecs = np.linalg.eigh(average)
     else:
         vals = np.linalg.eigvalsh(average)
@@ -706,6 +709,8 @@ def _holevo(
     chi_bits = max(0.0, (entropy - mean_entropy) / _LN2)
     if not with_log:
         return chi_bits, entropy, None
+    if vecs is None:
+        return chi_bits, entropy, np.log(np.maximum(average, _LOG_FLOOR))
     ln_avg = (vecs * np.log(np.maximum(vals, _LOG_FLOOR))) @ vecs.conj().T
     return chi_bits, entropy, ln_avg
 
@@ -883,7 +888,7 @@ def gaussian_ensemble_report(
     outputs over the 24 uniform phases is exactly the phase-0 output with
     every entry (m, n) zeroed unless m - n is a multiple of 24.  Each
     radius therefore costs one `_coherent_output` at its real phase-0
-    amplitude, as an optimizer member does, added into one real average
+    amplitude, as an optimizer ring is, added into one real average
     matrix, and chi comes from `_holevo`, so every eigensolve of the
     report is real.  One packed transfer tensor is
     built, at the largest cutoff, and each push reads the leading slice

@@ -15,6 +15,7 @@ import thermalcap.gfunc
 from thermalcap.bounds import holevo_lower, report
 from thermalcap.chi_opt import OptimizerStats
 from thermalcap.cli import SWEEP_COLUMNS, main
+from thermalcap.fock_oracle import gaussian_ensemble_report
 from thermalcap.gaussian_core import ChannelParams
 
 
@@ -340,6 +341,26 @@ def test_oracle_prints_the_ensembles_photon_mean_and_the_bound_there(capsys):
     assert float(lines["lower_at_mean_bits"]) == pytest.approx(lower_at_mean, rel=1e-14)
 
 
+def test_oracle_prints_chi_finely_enough_to_split_its_error(capsys):
+    # chi sits about 1.2e-9 bits above `holevo_lower` at the ensemble's own
+    # photon mean and 2.2e-9 below it at N; both splits are read off the
+    # printed lines, which carry chi and the bound to 15 digits.
+    argv = ["oracle", "--lambda", "0.6", "--ne", "0.5", "--n", "2"]
+    assert main(argv) == 0
+    lines = dict(
+        line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line
+    )
+    p = ChannelParams(0.6, 0.5)
+    report = gaussian_ensemble_report(p, 2.0)
+    chi_bits, lower = float(lines["chi_bits"]), float(lines["lower_bits"])
+    assert chi_bits == pytest.approx(report.chi_bits, rel=1e-14, abs=0.0)
+    assert lower == pytest.approx(holevo_lower(p, 2.0), rel=1e-14, abs=0.0)
+    above = chi_bits - float(lines["lower_at_mean_bits"])
+    below = lower - chi_bits
+    assert 1.0e-9 < above < 1.4e-9
+    assert 2.0e-9 < below < 2.4e-9
+
+
 def test_oracle_zero_signal_prints_a_positive_zero(capsys):
     assert main(["oracle", "--lambda", "0.6", "--ne", "0", "--n", "0"]) == 0
     out = capsys.readouterr().out
@@ -387,8 +408,7 @@ def test_optimize_iteration_cap_exit_four(tmp_path):
     code = main(
         [
             "optimize", "--lambda", "0.5", "--ne", "0.2", "--n", "0.5",
-            "--members", "3", "--iters", "3", "--seed", "0",
-            "--out", str(out_path),
+            "--members", "3", "--iters", "3", "--out", str(out_path),
         ]
     )
     assert code == 4
@@ -396,21 +416,16 @@ def test_optimize_iteration_cap_exit_four(tmp_path):
     assert payload["converged"] is False
     assert payload["iterations"] == 3
     assert set(payload["stats"]) == {f.name for f in dataclasses.fields(OptimizerStats)}
-    stats = payload["stats"]
-    assert stats["displacements_proposed"] > 0
-    # Each move type is counted, and the types add up to the totals.
-    for outcome in ("proposed", "accepted"):
-        assert (
-            stats[f"gradient_steps_{outcome}"] + stats[f"probes_{outcome}"]
-            == stats[f"displacements_{outcome}"]
-        )
+    # The origin and three rings, one push and one eigensolve each.
+    assert payload["stats"]["channel_pushes"] == payload["stats"]["eigensolves"] == 4
+    assert len(payload["radii"]) == len(payload["ring_weights"]) == 4
     assert payload["best_chi_bits"] <= payload["upper_bits"] + 1e-6
 
 
 def test_optimize_prints_its_work_and_truncation(capsys):
-    # The stats block counts the tilt evaluations and the moves the
-    # Blahut-Arimoto bound decided, and a repeated run repeats them; the
-    # environment and member tails are printed beside them.
+    # The stats block counts the tilt evaluations, and a repeated run
+    # repeats them and the dual gap; the environment and member tails
+    # are printed beside them.
     argv = ["optimize", "--lambda", "0.6", "--ne", "0.5", "--n", "1", "--iters", "3"]
     payloads = []
     for _ in range(2):
@@ -419,7 +434,7 @@ def test_optimize_prints_its_work_and_truncation(capsys):
     first, second = payloads
     assert first["stats"] == second["stats"]
     assert first["stats"]["tilt_evaluations"] > 0
-    assert first["stats"]["moves_decided_by_bound"] > 0
+    assert first["dual_gap_bits"] == second["dual_gap_bits"] > 0.0
     assert 0.0 < first["environment_tail"] <= 1e-10
     assert first["max_member_tail"] > 0.0
     assert (first["environment_tail"], first["max_member_tail"]) == (
@@ -428,7 +443,7 @@ def test_optimize_prints_its_work_and_truncation(capsys):
 
 
 def test_optimize_holds_every_member_to_its_tail_at_n_4(capsys):
-    # At N = 4 the search moves members to well over 4 photons; each is
+    # At N = 4 the outer rings hold well over 4 photons; each is
     # pushed on the cutoff its Poisson tail needs, so the printed member
     # tail stays within the tolerance, chi below the upper bound, and the
     # audit flag down.  The payload carries no per-member photon limit.
@@ -444,8 +459,10 @@ def test_optimize_holds_every_member_to_its_tail_at_n_4(capsys):
 def test_optimize_invalid_parameters_exit_one(capsys, monkeypatch):
     assert main(["optimize", "--lambda", "0.5", "--ne", "-1", "--n", "1"]) == 1
     assert main(
-        ["optimize", "--lambda", "0.5", "--ne", "0", "--n", "1", "--members", "40"]
+        ["optimize", "--lambda", "0.5", "--ne", "0", "--n", "1", "--members", "0"]
     ) == 1
+    # The search reads no seed, so the command takes none.
+    assert main(["optimize", "--lambda", "0.5", "--ne", "0", "--n", "1", "--seed", "0"]) == 1
     capsys.readouterr()
 
     # A signal beyond the bounds' range fails before any search runs.
@@ -458,7 +475,7 @@ def test_optimize_invalid_parameters_exit_one(capsys, monkeypatch):
 
 
 def test_optimize_refuses_a_member_its_cutoff_cannot_hold(capsys):
-    # At N = 1000 the insertion disc's edge, |alpha|^2 = 5760, needs far
+    # At N = 1000 the disc's edge, |alpha|^2 = 5760, needs far
     # more levels than the cap of 192: a budget error before the search,
     # with no NaN, warning or traceback on the way.
     argv = ["optimize", "--lambda", "0.6", "--ne", "0.5", "--n", "1000", "--iters", "2"]

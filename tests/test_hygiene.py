@@ -2,6 +2,7 @@
 bounded, each step of the Holevo quantity has one home, each truncation
 constant is read only by its rules, every optimizer push is sized by the
 coherent-cutoff rule, transfer tensors are fetched once per caller, the
+optimizer's iterations take no spectrum and build no density matrix, the
 bound interval has one kernel, sweep rows are streamed and validated
 once, every `--out` has one opener, every exported name and every name
 the bench tracer patches must exist, every public name of the numerical
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import thermalcap
@@ -172,24 +174,6 @@ def test_each_holevo_step_has_one_home():
     assert not found, f"Holevo steps used outside their home: {'; '.join(found)}"
 
 
-def test_the_chi_ceiling_has_one_home_and_one_caller():
-    # The Blahut-Arimoto bound that spares rejected moves an eigensolve is
-    # written once, in `chi_opt`, and read by `_Run._reweight` alone.
-    homes = [
-        (module, node.name)
-        for module, tree in _package_trees()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "_chi_ceiling"
-    ]
-    callers = [
-        (module, function)
-        for module, tree in _package_trees()
-        for function, _, _ in _uses(tree, {"_chi_ceiling"})
-    ]
-    assert homes == [("chi_opt.py", "_chi_ceiling")]
-    assert callers == [("chi_opt.py", "_reweight")]
-
-
 # Each truncation constant is read only where its rule lives: the tail
 # tolerance by the two cutoff rules, and the joint cap by the thermal rule
 # and the transfer-tensor fetch.
@@ -229,27 +213,25 @@ def test_no_second_coherent_truncation_rule():
 
 
 def test_optimizer_pushes_take_their_levels_from_the_cutoff_rule():
-    # The optimizer has one coherent push, in `_Run.output`, and the level
+    # The optimizer has one coherent push, in `_push_rings`, and the level
     # count it passes is the first value of a `_coherent_cutoff` call in
-    # that method.
+    # that function.
     tree = dict(_package_trees())["chi_opt.py"]
     sites = [(function, line) for function, _, line in _uses(tree, {"_coherent_output"})]
-    assert [function for function, _ in sites] == ["output"], sites
-    run = next(
-        node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "_Run"
-    )
-    output = next(
-        node for node in run.body if isinstance(node, ast.FunctionDef) and node.name == "output"
+    assert [function for function, _ in sites] == ["_push_rings"], sites
+    push = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_push_rings"
     )
     calls = [
-        node for node in ast.walk(output)
+        node for node in ast.walk(push)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "_coherent_output"
     ]
     assert len(calls) == 1 and isinstance(calls[0].args[-1], ast.Name)
     levels = calls[0].args[-1].id
     sized = [
-        node for node in ast.walk(output)
+        node for node in ast.walk(push)
         if isinstance(node, ast.Assign)
         and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
         and node.value.func.id == "_coherent_cutoff"
@@ -258,14 +240,14 @@ def test_optimizer_pushes_take_their_levels_from_the_cutoff_rule():
         and node.targets[0].elts[0].id == levels
     ]
     assigned = [
-        node for node in ast.walk(output)
+        node for node in ast.walk(push)
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         for name in ast.walk(target)
         if isinstance(name, ast.Name) and name.id == levels
     ]
     assert len(sized) == 1 and len(assigned) == 1, (
-        f"`_Run.output` pushes on {levels!r} levels not sized by `_coherent_cutoff`"
+        f"`_push_rings` pushes on {levels!r} levels not sized by `_coherent_cutoff`"
     )
 
 
@@ -404,33 +386,27 @@ def test_chi_opt_leaves_output_spectra_to_fock_oracle():
     assert not found, f"eigensolves outside their home: {'; '.join(found)}"
 
 
-def _run_method_uses(tree, names, methods):
-    """Lines where a method of `chi_opt._Run` in methods reads a name in names."""
-    run = next(
-        node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "_Run"
-    )
-    return {line for function, _, line in _uses(run, names) if function in methods}
-
-
 def test_chi_opt_builds_member_vectors_in_one_place():
-    # Optimizer members are coherent amplitudes: every push hands one to
-    # `fock_oracle._coherent_output`, so `_Run` builds state vectors only
-    # for the ensemble it returns.
+    # Every push hands a radius to `fock_oracle._coherent_output`, so
+    # `chi_opt` builds no state vector; the explicit ensemble a result
+    # hands out takes its states from `coherent_state`, in one place.
     tree = dict(_package_trees())["chi_opt.py"]
-    allowed = _run_method_uses(tree, {"_coherent_vector"}, {"ensemble"})
     found = [
-        f"chi_opt.py:{line} {function} uses _coherent_vector"
-        for function, _, line in _uses(tree, {"_coherent_vector"})
-        if line not in allowed
+        f"chi_opt.py:{node.lineno} calls {node.func.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in {"_coherent_vector", "FockDensityMatrix"}
     ]
-    assert not found, f"member vectors built outside `_Run`: {'; '.join(found)}"
-    assert len(allowed) == 1, "`_Run.ensemble` builds no member vector"
+    assert not found, f"member vectors built in `chi_opt`: {'; '.join(found)}"
+    assert not _uses(tree, {"_coherent_vector"})
+    sites = [function for function, _, _ in _uses(tree, {"coherent_state"})]
+    assert sites == ["ensemble"], sites
 
 
 # A phase-0 output is rotated to another phase in one function: the
-# coherent push rotates a complex amplitude's output, and the optimizer's
-# insertion pool a candidate's from its ring's.
-_ROTATION_USERS = {("fock_oracle.py", "_coherent_output"), ("chi_opt.py", "candidate")}
+# coherent push rotates a complex amplitude's output.  The optimizer's
+# rings need no rotation, since their phase averages are diagonal.
+_ROTATION_USERS = {("fock_oracle.py", "_coherent_output")}
 
 
 def test_phase_rotation_has_one_home():
@@ -460,42 +436,70 @@ def apply_channel(t, d):
     ]
 
 # The transfer tensor is fetched once per `apply_channel` call, once per
-# oracle report and once per optimizer run, in `_Run.__init__`, and again
-# by `_Run.output` only when a member outgrows the tensor the run holds;
+# oracle report and once per optimizer run, in `chi_opt._push_rings`;
 # every other push slices a tensor its caller already holds.
-_TRANSFER_FETCHERS = {"apply_channel", "gaussian_ensemble_report"}
+_TRANSFER_FETCHERS = {
+    ("fock_oracle.py", "apply_channel"),
+    ("fock_oracle.py", "gaussian_ensemble_report"),
+    ("chi_opt.py", "_push_rings"),
+}
 
 
 def test_transfer_tensor_is_fetched_once_per_caller():
-    trees = dict(_package_trees())
-    in_run = _run_method_uses(trees["chi_opt.py"], {"_channel_transfer"}, {"__init__", "output"})
-    found = [
-        f"{module}:{line} {function} uses _channel_transfer"
-        for module, tree in trees.items()
-        for function, _, line in _uses(tree, {"_channel_transfer"})
-        if not (module == "fock_oracle.py" and function in _TRANSFER_FETCHERS)
-        and not (module == "chi_opt.py" and line in in_run)
+    fetches = [
+        (module, function)
+        for module, tree in _package_trees()
+        for function, _, _ in _uses(tree, {"_channel_transfer"})
+        if function is not None
     ]
-    assert not found, f"transfer tensors fetched outside their callers: {'; '.join(found)}"
-    run = next(
-        node for node in ast.walk(trees["chi_opt.py"])
-        if isinstance(node, ast.ClassDef) and node.name == "_Run"
+    assert sorted(fetches) == sorted(_TRANSFER_FETCHERS), (
+        f"transfer tensors fetched outside their callers, or twice: {sorted(fetches)}"
     )
-    methods = {node.name: node for node in run.body if isinstance(node, ast.FunctionDef)}
-    fetches = {
-        name: [line for _, _, line in _uses(methods[name], {"_channel_transfer"})]
-        for name in ("__init__", "output")
-    }
-    assert fetches == {"__init__": fetches["__init__"][:1], "output": fetches["output"][:1]}
-    assert all(fetches.values()), "an optimizer run fetches no transfer tensor"
-    # The refetch in `output` sits under the one check that the held
-    # tensor is too small.
-    guarded = {
-        line
-        for node in ast.walk(methods["output"]) if isinstance(node, ast.If)
-        for _, _, line in _uses(node, {"_channel_transfer"})
-    }
-    assert guarded == set(fetches["output"]), "`_Run.output` fetches unconditionally"
+    # No fetch sits in a loop: one per call of its caller.
+    looped = [
+        (module, node.lineno)
+        for module, tree in _package_trees()
+        for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))
+        for _, _, _ in _uses(node, {"_channel_transfer"})
+    ]
+    assert not looped, f"transfer tensors fetched in a loop: {looped}"
+
+
+def test_optimize_builds_no_density_matrix_and_takes_no_spectrum_per_iteration(monkeypatch):
+    # The search works on ring diagonals: it builds no `FockDensityMatrix`
+    # and takes one eigensolve per push, for the ring's entropy, and none
+    # per iteration.  The explicit ensemble, hundreds of density matrices
+    # at 21 environment levels, is built only when `result.ensemble` is
+    # first read, outside the run.
+    from thermalcap.chi_opt import OptimizerConfig, optimize
+    from thermalcap.fock_oracle import FockDensityMatrix
+    from thermalcap.gaussian_core import ChannelParams
+
+    built = []
+    check = FockDensityMatrix.__post_init__
+
+    def counted(self):
+        built.append(self.dim)
+        check(self)
+
+    monkeypatch.setattr(FockDensityMatrix, "__post_init__", counted)
+    eigensolves = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted_solver(matrix, *args, _solver=solver, **kwargs):
+            eigensolves.append(len(matrix))
+            return _solver(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted_solver)
+    params = ChannelParams(transmissivity=0.6, environment_photons=0.5)
+    result = optimize(params, 1.0, OptimizerConfig(max_iterations=20))
+    assert result.iterations == 20
+    assert built == []
+    assert len(eigensolves) == result.stats.eigensolves == result.stats.channel_pushes == 9
+    members = len(result.ensemble)
+    assert members > 300 and len(built) >= members
+    assert result.ensemble is result.ensemble  # built once
 
 
 # The interval of one (lambda, N_E, N) triple is computed in one kernel,
