@@ -18,14 +18,14 @@ which are rings, reach the capacity (Giovannetti, Garcia-Patron, Cerf and
 Holevo, Nat. Photon. 8, 796, 2014), the paper's `holevo_lower`.
 
 The rings are the origin and `OptimizerConfig.ensemble_size` radii
-evenly spaced out to `_radius_cap` (2.40 sqrt(N)).  Each is pushed once,
-at its real radius, by `fock_oracle._coherent_output` on the cutoff
-`_coherent_cutoff` gives it, through the one transfer tensor fetched at
-the edge of the disc.  A ring averaged over K >= D_out phases has the
-diagonal of that output as its output, so the run keeps each ring's
-output diagonal, its output entropy and its photons, and takes no
-spectrum after the pushes: every average output is diagonal, and
-`fock_oracle._holevo` reads chi off it as a vector.
+evenly spaced out to `_radius_cap` (2.40 sqrt(N)).  `fock_oracle._push_rings`,
+the ring push the oracle uses too, sizes them innermost first, fetches
+one transfer tensor at the largest cutoff and pushes each once, at its
+real radius.  A ring averaged over K >= D_out phases has the diagonal of
+that output as its output, so the run keeps each ring's output diagonal,
+its output entropy and its photons, and takes no spectrum after the
+pushes: every average output is diagonal, and `fock_oracle._holevo`
+reads chi off it as a vector.
 
 The weights follow cost-constrained Blahut-Arimoto (Arimoto, IEEE T-IT
 18, 14, 1972; Blahut, IEEE T-IT 18, 460, 1972).  Score ring i by
@@ -58,10 +58,9 @@ from .fock_oracle import (
     DEFAULT_CHI_DIM_CAP,
     FockDensityMatrix,
     _LN2,
-    _channel_transfer,
-    _coherent_cutoff,
-    _coherent_output,
     _holevo,
+    _push_rings,
+    _Rings,
     apply_channel,
     coherent_state,
     mean_photon_number,
@@ -86,9 +85,10 @@ _ACCELERATION = 2.0
 def _mean_photons(weights: np.ndarray, photons: np.ndarray) -> float:
     """sum_k w_k n_k: the rounded products, summed exactly by `math.fsum`.
 
-    The one photon mean of the module: `Ensemble.mean_photons` reports
-    it and `_tilted_weights` and the optimizer hold it to the budget, so
-    a budget met in the search is met as reported.
+    The one photon mean of the module: `Ensemble.mean_photons` and
+    `OptimizationResult.mean_photons` report it and `_tilted_weights` and
+    the optimizer hold it to the budget, so a budget met in the search is
+    met as reported.
     """
     return math.fsum((weights * photons).tolist())
 
@@ -161,15 +161,17 @@ class OptimizerStats:
 
     Channel pushes count the rings pushed, and eigensolves the spectra
     taken, one per push for its output entropy: every average output is
-    diagonal, so no iteration takes one.  Tilt evaluations count the
-    tilted weights `_tilted_weights` computed over the run.  Fallback
-    steps count the iterations whose accelerated step would have lowered
-    chi and that took the plain step instead.  The one-off build of the
-    run's transfer tensor is not counted.
+    diagonal, so no iteration takes one.  `eigensolve_n3` sums the cubed
+    output level counts over those eigensolves, their exact work.  Tilt
+    evaluations count the tilted weights `_tilted_weights` computed over
+    the run.  Fallback steps count the iterations whose accelerated step
+    would have lowered chi and that took the plain step instead.  The
+    one-off build of the run's transfer tensor is not counted.
     """
 
     channel_pushes: int = 0
     eigensolves: int = 0
+    eigensolve_n3: int = 0
     tilt_evaluations: int = 0
     fallback_steps: int = 0
 
@@ -184,7 +186,9 @@ class OptimizationResult:
     dual bound min over mu >= 0 of max_i [score_i - mu (n_i - N)] less
     chi, and `dual_gap_bits` is its last entry.  `converged` means an
     iteration gained less than the tolerance; reaching the iteration cap
-    first reports converged=False.
+    first reports converged=False.  `mean_photons` is the rings' own
+    photon mean, sum_i w_i n_i over their truncated vectors, at most
+    `n_signal`.
     The rings: `radii`, `ring_weights` (summing to 1), each ring's cutoff
     `ring_cutoffs` and Poisson tail `ring_tails`, and `ring_phases`, the
     phases its explicit members take (its output levels, or 1 where the
@@ -200,6 +204,7 @@ class OptimizationResult:
     iterations: int
     converged: bool
     n_signal: float
+    mean_photons: float
     radii: tuple[float, ...]
     ring_weights: tuple[float, ...]
     ring_cutoffs: tuple[int, ...]
@@ -418,71 +423,29 @@ def _radius_cap(n_signal: float) -> float:
     return 0.98 * math.sqrt(6.0 * n_signal)
 
 
-@dataclass(frozen=True)
-class _Rings:
-    """The pushed rings: radii, output diagonals, entropies, photons, truncation.
+def _ring_diagonals(rings: _Rings) -> np.ndarray:
+    """Each ring's output diagonal, one row per ring, zero-padded to the largest.
 
-    `diagonals` stacks each ring's output diagonal, zero-padded to the
-    largest, so the average output and every score take one matvec.
+    The average output and every score then take one matvec.
     """
-
-    radii: tuple[float, ...]
-    diagonals: np.ndarray
-    entropies: np.ndarray
-    photons: np.ndarray
-    cutoffs: tuple[int, ...]
-    tails: tuple[float, ...]
-    phases: tuple[int, ...]
-    env_tail: float
+    diagonals = np.zeros((len(rings.outputs), max(map(len, rings.outputs))))
+    for k, out in enumerate(rings.outputs):
+        diagonals[k, : len(out)] = out.diagonal()
+    return diagonals
 
 
-def _push_rings(
-    params: ChannelParams, n_signal: float, count: int, counts: Counter[str]
-) -> _Rings:
-    """Push the origin and `count` rings evenly spaced out to `_radius_cap`.
-
-    BudgetError, before the tensor is fetched, when no cutoff within the
-    cap holds the disc's edge.  One transfer tensor, fetched at the
-    edge's cutoff, serves every push; each ring is pushed at its real
-    radius on its own cutoff, counting one push and one eigensolve.
-    """
-    cap = _radius_cap(n_signal)
-    edge, _ = _coherent_cutoff(cap * cap, DEFAULT_CHI_DIM_CAP)
-    transfer, env_tail = _channel_transfer(params, edge)
-    radii = tuple(cap * i / count for i in range(count + 1))
-    outs, entropies, photons, cutoffs, tails = [], [], [], [], []
-    for radius in radii:
-        dim, tail = _coherent_cutoff(radius * radius, DEFAULT_CHI_DIM_CAP)
-        out, entropy, n = _coherent_output(transfer, env_tail, radius, dim)
-        counts["channel_pushes"] += 1
-        counts["eigensolves"] += 1
-        outs.append(out.diagonal())
-        entropies.append(entropy)
-        photons.append(n)
-        cutoffs.append(dim)
-        tails.append(tail)
-    diagonals = np.zeros((len(outs), max(map(len, outs))))
-    for k, diagonal in enumerate(outs):
-        diagonals[k, : len(diagonal)] = diagonal
-    # A ring on one level is the vacuum at every phase: its output is diagonal.
-    phases = tuple(len(d) if dim > 1 else 1 for d, dim in zip(outs, cutoffs))
-    return _Rings(
-        radii, diagonals, np.array(entropies), np.array(photons),
-        tuple(cutoffs), tuple(tails), phases, env_tail,
-    )
-
-
-def _evaluate(rings: _Rings, weights: np.ndarray) -> tuple[float, np.ndarray]:
+def _evaluate(
+    diagonals: np.ndarray, entropies: np.ndarray, weights: np.ndarray
+) -> tuple[float, np.ndarray]:
     """Chi in bits at the ring weights, and each ring's score in nats.
 
-    The score is D(E(ring i) || average) = -S_i - d_i . ln(average), the
+    The score is D(E(ring i) || average) = -S_i - d_i . ln(average), with
+    d_i the rows of `_ring_diagonals` and S_i the ring entropies, the
     average's logarithm floored as `_holevo` floors it; sum_i w_i score_i
     is chi in nats.
     """
-    value, _, ln_avg = _holevo(
-        weights @ rings.diagonals, float(weights @ rings.entropies), with_log=True
-    )
-    return value, -rings.entropies - rings.diagonals @ ln_avg
+    value, _, ln_avg = _holevo(weights @ diagonals, float(weights @ entropies), with_log=True)
+    return value, -entropies - diagonals @ ln_avg
 
 
 def _dual_gap(scores: np.ndarray, photons: np.ndarray, budget: float, chi_bits: float) -> float:
@@ -508,15 +471,16 @@ def optimize(
 ) -> OptimizationResult:
     """Maximize chi over ring ensembles with mean photon number <= n_signal.
 
-    Pushes the origin and `config.ensemble_size` rings (`_push_rings`),
-    starts from uniform weights tilted into the budget, and iterates the
+    Pushes the origin and `config.ensemble_size` rings evenly spaced out
+    to `_radius_cap` (`fock_oracle._push_rings`), starts from uniform
+    weights tilted into the budget, and iterates the
     Blahut-Arimoto step: each weight times exp(2 score_i), or exp(score_i)
     where that would lower chi, re-tilted by `_tilted_weights`.  Should
     both lower chi, which rounding alone can do near the fixed point, the
     weights stay.  An iteration that gains less than the tolerance ends
     the run as converged; reaching `config.max_iterations` first does
-    not.  BudgetError, before any push, when no cutoff within the caps
-    holds the disc's edge.
+    not.  BudgetError (coherent_dim), before any tensor is built, names
+    the innermost ring whose cutoff exceeds DEFAULT_CHI_DIM_CAP.
     """
     if config is None:
         config = OptimizerConfig()
@@ -528,15 +492,20 @@ def optimize(
 
     if n == 0.0:
         return OptimizationResult(
-            best_chi_bits=0.0, iterations=0, converged=True, n_signal=0.0,
+            best_chi_bits=0.0, iterations=0, converged=True, n_signal=0.0, mean_photons=0.0,
             radii=(0.0,), ring_weights=(1.0,), ring_cutoffs=(1,), ring_tails=(0.0,),
             ring_phases=(1,), history=((0, 0.0),), dual_gaps=((0, 0.0),),
         )
 
-    counts: Counter[str] = Counter()
-    rings = _push_rings(params, n, config.ensemble_size, counts)
-    weights = _tilted_weights(np.ones(len(rings.radii)), rings.photons, n, counts)
-    current, scores = _evaluate(rings, weights)
+    cap, count = _radius_cap(n), config.ensemble_size
+    radii = tuple(cap * i / count for i in range(count + 1))
+    rings = _push_rings(params, radii, DEFAULT_CHI_DIM_CAP)
+    diagonals = _ring_diagonals(rings)
+    counts: Counter[str] = Counter(
+        channel_pushes=len(radii), eigensolves=len(radii), eigensolve_n3=rings.eigensolve_n3
+    )
+    weights = _tilted_weights(np.ones(len(radii)), rings.photons, n, counts)
+    current, scores = _evaluate(diagonals, rings.entropies, weights)
     history = [(0, current)]
     gaps = [(0, _dual_gap(scores, rings.photons, n, current))]
     converged = False
@@ -548,7 +517,7 @@ def optimize(
         for gamma in (_ACCELERATION, 1.0):
             raw = weights * np.exp(gamma * (scores - scores.max()))
             candidate = _tilted_weights(raw, rings.photons, n, counts)
-            value, candidate_scores = _evaluate(rings, candidate)
+            value, candidate_scores = _evaluate(diagonals, rings.entropies, candidate)
             if value >= before:
                 weights, current, scores = candidate, value, candidate_scores
                 break
@@ -560,16 +529,19 @@ def optimize(
             converged = True
             break
 
+    # A ring on one level is the vacuum at every phase: its output is diagonal.
+    phases = tuple(len(out) if dim > 1 else 1 for out, dim in zip(rings.outputs, rings.cutoffs))
     return OptimizationResult(
         best_chi_bits=current,
         iterations=iterations,
         converged=converged,
         n_signal=n,
-        radii=rings.radii,
+        mean_photons=_mean_photons(weights, rings.photons),
+        radii=radii,
         ring_weights=tuple(weights.tolist()),
         ring_cutoffs=rings.cutoffs,
         ring_tails=rings.tails,
-        ring_phases=rings.phases,
+        ring_phases=phases,
         history=tuple(history),
         dual_gaps=tuple(gaps),
         stats=OptimizerStats(**counts),

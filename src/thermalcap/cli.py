@@ -540,8 +540,8 @@ def cmd_optimize(args) -> int:
             "dual_gap_bits": result.dual_gap_bits,
             "radii": list(result.radii),
             "ring_weights": list(result.ring_weights),
-            "ensemble_size": len(result.ensemble),
-            "mean_photons": result.ensemble.mean_photons,
+            "rings": len(result.radii),
+            "mean_photons": result.mean_photons,
             "stats": asdict(result.stats),
             "environment_tail": result.environment_tail,
             "max_member_tail": result.max_member_tail,

@@ -13,9 +13,10 @@ naming the violated bound.  Each cutoff is decided in one place, at the
 one tail tolerance DEFAULT_TAIL_TOL: `_thermal_cutoff` sizes a thermal
 environment from its geometric tail, for `_channel_transfer` and so for
 every channel push, and `_coherent_cutoff` sizes every coherent push (each
-oracle radius, `coherent_state`, each `chi_opt` ring) by its Poisson tail
-alone, and refuses one whose cutoff exceeds its cap: no answer is degraded,
-and `ChiReport.binding_budget` says which tail set its `max_tail_bound`.
+ring `_push_rings` pushes, for the oracle and `chi_opt` alike, and
+`coherent_state`) by its Poisson tail alone, and refuses one whose cutoff
+exceeds its cap: no answer is degraded, and `ChiReport.binding_budget`
+says which tail set its `max_tail_bound`.
 
 The beamsplitter unitary conserves total photon number, so it is built
 block by block: within the span of |n, M-n> the unitary is a finite
@@ -40,16 +41,14 @@ optimizer run fetches one and slices it for each smaller state, and a
 tensor build streams the block columns it reads and keeps none.
 
 Each step of a Holevo quantity is written once, for the oracle and
-`chi_opt` alike: the kernel `_push` runs only under `apply_channel`,
-on the diagonals `_diagonals` reads, and `_coherent_output` (a coherent
-amplitude's output, its entropy and its photons, for each oracle radius
-and each optimizer ring), on diagonals read from the vector, and
-`_holevo` turns an average output into chi.  A coherent push is real:
-the vector at |alpha|, its diagonals, the kernel's matmuls, the output
-and the entropy's eigensolve are all real, and `_phase_rotated` turns
-the output into that of a complex amplitude by phase covariance.  The
-oracle's radii are real, so its average and every one of its
-eigensolves are real too; `apply_channel` keeps the complex path for
+`chi_opt` alike: the kernel `_push` runs only under `apply_channel`, on
+the diagonals `_diagonals` reads, and `_push_rings`, which sizes, fetches
+a tensor for and pushes every coherent ring (each oracle radius and each
+optimizer ring) on diagonals read from its vector, and `_holevo` turns an
+average output into chi.  A ring is pushed at its real radius: the
+vector, its diagonals, the kernel's matmuls, the output and the
+entropy's eigensolve are all real, and so are the oracle's average and
+every one of its eigensolves; `apply_channel` keeps the complex path for
 arbitrary states.
 
 The oracle's radial rule is Gauss-Laguerre, taken from one symmetric
@@ -60,7 +59,7 @@ eigensolve of its Jacobi matrix (Golub and Welsch, Math. Comp. 23, 221,
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 import functools
 import math
@@ -589,54 +588,68 @@ def _diagonals(matrix: np.ndarray) -> np.ndarray:
     return _strided(padded, 0, (dim, dim), (1, 2 * dim + 1)).copy()
 
 
-def _phase_rotated(out: np.ndarray, phi: float) -> np.ndarray:
-    """U out U^dag for U = diag(e^{i n phi}): entry (m, n) times e^{i (m - n) phi}.
+@dataclass(frozen=True)
+class _Rings:
+    """The coherent rings `_push_rings` pushed, one entry per radius in its order.
 
-    The channel is phase-covariant, so this is the output of the input
-    rotated by U, with the same spectrum.
+    Per ring: its real output on cutoff + dim_env - 1 levels, the
+    output's entropy in nats, the photons of its truncated vector, its
+    cutoff and its Poisson tail.  Then the environment tail every output
+    lost, the bytes of the one tensor, the seconds its fetch and the
+    outputs' eigensolves took, and the sum of the cubed output level
+    counts over those eigensolves.
     """
-    phase = np.exp(1j * phi * np.arange(len(out)))
-    return out * np.outer(phase, phase.conj())
+
+    outputs: tuple[np.ndarray, ...]
+    entropies: np.ndarray
+    photons: np.ndarray
+    cutoffs: tuple[int, ...]
+    tails: tuple[float, ...]
+    env_tail: float
+    transfer_bytes: int
+    transfer_seconds: float
+    eigensolve_seconds: float
+    eigensolve_n3: int
 
 
-def _coherent_output(
-    transfer: tuple[np.ndarray, ...],
-    env_tail: float,
-    alpha: complex,
-    dim: int,
-    eigensolve_seconds: list[float] | None = None,
-) -> tuple[np.ndarray, float, float]:
-    """Output of the coherent vector at alpha on dim levels, its entropy, its photons.
+def _push_rings(params: ChannelParams, radii: Sequence[float], dim_cap: int) -> _Rings:
+    """Push the coherent vector at each real radius >= 0 through the channel.
 
-    The vector psi is pushed at the real amplitude |alpha|, where it, its
-    diagonals psi[k + delta] psi[k], the transfer tensor and the output
-    are all real, so each lag group takes one real matmul and the entropy
-    a real eigensolve.
-    For alpha = |alpha| e^{i phi} off the positive axis the output is then
-    rotated by e^{i (m - n) phi} (`_phase_rotated`), exact by phase
-    covariance, and comes out complex; a real alpha >= 0 gives a real
-    output.  The entropy is in nats.  The photons are measured on the
-    truncated vector, as `mean_photon_number` measures its projector, not
-    taken as |alpha|^2.  The seconds the eigensolve took are appended to
-    eigensolve_seconds when it is given.  transfer may be built for more
-    than dim levels; `_push` reads the leading slice of each lag block,
-    bit for bit the build at dim when BLAS runs on one thread, and to
-    rounding with more (see `_transfer_tensor`).
+    Every radius is sized by `_coherent_cutoff` in the order given before
+    anything is fetched, so BudgetError (coherent_dim) names the first
+    radius whose cutoff exceeds dim_cap.  Then one transfer tensor is
+    fetched, at the largest cutoff, where `_channel_transfer` may refuse
+    the environment or the joint space (thermal_dim, joint_dim).  The
+    vector psi, its diagonals psi[k + delta] psi[k], the tensor and the
+    output are all real, so each lag group takes one real matmul and the
+    entropy a real eigensolve.  Each push reads the leading slice of the
+    tensor's lag blocks, bit for bit the build at its own cutoff when
+    BLAS runs on one thread, and to rounding with more (see
+    `_transfer_tensor`).  The photons are measured on the truncated
+    vector, as `mean_photon_number` measures its projector, not taken as
+    the radius squared.
     """
-    radius = abs(alpha)
-    psi = _coherent_vector(radius, dim)
-    # diags[delta, k] = psi[k + delta] psi[k]: a strided view of [psi | 0] times psi.
-    padded = np.concatenate([psi, np.zeros(dim)])
-    out = _push(transfer, _strided(padded, 0, (dim, dim), (1, 1)) * psi, env_tail)
+    cutoffs, tails = zip(*(_coherent_cutoff(r * r, dim_cap) for r in radii))
     start = time.perf_counter()
-    entropy = _eigenvalue_entropy(np.linalg.eigvalsh(out))
-    if eigensolve_seconds is not None:
-        eigensolve_seconds.append(time.perf_counter() - start)
-    probs = psi * psi
-    photons = float(np.arange(dim) @ probs / probs.sum())
-    if alpha != radius:
-        out = _phase_rotated(out, np.angle(alpha))
-    return out, entropy, photons
+    transfer, env_tail = _channel_transfer(params, max(cutoffs))
+    transfer_seconds = time.perf_counter() - start
+    outputs, entropies, photons, solves = [], [], [], []
+    for radius, dim in zip(radii, cutoffs):
+        psi = _coherent_vector(radius, dim)
+        # diags[delta, k] = psi[k + delta] psi[k]: a strided view of [psi | 0] times psi.
+        padded = np.concatenate([psi, np.zeros(dim)])
+        out = _push(transfer, _strided(padded, 0, (dim, dim), (1, 1)) * psi, env_tail)
+        start = time.perf_counter()
+        entropies.append(_eigenvalue_entropy(np.linalg.eigvalsh(out)))
+        solves.append(time.perf_counter() - start)
+        probs = psi * psi
+        photons.append(float(np.arange(dim) @ probs / probs.sum()))
+        outputs.append(out)
+    return _Rings(
+        tuple(outputs), np.array(entropies), np.array(photons), cutoffs, tails, env_tail,
+        sum(group.nbytes for group in transfer), transfer_seconds, math.fsum(solves),
+        sum(len(out) ** 3 for out in outputs),
+    )
 
 
 def apply_channel(params: ChannelParams, rho: FockDensityMatrix) -> FockDensityMatrix:
@@ -871,75 +884,64 @@ def gaussian_ensemble_report(
 ) -> ChiReport:
     """Holevo quantity of the discretized isotropic Gaussian coherent ensemble.
 
-    Each grid node is a coherent signal pushed through the channel with a
-    per-node Fock cutoff from `_coherent_cutoff`, the smallest with a
-    Poisson tail at most DEFAULT_TAIL_TOL.  BudgetError is raised when a
-    node's cutoff exceeds dim_cap (coherent_dim, the first such radius
-    in ascending order), then by `_channel_transfer` at the largest
-    cutoff when the environment or the joint space exceeds
-    DEFAULT_MAX_JOINT_DIM (thermal_dim, joint_dim).  Every radius is
-    sized before the environment, so when both fail coherent_dim is the
-    one raised, and the joint_dim error's value is the largest cutoff
-    times the environment dimension.
+    Each radius is pushed once by `_push_rings`, at its real phase-0
+    amplitude as an optimizer ring is, on the cutoff `_coherent_cutoff`
+    gives its Poisson tail at DEFAULT_TAIL_TOL, through one packed
+    transfer tensor built at the largest cutoff.  BudgetError is raised
+    when a radius's cutoff exceeds dim_cap (coherent_dim, the first such
+    radius in ascending order), then at the largest cutoff when the
+    environment or the joint space exceeds DEFAULT_MAX_JOINT_DIM
+    (thermal_dim, joint_dim).  Every radius is sized before the
+    environment, so when both fail coherent_dim is the one raised, and
+    the joint_dim error's value is the largest cutoff times the
+    environment dimension.
 
     The channel is phase-covariant: with U(phi) = diag(e^{i n phi}),
     the input U |alpha> gives the output U rho_out U^dag.  So the nodes
     on one radius share one output entropy, and the average of their
     outputs over the 24 uniform phases is exactly the phase-0 output with
-    every entry (m, n) zeroed unless m - n is a multiple of 24.  Each
-    radius therefore costs one `_coherent_output` at its real phase-0
-    amplitude, as an optimizer ring is, added into one real average
-    matrix, and chi comes from `_holevo`, so every eigensolve of the
-    report is real.  One packed transfer tensor is
-    built, at the largest cutoff, and each push reads the leading slice
-    of its lag blocks for a smaller one.
+    every entry (m, n) zeroed unless m - n is a multiple of 24.  The
+    outputs are added into one real average matrix, largest cutoff
+    first, the mask is applied, and chi comes from `_holevo`, so every
+    eigensolve of the report is real.
     """
     n_signal = _check_photon_number(n_signal)
     dim_cap = _as_positive_dim(dim_cap)
     alphas, weights = grid.nodes(n_signal)
     # Nodes come radius-major; N = 0 has the single node alpha = 0.
     per_radius = grid.N_ANGULAR if n_signal > 0.0 else 1
-    radii = alphas[::per_radius].real
     radius_weights = weights.reshape(-1, per_radius).sum(axis=1)
-    dims, tails = zip(*(_coherent_cutoff(r * r, dim_cap) for r in radii))
-    start = time.perf_counter()
-    transfer, env_tail = _channel_transfer(params, max(dims))
-    transfer_seconds = time.perf_counter() - start
-    dims = np.array(dims)
-    # Group 0 of the packed tensor holds lag 0 on every level.
-    dim_out, dim_in = transfer[0].shape[1:]
+    rings = _push_rings(params, alphas[::per_radius].real, dim_cap)
+    dims = np.array(rings.cutoffs)
+    dim_out = max(map(len, rings.outputs))
     levels = np.arange(dim_out)
     mask = (levels[:, None] - levels[None, :]) % per_radius == 0
     average = np.zeros((dim_out, dim_out))
-    entropies = np.empty(len(radii))
-    photons = np.empty(len(radii))
-    solves: list[float] = []
     # Largest cutoff first, the order that fixes the average's rounding.
     for k in np.argsort(-dims, kind="stable"):
-        out, entropies[k], photons[k] = _coherent_output(
-            transfer, env_tail, radii[k], int(dims[k]), solves
-        )
+        out = rings.outputs[k]
         average[: len(out), : len(out)] += radius_weights[k] * out
 
     average *= mask
-    FockDensityMatrix(average, env_tail)  # checks the average: finite, symmetric, trace
+    FockDensityMatrix(average, rings.env_tail)  # checks the average: finite, symmetric, trace
     start = time.perf_counter()
-    chi_bits, average_entropy, _ = _holevo(average, float(radius_weights @ entropies))
-    solves.append(time.perf_counter() - start)
+    chi_bits, average_entropy, _ = _holevo(average, float(radius_weights @ rings.entropies))
+    average_seconds = time.perf_counter() - start
+    max_tail = max(rings.tails)
     return ChiReport(
         chi_bits=chi_bits,
         average_entropy_nats=average_entropy,
-        member_entropies_nats=np.repeat(entropies, per_radius),
+        member_entropies_nats=np.repeat(rings.entropies, per_radius),
         alphas=alphas,
         weights=weights,
         member_dims=np.repeat(dims, per_radius),
-        max_tail_bound=max(*tails, env_tail),
-        binding_budget="coherent_tail" if max(tails) > env_tail else "environment_tail",
-        dim_env=dim_out - dim_in + 1,
-        transfer_bytes=sum(group.nbytes for group in transfer),
-        transfer_seconds=transfer_seconds,
-        eigensolve_seconds=math.fsum(solves),
-        mean_photons=math.fsum(radius_weights * photons),
+        max_tail_bound=max(max_tail, rings.env_tail),
+        binding_budget="coherent_tail" if max_tail > rings.env_tail else "environment_tail",
+        dim_env=dim_out - int(dims.max()) + 1,
+        transfer_bytes=rings.transfer_bytes,
+        transfer_seconds=rings.transfer_seconds,
+        eigensolve_seconds=rings.eigensolve_seconds + average_seconds,
+        mean_photons=math.fsum(radius_weights * rings.photons),
     )
 
 

@@ -2,11 +2,12 @@
 
 from collections import Counter
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from thermalcap import chi_opt, gfunc
+from thermalcap import chi_opt, fock_oracle, gfunc
 from thermalcap.bounds import LN2, additive_extension_upper, holevo_lower
 from thermalcap.chi_opt import (
     Ensemble,
@@ -14,8 +15,8 @@ from thermalcap.chi_opt import (
     _dual_gap,
     _evaluate,
     _mean_photons,
-    _push_rings,
     _radius_cap,
+    _ring_diagonals,
     _tilted_weights,
     chi,
     optimize,
@@ -23,15 +24,16 @@ from thermalcap.chi_opt import (
 from thermalcap.fock_oracle import (
     DEFAULT_CHI_DIM_CAP,
     DEFAULT_TAIL_TOL,
+    BudgetError,
     FockDensityMatrix,
     GridSpec,
     _channel_transfer,
     _coherent_cutoff,
-    _coherent_output,
     _diagonals,
     _holevo,
     _poisson_tail_bound,
     _push,
+    _push_rings,
     apply_channel,
     coherent_state,
     gaussian_ensemble_report,
@@ -428,6 +430,44 @@ def test_run_builds_one_transfer_tensor():
     assert max(result.ring_cutoffs) == result.ring_cutoffs[-1] == edge
 
 
+def test_eigensolve_work_repeats_exactly():
+    # One eigensolve per ring, on its cutoff plus the environment's 21
+    # levels (N_E 0.5) less one: the cubed level counts are the run's
+    # exact eigensolve work, and a repeated run repeats them.
+    p = params(0.6, 0.5)
+    first, second = (optimize(p, 1.0, OptimizerConfig(max_iterations=20)) for _ in range(2))
+    expected = sum((dim + 20) ** 3 for dim in first.ring_cutoffs)
+    assert first.stats.eigensolve_n3 == second.stats.eigensolve_n3 == expected
+
+
+@pytest.mark.parametrize("caller", ["oracle", "optimize"])
+def test_a_capped_point_is_refused_at_its_first_ring_before_any_tensor(caller, monkeypatch):
+    # Both callers size their rings innermost first through the one ring
+    # push, so the refusal names the first ring over the cap, not the
+    # outermost, and comes before any transfer tensor is built.
+    def refuse(*args):
+        raise AssertionError("a transfer tensor was built")
+
+    _channel_transfer.cache_clear()
+    monkeypatch.setattr(fock_oracle, "_transfer_tensor", refuse)
+    p = params(0.6, 0.5)
+    if caller == "oracle":
+        cap, n = 12, 1.0
+        radii = GridSpec().nodes(n)[0][:: GridSpec.N_ANGULAR].real
+        run = lambda: gaussian_ensemble_report(p, n, dim_cap=cap)  # noqa: E731
+    else:
+        cap, n = DEFAULT_CHI_DIM_CAP, 40.0
+        radii = _disc_radii(n)
+        run = lambda: optimize(p, n)  # noqa: E731
+    needed = [_coherent_cutoff(r * r, sys.maxsize)[0] for r in radii]
+    first = next(levels for levels in needed if levels > cap)
+    assert first < max(needed)
+    with pytest.raises(BudgetError) as excinfo:
+        run()
+    error = excinfo.value
+    assert (error.bound, error.value, error.limit) == ("coherent_dim", first, cap)
+
+
 def test_chi_matches_the_optimizer_result():
     # The public evaluator and the optimizer's running value are one core.
     p = params(0.6, 0.5)
@@ -465,8 +505,9 @@ def test_push_matches_apply_channel():
     # The public wrapper adds validation only: on the same diagonals the
     # kernel gives its matrix bit for bit.  Diagonals read off the
     # unsymmetrized projector, which rho's constructor makes Hermitian,
-    # give rho's output up to rounding, and so does `_coherent_output`,
-    # whose photons are those `mean_photon_number` reads off the state.
+    # give rho's output up to rounding, and so does `_push_rings` at a
+    # real radius, whose photons are those `mean_photon_number` reads off
+    # the state.
     rng = np.random.default_rng(23)
     for n_env in (0.0, 0.5):
         p = params(0.6, n_env)
@@ -485,17 +526,21 @@ def test_push_matches_apply_channel():
             pure = _push(transfer, _diagonals(projector), env_tail)
             assert np.abs(pure - out).max() <= 1e-15
             # The coherent state at its own cutoff, pushed through a tensor
-            # for at least that many levels.
+            # for at least that many levels: the ring push fetches one at the
+            # larger cutoff of its two radii.
             radius = math.sqrt(rng.uniform() * dim / 4.0)
-            alpha = complex(radius * np.exp(2j * math.pi * rng.uniform()))
-            cutoff, _ = _coherent_cutoff(radius**2, DEFAULT_CHI_DIM_CAP)
-            state = coherent_state(alpha, cutoff)
+            rings = _push_rings(p, [radius, math.sqrt(dim / 4.0)], DEFAULT_CHI_DIM_CAP)
+            cutoff = rings.cutoffs[0]
+            assert cutoff == _coherent_cutoff(radius**2, DEFAULT_CHI_DIM_CAP)[0]
+            state = coherent_state(radius, cutoff)
             expected = apply_channel(p, state)
-            transfer, env_tail = _channel_transfer(p, max(dim, cutoff))
-            coherent, entropy, photons = _coherent_output(transfer, env_tail, alpha, cutoff)
+            coherent = rings.outputs[0]
+            assert coherent.dtype == np.float64
             assert np.abs(coherent - expected.matrix).max() <= 1e-15
-            assert abs(entropy - von_neumann_entropy(expected)) <= 1e-12
-            assert math.isclose(photons, mean_photon_number(state), rel_tol=1e-15, abs_tol=1e-15)
+            assert abs(rings.entropies[0] - von_neumann_entropy(expected)) <= 1e-12
+            assert math.isclose(
+                rings.photons[0], mean_photon_number(state), rel_tol=1e-15, abs_tol=1e-15
+            )
 
 
 # Chi after each of 20 iterations at the benchmark's optimizer points
@@ -548,6 +593,12 @@ def test_first_twenty_sweeps_do_not_stall_for_any_seed(n_env):
         assert min(b - a for a, b in zip(history, history[1:])) >= config.tolerance
 
 
+def _disc_radii(n, count=8):
+    """The origin and `count` rings out to `_radius_cap(n)`, where `optimize` puts them."""
+    cap = _radius_cap(n)
+    return [cap * i / count for i in range(count + 1)]
+
+
 def _phase_average(p, radius, dim, phases):
     """The explicit phase average of a ring: `phases` coherent states, pushed one by one."""
     outs = [
@@ -564,17 +615,17 @@ def test_ring_pool_matches_direct_pushes(n_env):
     # directly pushed members' outputs are the ring's output diagonal,
     # and each member has the ring's entropy and photons.
     p = params(0.6, n_env)
-    counts = Counter()
-    rings = _push_rings(p, 1.0, 8, counts)
-    assert counts == {"channel_pushes": 9, "eigensolves": 9}
-    assert rings.radii[0] == 0.0 and rings.radii[-1] == _radius_cap(1.0)
+    radii = _disc_radii(1.0)
+    rings = _push_rings(p, radii, DEFAULT_CHI_DIM_CAP)
+    assert len(rings.outputs) == 9 and radii[-1] == _radius_cap(1.0)
+    diagonals = _ring_diagonals(rings)
     for k in (1, 4, 8):
-        radius, dim, phases = rings.radii[k], rings.cutoffs[k], rings.phases[k]
+        radius, dim, phases = radii[k], rings.cutoffs[k], len(rings.outputs[k])
         average, outs = _phase_average(p, radius, dim, phases)
         assert len(average) == phases  # the output's levels
         off = average - np.diag(average.diagonal())
         assert np.abs(off).max() <= 1e-15
-        diagonal = rings.diagonals[k]
+        diagonal = diagonals[k]
         assert np.abs(average.diagonal().real - diagonal[:phases]).max() <= 1e-15
         assert not diagonal[phases:].any()
         for out in outs:
@@ -583,7 +634,7 @@ def test_ring_pool_matches_direct_pushes(n_env):
         assert math.isclose(mean_photon_number(state), rings.photons[k], rel_tol=1e-14)
     # Half as many phases leave a lag of the output standing, far above
     # the rounding of the full average.
-    radius, dim, phases = rings.radii[8], rings.cutoffs[8], rings.phases[8]
+    radius, dim, phases = radii[8], rings.cutoffs[8], len(rings.outputs[8])
     average, _ = _phase_average(p, radius, dim, phases // 2)
     assert np.abs(average - np.diag(average.diagonal())).max() > 1e-12
 
@@ -596,15 +647,15 @@ def test_dual_bound_caps_chi_at_other_weights(n_env):
     # chi(w) is that bound at the best mu, so it caps chi(u) for every
     # feasible u, and no mu on a fine grid beats it.
     rng = np.random.default_rng(29)
-    rings = _push_rings(params(0.6, n_env), 1.0, 8, Counter())
-    photons = rings.photons
+    rings = _push_rings(params(0.6, n_env), _disc_radii(1.0), DEFAULT_CHI_DIM_CAP)
+    photons, diagonals = rings.photons, _ring_diagonals(rings)
 
     def feasible(raw):
         return _tilted_weights(raw, photons, 1.0)
 
     for _ in range(12):
         w = feasible(rng.exponential(1.0, len(photons)) ** 3)
-        value, scores = _evaluate(rings, w)
+        value, scores = _evaluate(diagonals, rings.entropies, w)
         assert abs(float(w @ scores) / LN2 - value) <= 1e-12
         gap = _dual_gap(scores, photons, 1.0, value)
         assert gap >= -1e-12
@@ -614,7 +665,7 @@ def test_dual_bound_caps_chi_at_other_weights(n_env):
         others = [feasible(rng.exponential(1.0, len(photons)) ** 3) for _ in range(8)]
         others += [feasible(w * np.exp(1e-9 * rng.standard_normal(len(photons))))]
         for u in others:
-            assert _evaluate(rings, u)[0] <= value + gap + 1e-12
+            assert _evaluate(diagonals, rings.entropies, u)[0] <= value + gap + 1e-12
     # At convergence the gap is small and chi sits below its bound.
     result = optimize(params(0.6, n_env), 1.0)
     assert result.converged

@@ -13,7 +13,7 @@ import pytest
 import thermalcap.cli
 import thermalcap.gfunc
 from thermalcap.bounds import holevo_lower, report
-from thermalcap.chi_opt import OptimizerStats
+from thermalcap.chi_opt import OptimizationResult, OptimizerStats
 from thermalcap.cli import SWEEP_COLUMNS, main
 from thermalcap.fock_oracle import gaussian_ensemble_report
 from thermalcap.gaussian_core import ChannelParams
@@ -397,10 +397,27 @@ def test_optimize_zero_signal_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["best_chi_bits"] == 0.0
     assert payload["converged"] is True
-    assert payload["ensemble_size"] == 1
+    assert payload["rings"] == 1 and payload["mean_photons"] == 0.0
     assert payload["budget_audit"] is False  # never above the upper bound
     # Round trip: identical field values after re-serialization.
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_optimize_prints_the_rings_without_expanding_the_ensemble(capsys, monkeypatch):
+    # The command prints the ring count and the rings' own photon mean,
+    # which the search holds to the budget; it never builds the explicit
+    # ensemble of every phase of every ring.
+    def refuse(self):
+        raise AssertionError("the CLI built the explicit ensemble")
+
+    monkeypatch.setattr(OptimizationResult, "ensemble", property(refuse))
+    for n in ("1", "4", "1e-12"):
+        argv = ["optimize", "--lambda", "0.6", "--ne", "0.5", "--n", n, "--iters", "20"]
+        assert main(argv) in (0, 4)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rings"] == len(payload["radii"]) == 9
+        assert "ensemble_size" not in payload
+        assert 0.0 <= payload["mean_photons"] <= float(n)
 
 
 def test_optimize_iteration_cap_exit_four(tmp_path):

@@ -422,23 +422,6 @@ def test_transfer_tensor_matches_the_einsum_reference(n_env):
             np.testing.assert_allclose(block, expected, rtol=0, atol=1e-15)
 
 
-def test_rotated_real_push_matches_the_complex_push():
-    # A coherent push runs at the real amplitude |alpha| and rotates the
-    # real output by phase covariance; pushing the complex vector gives
-    # the same output.
-    for n_env in (0.0, 0.5):
-        transfer, env_tail = fock_oracle._channel_transfer(params(0.6, n_env), 24)
-        real, _, _ = fock_oracle._coherent_output(transfer, env_tail, 1.3, 24)
-        assert real.dtype == np.float64
-        for alpha in (1.3 * cmath.exp(0.7j), -0.9, 2.0j, 0.4 - 1.1j):
-            psi = fock_oracle._coherent_vector(complex(alpha), 24)
-            diags = fock_oracle._diagonals(np.outer(psi, psi.conj()))
-            direct = fock_oracle._push(transfer, diags, env_tail)
-            rotated, _, _ = fock_oracle._coherent_output(transfer, env_tail, alpha, 24)
-            assert rotated.dtype == np.complex128
-            np.testing.assert_allclose(rotated, direct, rtol=0, atol=1e-15)
-
-
 def test_transfer_tensor_stores_only_the_support():
     # A dense T[delta, p, j] at the oracle's 164 levels (N_E 0.5, so 21
     # environment levels) would hold 164 * 184 * 164 floats.  The packed

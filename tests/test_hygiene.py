@@ -1,8 +1,9 @@
 """Source hygiene: correctness checks must survive `python -O`, caches are
 bounded, each step of the Holevo quantity has one home, each truncation
-constant is read only by its rules, every optimizer push is sized by the
-coherent-cutoff rule, transfer tensors are fetched once per caller, the
-optimizer's iterations take no spectrum and build no density matrix, the
+constant is read only by its rules, one ring push sizes, fetches for and
+pushes every coherent ring and `chi_opt` makes no push of its own,
+transfer tensors are fetched once per caller, the optimizer's iterations
+take no spectrum and build no density matrix, the
 bound interval has one kernel, sweep rows are streamed and validated
 once, every `--out` has one opener, every exported name and every name
 the bench tracer patches must exist, every public name of the numerical
@@ -123,15 +124,17 @@ def f(x): return x
 
 # The channel push, the diagonal reader and the entropy of a spectrum are
 # each written once in `fock_oracle`, and everything that forms a chi goes
-# through `_coherent_output` or `apply_channel` and `_holevo`.  The packed
-# tensor build runs only under the cached `_channel_transfer`, so no
-# second build can be held beside the cached one.  A use anywhere else, a
-# same-named function in another module included, is a second copy of
-# one of these steps in the making.
+# through `_push_rings` or `apply_channel` and `_holevo`.  Only the ring
+# push sizes rings by the coherent-cutoff rule; `coherent_state` reads it
+# to check a state's own cutoff.  The packed tensor build runs only under
+# the cached `_channel_transfer`, so no second build can be held beside
+# the cached one.  A use anywhere else, a same-named function in another
+# module included, is a second copy of one of these steps in the making.
 _ALLOWED_USERS = {  # name -> the `fock_oracle` functions that may use it
-    "_push": {"apply_channel", "_coherent_output"},
+    "_push": {"apply_channel", "_push_rings"},
     "_diagonals": {"apply_channel"},
-    "_eigenvalue_entropy": {"von_neumann_entropy", "_coherent_output", "_holevo"},
+    "_eigenvalue_entropy": {"von_neumann_entropy", "_push_rings", "_holevo"},
+    "_coherent_cutoff": {"_push_rings", "coherent_state"},
     "_transfer_tensor": {"_channel_transfer"},
 }
 _EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
@@ -212,43 +215,29 @@ def test_no_second_coherent_truncation_rule():
     assert not found, f"a second coherent truncation rule: {'; '.join(found)}"
 
 
-def test_optimizer_pushes_take_their_levels_from_the_cutoff_rule():
-    # The optimizer has one coherent push, in `_push_rings`, and the level
-    # count it passes is the first value of a `_coherent_cutoff` call in
-    # that function.
+# The oracle report and the optimizer each push their rings with one call
+# of the ring push; `chi_opt` reads no step of a push itself.
+_RING_PUSHERS = {
+    ("fock_oracle.py", "gaussian_ensemble_report"),
+    ("chi_opt.py", "optimize"),
+}
+_PUSH_STEPS = {
+    "_push", "_coherent_vector", "_coherent_cutoff", "_channel_transfer",
+    "_transfer_tensor", "_diagonals", "_eigenvalue_entropy",
+}
+
+
+def test_chi_opt_makes_no_push():
     tree = dict(_package_trees())["chi_opt.py"]
-    sites = [(function, line) for function, _, line in _uses(tree, {"_coherent_output"})]
-    assert [function for function, _ in sites] == ["_push_rings"], sites
-    push = next(
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "_push_rings"
-    )
-    calls = [
-        node for node in ast.walk(push)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id == "_coherent_output"
+    found = [f"chi_opt.py:{line} {function} uses {name}"
+             for function, name, line in _uses(tree, _PUSH_STEPS)]
+    assert not found, f"a push step in `chi_opt`: {'; '.join(found)}"
+    sites = [
+        (module, function)
+        for module, tree in _package_trees()
+        for function, _, _ in _uses(tree, {"_push_rings"})
     ]
-    assert len(calls) == 1 and isinstance(calls[0].args[-1], ast.Name)
-    levels = calls[0].args[-1].id
-    sized = [
-        node for node in ast.walk(push)
-        if isinstance(node, ast.Assign)
-        and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
-        and node.value.func.id == "_coherent_cutoff"
-        and isinstance(node.targets[0], ast.Tuple)
-        and isinstance(node.targets[0].elts[0], ast.Name)
-        and node.targets[0].elts[0].id == levels
-    ]
-    assigned = [
-        node for node in ast.walk(push)
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
-        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-        for name in ast.walk(target)
-        if isinstance(name, ast.Name) and name.id == levels
-    ]
-    assert len(sized) == 1 and len(assigned) == 1, (
-        f"`_push_rings` pushes on {levels!r} levels not sized by `_coherent_cutoff`"
-    )
+    assert sorted(sites) == sorted(_RING_PUSHERS), f"ring push call sites: {sites}"
 
 
 def test_every_exported_name_exists():
@@ -387,7 +376,7 @@ def test_chi_opt_leaves_output_spectra_to_fock_oracle():
 
 
 def test_chi_opt_builds_member_vectors_in_one_place():
-    # Every push hands a radius to `fock_oracle._coherent_output`, so
+    # Every push hands a radius to `fock_oracle._push_rings`, so
     # `chi_opt` builds no state vector; the explicit ensemble a result
     # hands out takes its states from `coherent_state`, in one place.
     tree = dict(_package_trees())["chi_opt.py"]
@@ -401,22 +390,6 @@ def test_chi_opt_builds_member_vectors_in_one_place():
     assert not _uses(tree, {"_coherent_vector"})
     sites = [function for function, _, _ in _uses(tree, {"coherent_state"})]
     assert sites == ["ensemble"], sites
-
-
-# A phase-0 output is rotated to another phase in one function: the
-# coherent push rotates a complex amplitude's output.  The optimizer's
-# rings need no rotation, since their phase averages are diagonal.
-_ROTATION_USERS = {("fock_oracle.py", "_coherent_output")}
-
-
-def test_phase_rotation_has_one_home():
-    found = [
-        (module, function, line)
-        for module, tree in _package_trees()
-        for function, _, line in _uses(tree, {"_phase_rotated"})
-    ]
-    sites = sorted((module, function) for module, function, _ in found)
-    assert sites == sorted(_ROTATION_USERS), f"phase rotation call sites: {found}"
 
 
 def test_use_check_sees_methods_aliases_and_attributes():
@@ -435,13 +408,12 @@ def apply_channel(t, d):
         ("apply_channel", "_push", 9),
     ]
 
-# The transfer tensor is fetched once per `apply_channel` call, once per
-# oracle report and once per optimizer run, in `chi_opt._push_rings`;
-# every other push slices a tensor its caller already holds.
+# The transfer tensor is fetched once per `apply_channel` call and once
+# per ring push, which serves an oracle report or an optimizer run; every
+# other push slices a tensor its caller already holds.
 _TRANSFER_FETCHERS = {
     ("fock_oracle.py", "apply_channel"),
-    ("fock_oracle.py", "gaussian_ensemble_report"),
-    ("chi_opt.py", "_push_rings"),
+    ("fock_oracle.py", "_push_rings"),
 }
 
 
@@ -468,9 +440,10 @@ def test_transfer_tensor_is_fetched_once_per_caller():
 def test_optimize_builds_no_density_matrix_and_takes_no_spectrum_per_iteration(monkeypatch):
     # The search works on ring diagonals: it builds no `FockDensityMatrix`
     # and takes one eigensolve per push, for the ring's entropy, and none
-    # per iteration.  The explicit ensemble, hundreds of density matrices
-    # at 21 environment levels, is built only when `result.ensemble` is
-    # first read, outside the run.
+    # per iteration; `eigensolve_n3` sums their cubed level counts.  The
+    # explicit ensemble, hundreds of density matrices at 21 environment
+    # levels, is built only when `result.ensemble` is first read, outside
+    # the run.
     from thermalcap.chi_opt import OptimizerConfig, optimize
     from thermalcap.fock_oracle import FockDensityMatrix
     from thermalcap.gaussian_core import ChannelParams
@@ -497,6 +470,7 @@ def test_optimize_builds_no_density_matrix_and_takes_no_spectrum_per_iteration(m
     assert result.iterations == 20
     assert built == []
     assert len(eigensolves) == result.stats.eigensolves == result.stats.channel_pushes == 9
+    assert sum(levels**3 for levels in eigensolves) == result.stats.eigensolve_n3
     members = len(result.ensemble)
     assert members > 300 and len(built) >= members
     assert result.ensemble is result.ensemble  # built once
