@@ -444,7 +444,7 @@ def _evaluate(
     average's logarithm floored as `_holevo` floors it; sum_i w_i score_i
     is chi in nats.
     """
-    value, _, ln_avg = _holevo(weights @ diagonals, float(weights @ entropies), with_log=True)
+    value, _, ln_avg = _holevo(weights @ diagonals, float(weights @ entropies))
     return value, -entropies - diagonals @ ln_avg
 
 

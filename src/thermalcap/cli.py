@@ -306,10 +306,11 @@ def _oracle_agreement(params: ChannelParams, n_signal: float, dim_cap: int):
     Returns the `gaussian_ensemble_report`, `holevo_lower`, their
     difference |chi - lower| in bits, and the largest distance in nats
     of a member's output entropy from g((1 - lambda) N_E), the entropy
-    every coherent input gives.
+    every coherent input gives.  The bound is read first, so a point
+    outside its domain builds no tensor.
     """
-    chi_report = gaussian_ensemble_report(params, n_signal, dim_cap=dim_cap)
     lower = holevo_lower(params, n_signal)
+    chi_report = gaussian_ensemble_report(params, n_signal, dim_cap=dim_cap)
     env_entropy = gfunc.g((1.0 - params.transmissivity) * params.environment_photons)
     spread = float(np.abs(chi_report.member_entropies_nats - env_entropy).max())
     return chi_report, lower, abs(chi_report.chi_bits - lower), spread

@@ -35,10 +35,11 @@ BLAS Gram product per output-minus-input diagonal, which yields every
 lag at once, and one plain strided slice per lag group and diagonal;
 the blocks come from one square-root table and one reused zero-bordered
 buffer, with the float operations of the block-by-block recurrence.
-Every push truncates alike, at DEFAULT_TAIL_TOL and DEFAULT_MAX_JOINT_DIM.
-`_channel_transfer` keeps only its last tensor: an oracle report or an
-optimizer run fetches one and slices it for each smaller state, and a
-tensor build streams the block columns it reads and keeps none.
+Every push truncates alike, at DEFAULT_TAIL_TOL, and no build allocates
+more than DEFAULT_MAX_TRANSFER_BYTES.  `_channel_transfer` keeps only its
+last tensor: an oracle report or an optimizer run fetches one and slices
+it for each smaller state, and a tensor build streams the block columns
+it reads and keeps none.
 
 Each step of a Holevo quantity is written once, for the oracle and
 `chi_opt` alike: the kernel `_push` runs only under `apply_channel`, on
@@ -92,7 +93,7 @@ EIGENVALUE_TOL = 1e-10         # most negative eigenvalue a physical state may s
 ENTROPY_EIGENVALUE_FLOOR = 1e-15
 TRACE_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-10
-DEFAULT_MAX_JOINT_DIM = 4096
+DEFAULT_MAX_TRANSFER_BYTES = 64 * 2**20
 DEFAULT_CHI_DIM_CAP = 192
 
 _LN2 = math.log(2.0)
@@ -171,24 +172,29 @@ class FockDensityMatrix:
 
 
 def _thermal_cutoff(n_mean: float) -> tuple[int, float]:
-    """The thermal-cutoff rule: (dim, geometric tail (N/(N+1))^dim) for N = n_mean.
+    """The thermal-cutoff rule: (dim, geometric tail) for N = n_mean.
 
-    dim is the smallest cutoff whose tail is at most DEFAULT_TAIL_TOL;
-    BudgetError (thermal_dim) when it exceeds DEFAULT_MAX_JOINT_DIM.
+    dim is the smallest cutoff whose tail is at most DEFAULT_TAIL_TOL; it
+    only sizes, and `_channel_transfer` refuses a build too large to hold.
+    Where q = N/(N+1) rounds below 1 the tail is q**dim, bit for bit the
+    deficit of `thermal_state(N, dim)`, and dim is bisected on that very
+    tail below sys.maxsize, where every q < 1 meets it.  From N ~ 1e16 on
+    q rounds to 1: -ln q is then log1p(1/N), dim the exact ratio of the
+    two logarithms rounded up (an int even past the float range), and the
+    tail exp(-dim log1p(1/N)).
     """
     n_mean = _check_photon_number(n_mean)
     if n_mean == 0.0:
         return 1, 0.0
     q = n_mean / (n_mean + 1.0)
-    dim = max(1, math.ceil(math.log(DEFAULT_TAIL_TOL) / math.log(q)))
-    while q**dim > DEFAULT_TAIL_TOL:  # guard against rounding in the ceil
-        dim += 1
-    if dim > DEFAULT_MAX_JOINT_DIM:
-        raise BudgetError(
-            f"thermal cutoff {dim} for tail {DEFAULT_TAIL_TOL:g} "
-            f"exceeds limit {DEFAULT_MAX_JOINT_DIM}",
-            bound="thermal_dim", value=dim, limit=DEFAULT_MAX_JOINT_DIM,
-        )
+    if q == 1.0:
+        top, bottom = (-math.log(DEFAULT_TAIL_TOL)).as_integer_ratio()
+        num, den = math.log1p(1.0 / n_mean).as_integer_ratio()
+        dim = -(-top * den // (bottom * num))
+        return dim, math.exp(-(dim * num / den))
+    dim = 1 + bisect.bisect_left(
+        range(1, sys.maxsize), True, key=lambda d: q**d <= DEFAULT_TAIL_TOL
+    )
     return dim, q**dim
 
 
@@ -379,9 +385,13 @@ def _blocks(lam: float, count: int, dim_env: int, dim_in: int) -> Iterator[np.nd
         yield blk
 
 
-def _env_distribution(n_env: float) -> tuple[np.ndarray, float]:
-    dim, tail = _thermal_cutoff(n_env)
-    return _thermal_probs(n_env, dim), tail
+def _transfer_shapes(dim_in: int, dim_env: int) -> list[tuple[int, int, int]]:
+    """Shapes of the float arrays a transfer build allocates: `diag`, then each lag group."""
+    dim_out = dim_in + dim_env - 1
+    size = -(-dim_in // _LAG_GROUPS)
+    return [(dim_out, dim_env, dim_in + 1)] + [
+        (min(size, dim_in - lo), dim_out - lo, dim_in - lo) for lo in range(0, dim_in, size)
+    ]
 
 
 def _strided(
@@ -438,11 +448,11 @@ def _transfer_tensor(
     threads, up to 164 levels.
     """
     dim_env = len(env_probs)
-    dim_out = dim_in + dim_env - 1
+    diag_shape, *group_shapes = _transfer_shapes(dim_in, dim_env)
+    dim_out, _, width = diag_shape
     # diag[r, e, n] = sqrt(p_e) B[n+e][p, n] on diagonal r = n - p + dim_env - 1,
     # so V_s = diag[dim_env - 1 - s]; column dim_in is the zero pad.
-    width = dim_in + 1
-    diag = np.zeros((dim_out, dim_env, width))
+    diag = np.zeros(diag_shape)
     for total, blk in enumerate(_blocks(lam, dim_out, dim_env, dim_in)):
         # Input levels n0..n1 meet environment level total - n; the window
         # starts at column max(0, total - dim_env).
@@ -457,17 +467,13 @@ def _transfer_tensor(
         )
         target[...] = blk[::-1, first : first + n1 - n0 + 1]
     diag *= np.sqrt(env_probs)[:, None]
-    size = -(-dim_in // _LAG_GROUPS)
-    groups = [
-        np.zeros((min(size, dim_in - lo), dim_out - lo, dim_in - lo))
-        for lo in range(0, dim_in, size)
-    ]
+    groups = [np.zeros(shape) for shape in group_shapes]
     # (first lag, lags, input levels, the group as (lags, rows * levels)).
     planes = [
-        (lo, len(group), dim_in - lo, group.reshape(len(group), -1))
-        for lo, group in zip(range(0, dim_in, size), groups)
+        (dim_in - levels, lags, levels, group.reshape(lags, -1))
+        for group, (lags, _, levels) in zip(groups, group_shapes)
     ]
-    rows, stride = max(dim_in, 2), dim_in + size + 1
+    rows, stride = max(dim_in, 2), dim_in + len(groups[0]) + 1
     buffer = np.zeros(rows * (stride + 1))
     gram = buffer[: rows * stride].reshape(rows, stride)
     lagged = buffer.reshape(rows, stride + 1).T     # lagged[d, j] = gram[j, j + d]
@@ -500,22 +506,26 @@ def _channel_transfer(
     """Packed transfer tensor for dim_in input levels, and the environment tail.
 
     The environment cutoff is sized from its geometric tail at
-    DEFAULT_TAIL_TOL; BudgetError when input and environment together
-    exceed DEFAULT_MAX_JOINT_DIM.  Only the last result is kept, so a
-    process holds one tensor (`ChannelParams` is frozen, so it hashes);
-    the tensor is read-only.  Each caller fetches once per state, report
-    or run and slices for smaller states.  A BudgetError is not kept, so
-    it is raised again on every call.
+    DEFAULT_TAIL_TOL.  BudgetError (transfer_bytes, value the bytes) when
+    `diag` and the lag groups of the build would exceed
+    DEFAULT_MAX_TRANSFER_BYTES, counted from their shapes before anything
+    is allocated; `diag` alone holds at least 16 dim_env^2 bytes, so no
+    environment above 2,048 levels passes.  Only the last result is kept,
+    so a process holds one tensor (`ChannelParams` is frozen, so it
+    hashes); the tensor is read-only.  Each caller fetches once per state,
+    report or run and slices for smaller states.  A BudgetError is not
+    kept, so it is raised again on every call.
     """
-    env_probs, env_tail = _env_distribution(params.environment_photons)
-    dim_env = len(env_probs)
-    joint = dim_in * dim_env
-    if joint > DEFAULT_MAX_JOINT_DIM:
+    n_env = params.environment_photons
+    dim_env, env_tail = _thermal_cutoff(n_env)
+    nbytes = 8 * sum(math.prod(shape) for shape in _transfer_shapes(dim_in, dim_env))
+    if nbytes > DEFAULT_MAX_TRANSFER_BYTES:
         raise BudgetError(
-            f"joint dimension {dim_in} x {dim_env} = {joint} "
-            f"exceeds cap {DEFAULT_MAX_JOINT_DIM}",
-            bound="joint_dim", value=joint, limit=DEFAULT_MAX_JOINT_DIM,
+            f"transfer_bytes {nbytes} for {dim_in} input x {dim_env} environment "
+            f"levels exceeds limit {DEFAULT_MAX_TRANSFER_BYTES}",
+            bound="transfer_bytes", value=nbytes, limit=DEFAULT_MAX_TRANSFER_BYTES,
         )
+    env_probs = _thermal_probs(n_env, dim_env)
     return _transfer_tensor(params.transmissivity, env_probs, dim_in), env_tail
 
 
@@ -619,15 +629,14 @@ def _push_rings(params: ChannelParams, radii: Sequence[float], dim_cap: int) -> 
     anything is fetched, so BudgetError (coherent_dim) names the first
     radius whose cutoff exceeds dim_cap.  Then one transfer tensor is
     fetched, at the largest cutoff, where `_channel_transfer` may refuse
-    the environment or the joint space (thermal_dim, joint_dim).  The
-    vector psi, its diagonals psi[k + delta] psi[k], the tensor and the
-    output are all real, so each lag group takes one real matmul and the
-    entropy a real eigensolve.  Each push reads the leading slice of the
-    tensor's lag blocks, bit for bit the build at its own cutoff when
-    BLAS runs on one thread, and to rounding with more (see
-    `_transfer_tensor`).  The photons are measured on the truncated
-    vector, as `mean_photon_number` measures its projector, not taken as
-    the radius squared.
+    a build over its byte cap (transfer_bytes).  The vector psi, its
+    diagonals psi[k + delta] psi[k], the tensor and the output are all
+    real, so each lag group takes one real matmul and the entropy a real
+    eigensolve.  Each push reads the leading slice of the tensor's lag
+    blocks, bit for bit the build at its own cutoff when BLAS runs on one
+    thread, and to rounding with more (see `_transfer_tensor`).  The
+    photons are measured on the truncated vector, as `mean_photon_number`
+    measures its projector, not taken as the radius squared.
     """
     cutoffs, tails = zip(*(_coherent_cutoff(r * r, dim_cap) for r in radii))
     start = time.perf_counter()
@@ -656,9 +665,9 @@ def apply_channel(params: ChannelParams, rho: FockDensityMatrix) -> FockDensityM
     """Mix rho with a thermal environment on a beamsplitter, trace it out.
 
     The environment cutoff is sized from its geometric tail at
-    DEFAULT_TAIL_TOL; BudgetError (joint_dim) when rho's levels times the
-    environment's exceed DEFAULT_MAX_JOINT_DIM.  The output lives on
-    dim + env_dim - 1 levels, enough to hold every photon the truncated
+    DEFAULT_TAIL_TOL; BudgetError (transfer_bytes) when the transfer build
+    for rho's levels exceeds DEFAULT_MAX_TRANSFER_BYTES.  The output lives
+    on dim + env_dim - 1 levels, enough to hold every photon the truncated
     joint state can carry, so no weight is lost beyond the input deficit
     plus the environment tail; that accounting is checked on every call.
     The work is done by the kernel `_push` on the upper diagonals of rho,
@@ -701,31 +710,22 @@ def _eigenvalue_entropy(vals: np.ndarray) -> float:
 
 
 def _holevo(
-    average: np.ndarray, mean_entropy: float, with_log: bool = False
+    average: np.ndarray, mean_entropy: float
 ) -> tuple[float, float, np.ndarray | None]:
-    """Chi in bits, S(average) in nats, and with `with_log` ln(average).
+    """Chi in bits, S(average) in nats, and for a 1-D average ln(average).
 
     chi = S(average) - mean_entropy (the members' weighted output
-    entropies, nats), clamped at +0.0.  An unphysical average raises
-    ValueError.  ln(average) (eigenvalues floored at 1e-18) comes from
-    the same eigh; without `with_log` only eigenvalues are computed.
-    A 1-D average is the diagonal of a diagonal matrix: its entries are
-    its eigenvalues, so it takes no eigensolve, and its ln is a vector.
+    entropies, nats), clamped at +0.0; an unphysical average raises
+    ValueError.  A 2-D average takes one eigvalsh and gives no log.  A 1-D
+    average is the diagonal of a diagonal matrix: its entries are its
+    eigenvalues, so it takes no eigensolve, and its ln is floored at 1e-18.
     """
-    if average.ndim == 1:
-        vals, vecs = np.sort(average), None
-    elif with_log:
-        vals, vecs = np.linalg.eigh(average)
+    if average.ndim == 2:
+        vals, ln_avg = np.linalg.eigvalsh(average), None
     else:
-        vals = np.linalg.eigvalsh(average)
+        vals, ln_avg = np.sort(average), np.log(np.maximum(average, _LOG_FLOOR))
     entropy = _eigenvalue_entropy(vals)
-    chi_bits = max(0.0, (entropy - mean_entropy) / _LN2)
-    if not with_log:
-        return chi_bits, entropy, None
-    if vecs is None:
-        return chi_bits, entropy, np.log(np.maximum(average, _LOG_FLOOR))
-    ln_avg = (vecs * np.log(np.maximum(vals, _LOG_FLOOR))) @ vecs.conj().T
-    return chi_bits, entropy, ln_avg
+    return max(0.0, (entropy - mean_entropy) / _LN2), entropy, ln_avg
 
 
 def mean_photon_number(rho: FockDensityMatrix) -> float:
@@ -890,11 +890,10 @@ def gaussian_ensemble_report(
     transfer tensor built at the largest cutoff.  BudgetError is raised
     when a radius's cutoff exceeds dim_cap (coherent_dim, the first such
     radius in ascending order), then at the largest cutoff when the
-    environment or the joint space exceeds DEFAULT_MAX_JOINT_DIM
-    (thermal_dim, joint_dim).  Every radius is sized before the
-    environment, so when both fail coherent_dim is the one raised, and
-    the joint_dim error's value is the largest cutoff times the
-    environment dimension.
+    transfer build exceeds DEFAULT_MAX_TRANSFER_BYTES (transfer_bytes).
+    Every radius is sized before the environment, so when both fail
+    coherent_dim is the one raised, and the transfer_bytes error's value
+    is the bytes of a build at the largest cutoff.
 
     The channel is phase-covariant: with U(phi) = diag(e^{i n phi}),
     the input U |alpha> gives the output U rho_out U^dag.  So the nodes

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import time
 import tracemalloc
 import warnings
 
@@ -309,6 +310,19 @@ def test_verify_rejects_a_negative_seed_before_any_suite(capsys):
     assert "--seed must be a nonnegative integer" in captured.err
 
 
+def test_verify_full_runs_the_fock_suite(capsys):
+    assert main(["verify", "--level", "full"]) == 0
+    passed = {
+        fields[0]
+        for fields in map(str.split, capsys.readouterr().out.splitlines())
+        if "pass" in fields
+    }
+    assert {
+        "fock.thermal-entropy-vs-tail", "fock.moment-consistency",
+        "fock.chi-vs-closed-form", "fock.alpha-independence",
+    } <= passed
+
+
 def test_oracle_agreement(capsys):
     code = main(
         ["oracle", "--lambda", "0.6", "--ne", "0.5", "--n", "1", "--dim-cap", "96"]
@@ -387,6 +401,43 @@ def test_oracle_refuses_a_cap_its_tails_do_not_fit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "limit 4" in captured.err
+
+
+def test_oracle_runs_a_hot_point_within_the_byte_cap(capsys):
+    # 92 input levels beside N_E 2's 57: an 11.0 MiB transfer build.
+    assert main(["oracle", "--lambda", "0.6", "--ne", "2", "--n", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "oracle agreement: pass" in out and "dim_env = 57\n" in out
+
+
+def test_oracle_refuses_a_build_over_the_byte_cap_before_building_it(capsys):
+    # A vacuum-only report beside N_E 177's 4,088 environment levels would
+    # build 255 MiB; the count refuses it before anything is allocated.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["oracle", "--lambda", "0.6", "--ne", "177", "--n", "0"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: transfer_bytes 267420608 for 1 input x 4088 ")
+    assert elapsed < 1.0 and peak < 2**20
+
+
+def test_oracle_outside_the_bounds_domain_exits_one_before_any_tensor(capsys, monkeypatch):
+    # q = N_E/(N_E+1) rounds to 1 at N_E 1e17; the bound's domain message
+    # comes first, as in `optimize`.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report was started")
+
+    monkeypatch.setattr(thermalcap.cli, "gaussian_ensemble_report", refuse)
+    assert main(["oracle", "--lambda", "0.5", "--ne", "1e17", "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: environment photon number must be <= 1e+06, got 1e+17\n"
 
 
 def test_optimize_zero_signal_json(capsys):

@@ -19,7 +19,7 @@ from thermalcap import fock_oracle, gfunc
 from thermalcap.bounds import LN2, holevo_lower
 from thermalcap.fock_oracle import (
     DEFAULT_CHI_DIM_CAP,
-    DEFAULT_MAX_JOINT_DIM,
+    DEFAULT_MAX_TRANSFER_BYTES,
     DEFAULT_TAIL_TOL,
     BudgetError,
     FockDensityMatrix,
@@ -48,6 +48,11 @@ from thermalcap.gaussian_core import (
 
 def params(lam, n_env):
     return ChannelParams(transmissivity=lam, environment_photons=n_env)
+
+
+def env_probs_at(n_env):
+    """The environment's level probabilities on its tail-sized cutoff."""
+    return fock_oracle._thermal_probs(n_env, _thermal_cutoff(n_env)[0])
 
 
 def test_beamsplitter_single_photon_block():
@@ -123,7 +128,7 @@ def test_block_builds_run_no_eigensolver(monkeypatch):
     # The blocks come from a recurrence, and a tensor build reads them in
     # a column window that must match the full blocks bit for bit.
     full = beamsplitter_blocks(0.6, 30)
-    env_probs, _ = fock_oracle._env_distribution(0.5)
+    env_probs = env_probs_at(0.5)
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolver called in a block build")
@@ -210,7 +215,7 @@ def test_thermal_tail_bounds():
 def test_truncation_budget_sizes_dimensions():
     dim, tail = _thermal_cutoff(1.0)
     assert thermal_state(1.0, dim).deficit == tail <= 1e-10
-    dim, _ = _coherent_cutoff(1.0, DEFAULT_MAX_JOINT_DIM)
+    dim, _ = _coherent_cutoff(1.0, sys.maxsize)
     assert _poisson_tail_bound(1.0, dim) <= 1e-10
 
 
@@ -226,7 +231,7 @@ def test_coherent_budget_is_the_smallest_cutoff_meeting_both_rules(mu, phase):
     def meets(dim):
         return _poisson_tail_bound(mu, dim) <= DEFAULT_TAIL_TOL
 
-    dim, tail = _coherent_cutoff(mu, DEFAULT_MAX_JOINT_DIM)
+    dim, tail = _coherent_cutoff(mu, sys.maxsize)
     assert meets(dim)
     assert tail == _poisson_tail_bound(mu, dim)
     assert dim == 1 or not meets(dim - 1)
@@ -263,7 +268,7 @@ def test_coherent_state_budget_error():
     # |alpha|^2 = 9 needs, the limit the levels it was given.
     with pytest.raises(BudgetError) as excinfo:
         coherent_state(3.0, 36)
-    needed, _ = _coherent_cutoff(9.0, DEFAULT_MAX_JOINT_DIM)
+    needed, _ = _coherent_cutoff(9.0, sys.maxsize)
     error = excinfo.value
     assert (error.bound, error.value, error.limit) == ("coherent_dim", needed, 36)
     assert needed == 37
@@ -362,7 +367,7 @@ def lags(transfer):
 
 differ = []
 for n_env, largest, dims in json.loads({builds!r}):
-    env_probs, _ = fock_oracle._env_distribution(n_env)
+    env_probs = fock_oracle._thermal_probs(n_env, fock_oracle._thermal_cutoff(n_env)[0])
     full = lags(fock_oracle._transfer_tensor(0.6, env_probs, largest))
     for dim in dims:
         fresh = lags(fock_oracle._transfer_tensor(0.6, env_probs, dim))
@@ -414,7 +419,7 @@ def _transfer_by_einsum(lam, env_probs, dim_in):
 def test_transfer_tensor_matches_the_einsum_reference(n_env):
     # The Gram-product build agrees with the per-lag einsum to rounding
     # (at most 1.1e-16 measured), its padding included.
-    env_probs, _ = fock_oracle._env_distribution(n_env)
+    env_probs = env_probs_at(n_env)
     for dim in (1, 2, 17, 40, 164):
         packed = _lag_blocks(fock_oracle._transfer_tensor(0.6, env_probs, dim))
         reference = _transfer_by_einsum(0.6, env_probs, dim)
@@ -426,7 +431,7 @@ def test_transfer_tensor_stores_only_the_support():
     # A dense T[delta, p, j] at the oracle's 164 levels (N_E 0.5, so 21
     # environment levels) would hold 164 * 184 * 164 floats.  The packed
     # build stores at most half of that, and its peak stays below it.
-    env_probs, _ = fock_oracle._env_distribution(0.5)
+    env_probs = env_probs_at(0.5)
     dense_bytes = 164 * (164 + len(env_probs) - 1) * 164 * 8
     tracemalloc.start()
     try:
@@ -443,7 +448,7 @@ def _apply_by_output_offsets(lam, n_env, rho):
     # W_off[i, j] = sum_e p_e kd[e, e-off, i] kd[e, e-off, j] with the
     # Kraus diagonals kd[e, f, n] = B[n+e][n+e-f, n], applied as
     # out[i+off, j+off] += W_off[i, j] rho[i, j].
-    env_probs, _ = fock_oracle._env_distribution(n_env)
+    env_probs = env_probs_at(n_env)
     dim, dim_env = rho.dim, len(env_probs)
     m_max = dim + dim_env - 2
     blocks = beamsplitter_blocks(lam, m_max)
@@ -668,8 +673,8 @@ def test_chi_report_alpha_independence():
     "n_env, dim_cap, bound, limit",
     [
         (0.5, 12, "coherent_dim", 12),
-        (500.0, DEFAULT_CHI_DIM_CAP, "thermal_dim", 4096),
-        (50.0, DEFAULT_CHI_DIM_CAP, "joint_dim", 4096),
+        (500.0, DEFAULT_CHI_DIM_CAP, "transfer_bytes", 64 * 2**20),
+        (50.0, DEFAULT_CHI_DIM_CAP, "transfer_bytes", 64 * 2**20),
     ],
 )
 def test_oracle_raises_the_budget_it_cannot_meet(n_env, dim_cap, bound, limit):
@@ -707,17 +712,20 @@ def test_oracle_checks_the_coherent_cutoff_before_the_environment():
 
 def test_oracle_joint_error_names_the_largest_cutoff():
     # One tensor is built, at the largest cutoff (59 levels at N = 1),
-    # so the joint error carries 59 x the 1163-level environment.
+    # so the error carries the bytes of a 59-level build beside the
+    # 1163-level environment: `diag` (1221, 1163, 60) and four lag groups
+    # of 15, 15, 15 and 14 lags on (1221 - lo, 59 - lo), lo = 0, 15, 30, 45.
     with pytest.raises(BudgetError) as excinfo:
         gaussian_ensemble_report(params(0.6, 50.0), 1.0)
-    assert (excinfo.value.bound, excinfo.value.limit) == ("joint_dim", 4096)
-    assert excinfo.value.value == 59 * 1163
+    assert (excinfo.value.bound, excinfo.value.limit) == ("transfer_bytes", 64 * 2**20)
+    groups = 15 * 1221 * 59 + 15 * 1206 * 44 + 15 * 1191 * 29 + 14 * 1176 * 14
+    assert excinfo.value.value == 8 * (1221 * 1163 * 60 + groups) == 702_612_048
 
 
 def test_oracle_sizes_a_hot_point_by_its_tail():
     # At N_E 1 the environment takes 34 levels.  The largest radius at N = 2
-    # has 4|alpha|^2 = 164, which would put the joint space over its cap
-    # (5,576 > 4,096); its Poisson tail needs only 92 levels.
+    # has 4|alpha|^2 = 164, which would make a 28.4 MiB transfer build;
+    # its Poisson tail needs only 92 levels, a 7.1 MiB build.
     p = params(0.6, 1.0)
     report = gaussian_ensemble_report(p, 2.0)
     assert report.member_dims.max() * report.dim_env == 92 * 34
@@ -818,7 +826,7 @@ def test_verify_decomposition_examples():
 
 def test_verify_decomposition_thermal_input():
     # The hot environment (N_E = 5) takes 127 levels, so a 32-level input
-    # fills 4064 of the 4096-level joint cap.
+    # makes a 5.8 MiB transfer build, `diag` 5.1 MiB of it.
     rho = thermal_state(2.0, 32)
     assert verify_decomposition_fock(params(0.8, 5.0), [rho]) <= 1e-8
     out = apply_channel(params(0.8, 5.0), rho)
@@ -827,11 +835,111 @@ def test_verify_decomposition_thermal_input():
 
 
 def test_apply_channel_joint_dimension_cap():
-    # 64 input levels times the 127-level environment at N_E = 5.
+    # 64 input levels beside the 127-level environment at N_E = 5 make a
+    # 15.4 MiB build, within the cap; beside the 472 levels at N_E = 20
+    # they make 135.4 MiB: `diag` (535, 472, 65) and lag groups of 16
+    # lags on (535 - lo, 64 - lo), lo = 0, 16, 32, 48.
+    rho = thermal_state(2.0, 64)
+    assert apply_channel(params(0.5, 5.0), rho).dim == 64 + 127 - 1
     with pytest.raises(BudgetError) as excinfo:
-        apply_channel(params(0.5, 5.0), thermal_state(2.0, 64))
-    assert (excinfo.value.bound, excinfo.value.value) == ("joint_dim", 64 * 127)
-    assert excinfo.value.limit == DEFAULT_MAX_JOINT_DIM
+        apply_channel(params(0.5, 20.0), rho)
+    groups = 16 * (535 * 64 + 519 * 48 + 503 * 32 + 487 * 16)
+    assert (excinfo.value.bound, excinfo.value.value) == (
+        "transfer_bytes", 8 * (535 * 472 * 65 + groups)
+    )
+    assert excinfo.value.limit == DEFAULT_MAX_TRANSFER_BYTES
+
+
+@pytest.mark.parametrize("n_env", [1e-12, 0.5, 2.0, 1e6, 1e9, 1e15])
+def test_thermal_cutoff_is_the_smallest_dim_its_deficit_allows(n_env):
+    # Where q = N/(N+1) rounds below 1 the tail is q**dim, the deficit
+    # `thermal_state` reports, within the tolerance one level sooner never.
+    # At N_E 1e15 the rounded q sits 0.08% of 1 - q off N/(N+1), which
+    # moves the cutoff ~1.8e13 levels past log1p's estimate.
+    dim, tail = _thermal_cutoff(n_env)
+    q = n_env / (n_env + 1.0)
+    assert tail == q**dim <= DEFAULT_TAIL_TOL < q ** (dim - 1)
+    if dim <= 100:
+        assert thermal_state(n_env, dim).deficit == tail
+
+
+@pytest.mark.parametrize("n_env", [1e15, 1e17, 1e300, sys.float_info.max])
+def test_thermal_cutoff_sizes_any_environment_and_the_build_refuses_it(n_env):
+    # From N_E ~ 1e16 on q rounds to 1 and -ln q is log1p(1/N); at the
+    # largest float the cutoff overflows a float and stays an exact int.
+    dim, tail = _thermal_cutoff(n_env)
+    assert isinstance(dim, int) and dim > 20 * int(n_env)
+    assert 0.0 < tail <= DEFAULT_TAIL_TOL
+    with pytest.raises(BudgetError) as excinfo:
+        apply_channel(params(0.6, n_env), coherent_state(0.0, 1))
+    error = excinfo.value
+    assert (error.bound, error.limit) == ("transfer_bytes", DEFAULT_MAX_TRANSFER_BYTES)
+    assert error.value >= 16 * dim**2
+
+
+@pytest.mark.parametrize("n_env", [50.0, 1e6])
+def test_transfer_bytes_are_refused_before_anything_is_allocated(n_env, monkeypatch):
+    # At (0.6, 50, 1) the build would hold 670 MiB, and at N_E 1e6 its
+    # `diag` alone 16 x 23-million-level squared bytes; neither the
+    # environment's probabilities nor any array of the build is made.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused build allocated")
+
+    monkeypatch.setattr(fock_oracle, "_thermal_probs", refuse)
+    monkeypatch.setattr(fock_oracle, "_transfer_tensor", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as excinfo:
+            gaussian_ensemble_report(params(0.6, n_env), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert excinfo.value.bound == "transfer_bytes"
+    assert excinfo.value.value > 670 * 2**20 > excinfo.value.limit
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("lam, n_env, dim", [(0.6, 2.0, 92), (0.8, 5.0, 32)])
+def test_counted_transfer_bytes_are_what_a_build_allocates(lam, n_env, dim, monkeypatch):
+    # The refusal counts `diag` and the lag groups; a real build allocates
+    # exactly those float arrays, and the rest of its peak is a few
+    # percent: the Gram buffer, the block buffer and one block at a time.
+    p = params(lam, n_env)
+    monkeypatch.setattr(fock_oracle, "DEFAULT_MAX_TRANSFER_BYTES", 0)
+    with pytest.raises(BudgetError) as excinfo:
+        fock_oracle._channel_transfer(p, dim)
+    counted = excinfo.value.value
+    monkeypatch.undo()
+    made = []
+    zeros = np.zeros
+
+    def recording(*args, **kwargs):
+        made.append(zeros(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np, "zeros", recording)
+    fock_oracle._channel_transfer.cache_clear()
+    tracemalloc.start()
+    try:
+        transfer, _ = fock_oracle._channel_transfer(p, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    builds = [array for array in made if array.ndim == 3]
+    assert len(builds) == 1 + len(transfer)
+    assert sum(array.nbytes for array in builds) == counted
+    assert counted <= peak <= 1.05 * counted
+
+
+def test_oracle_runs_a_hot_point_within_the_byte_cap():
+    # At (0.6, 2, 2) the 92-level input beside the 57-level environment
+    # (5,244 levels, over 4,096) is an 11.0 MiB build; chi sits within
+    # criterion 7's 1e-3 bits of the closed-form bound (1.5e-9 measured).
+    p = params(0.6, 2.0)
+    report = gaussian_ensemble_report(p, 2.0)
+    assert (report.member_dims.max(), report.dim_env) == (92, 57)
+    assert report.max_tail_bound <= DEFAULT_TAIL_TOL
+    assert abs(report.chi_bits - holevo_lower(p, 2.0)) <= 1e-3
 
 
 def test_fock_density_matrix_validation():

@@ -178,11 +178,11 @@ def test_each_holevo_step_has_one_home():
 
 
 # Each truncation constant is read only where its rule lives: the tail
-# tolerance by the two cutoff rules, and the joint cap by the thermal rule
-# and the transfer-tensor fetch.
+# tolerance by the two cutoff rules, and the byte cap by the transfer-tensor
+# fetch, where a build is sized before anything is allocated.
 _CONSTANT_READERS = {
     "DEFAULT_TAIL_TOL": {"_thermal_cutoff", "_coherent_cutoff"},
-    "DEFAULT_MAX_JOINT_DIM": {"_thermal_cutoff", "_channel_transfer"},
+    "DEFAULT_MAX_TRANSFER_BYTES": {"_channel_transfer"},
 }
 
 
